@@ -8,7 +8,9 @@ the data-path cycle total and the key-sorted machine and fabric counters.
 Any change to the simulator's access path that moves one hook, one flag,
 one cycle or one counter fails here — on many-core snoopy and directory
 machines as well as on the Table 1 platform, and on the fuzz-corpus
-exemplars (``exemplar-l2-displacement`` pins L2 back-invalidation).
+exemplars (``exemplar-l2-displacement`` pins L2 back-invalidation).  A
+16 KB L2 makes the server workloads displace lines that several L1s
+hold, which pins the order of multi-copy back-invalidations too.
 
 Regenerate (only when an *intentional* behaviour change lands) with::
 
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.config import MachineConfig
+from repro.common.config import KB, MachineConfig
 from repro.engine.tape import _TAPE_ARRAYS, MachineTape
 from repro.fuzz.corpus import corpus_paths, load_case
 from repro.harness.experiment import (
@@ -42,6 +44,10 @@ CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
 #: Machine coordinates of the server-workload tapes.
 SERVER_CORES = (4, 16, 64)
 FABRICS = ("snoopy", "directory")
+#: The small L2 of the back-invalidation coordinates, and their core counts
+#: (8 threads place identically on 16 and 64 cores).
+SMALL_L2 = 16 * KB
+SMALL_L2_CORES = (4, 16)
 
 
 def tape_digest(tape: MachineTape) -> str:
@@ -79,8 +85,18 @@ def _cases():
     """(app or exemplar name, columns factory, [(coordinate name, config)])."""
     for app in SERVER_WORKLOADS:
         machines = [
-            (f"{app}/c{cores}/{fabric}", MachineConfig(num_cores=cores, coherence=fabric))
+            (
+                f"{app}/c{cores}/{fabric}",
+                MachineConfig(num_cores=cores, coherence=fabric),
+            )
             for cores in SERVER_CORES
+            for fabric in FABRICS
+        ] + [
+            (
+                f"{app}/c{cores}/{fabric}/l2-16k",
+                MachineConfig(num_cores=cores, coherence=fabric).with_l2_size(SMALL_L2),
+            )
+            for cores in SMALL_L2_CORES
             for fabric in FABRICS
         ]
         yield app, lambda app=app: _server_columns(app), machines
