@@ -140,6 +140,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     result = run.result
     print(f"trace: {len(run.trace):,} events")
+    engine = run.report.engine
+    fallback = f" (fallback: {engine['fallback']})" if engine["fallback"] else ""
+    print(f"engine path: {engine['path']}{fallback}")
     for res in run.results or [result]:
         print(
             f"{res.detector}: {res.reports.dynamic_count} dynamic reports, "

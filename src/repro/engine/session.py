@@ -112,6 +112,13 @@ class EngineSession:
         self._ran = False
         #: Op-kind census estimates of the last telemetry-recorded run.
         self._census: dict | None = None
+        #: The walk :meth:`run` took — ``"batch"``, ``"scalar"``,
+        #: ``"batch+scalar"`` (cores without a batch kernel stepped
+        #: scalar), ``"sharded"`` or ``"traced"`` — set by :meth:`run`.
+        self.path_taken: str | None = None
+        #: Why ``path="auto"`` did not take the batch walk for every core
+        #: (e.g. ``"flight recorder active"``); None when nothing fell back.
+        self.fallback: str | None = None
 
     @property
     def trace(self) -> Trace:
@@ -188,22 +195,29 @@ class EngineSession:
         if recorder is not None:
             self._census = recorder.observe_trace(self.trace)
 
+        # Batch path: observability hooks fire per event inside scalar
+        # ``step`` implementations, so any active obs (emitter, metrics, or
+        # a flight recorder) forces the scalar walk — recorded as the
+        # fallback under "auto", an error under "batch" and "sharded".
+        if tracing:
+            obs_blocker = "trace emitter active"
+        elif recorder is not None:
+            obs_blocker = "flight recorder active"
+        elif obs is not None and obs.active:
+            obs_blocker = "metrics collection active"
+        else:
+            obs_blocker = None
+        if self.path == "auto":
+            self.fallback = obs_blocker
+
         if tracing and self.path not in ("batch", "sharded"):
+            self.path_taken = "traced"
             for core in self._cores:
                 core.begin(self.trace, obs=obs)
             self._walk_traced(recorder)
             return [core.finish() for core in self._cores]
 
-        # Batch path: observability hooks fire per event inside scalar
-        # ``step`` implementations, so any active obs (emitter, metrics, or
-        # a flight recorder) forces the scalar walk — silently under "auto",
-        # loudly under "batch".
-        batch_allowed = (
-            self.path != "scalar"
-            and not tracing
-            and recorder is None
-            and (obs is None or not obs.active)
-        )
+        batch_allowed = self.path != "scalar" and obs_blocker is None
         sharded_ok = batch_allowed and all(
             config is not None for config in self._configs
         )
@@ -219,6 +233,7 @@ class EngineSession:
                     "registered via add_config, so worker processes can "
                     "rebuild the cores from their configs"
                 )
+            self.path_taken = "sharded"
             return self._run_sharded()
         if (
             self.path == "auto"
@@ -226,6 +241,7 @@ class EngineSession:
             and self.jobs > 1
             and self.columns().n >= self.shard_threshold
         ):
+            self.path_taken = "sharded"
             return self._run_sharded()
         if self.path == "batch":
             if not batch_allowed:
@@ -250,6 +266,14 @@ class EngineSession:
         )
         batch_ids = {id(core) for core in batch_cores}
         scalar_cores = [c for c in self._cores if id(c) not in batch_ids]
+        if not scalar_cores:
+            self.path_taken = "batch"
+        else:
+            self.path_taken = "batch+scalar" if batch_cores else "scalar"
+            if self.path == "auto" and batch_allowed:
+                self.fallback = "no batch kernel: " + ", ".join(
+                    core.name for core in scalar_cores
+                )
 
         if batch_cores:
             self._walk_batch(batch_cores)

@@ -50,7 +50,12 @@ from repro.common.coltrace import (
 )
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
-from repro.sim.coherence import FillSource, MachineListener, SourceKind
+from repro.sim.coherence import (
+    L2_SOURCE,
+    MEMORY_SOURCE,
+    FillSource,
+    MachineListener,
+)
 from repro.sim.machine import Machine
 
 #: On-disk tape format magic + version (bump on any layout change).
@@ -96,42 +101,48 @@ HOOK_L2_EVICT = 6
 
 
 class _Recorder(MachineListener):
-    """Appends every coherence callback to the flat hook arrays."""
+    """Appends every coherence callback to one flat hook list.
 
-    __slots__ = ("code", "line", "core", "aux")
+    Each callback is one ``list.extend`` of its (code, line, core, aux)
+    record; :meth:`columns` splits the list into the four packed arrays
+    once the walk is over.
+    """
+
+    __slots__ = ("hooks", "_extend")
 
     def __init__(self):
-        self.code = array("B")
-        self.line = array("q")
-        self.core = array("i")
-        self.aux = array("i")
-
-    def _append(self, code: int, line_addr: int, core: int, aux: int) -> None:
-        self.code.append(code)
-        self.line.append(line_addr)
-        self.core.append(core)
-        self.aux.append(aux)
+        self.hooks: list[int] = []
+        self._extend = self.hooks.extend
 
     def on_fill(self, core: int, line_addr: int, source: FillSource) -> None:
-        kind = source.kind
-        if kind is SourceKind.MEMORY:
-            self._append(HOOK_FILL_MEM, line_addr, core, 0)
-        elif kind is SourceKind.L2:
-            self._append(HOOK_FILL_L2, line_addr, core, 0)
+        if source is MEMORY_SOURCE:
+            self._extend((HOOK_FILL_MEM, line_addr, core, 0))
+        elif source is L2_SOURCE:
+            self._extend((HOOK_FILL_L2, line_addr, core, 0))
         else:
-            self._append(HOOK_FILL_CORE, line_addr, core, source.core)
+            self._extend((HOOK_FILL_CORE, line_addr, core, source.core))
 
     def on_writeback(self, core: int, line_addr: int) -> None:
-        self._append(HOOK_WRITEBACK, line_addr, core, 0)
+        self._extend((HOOK_WRITEBACK, line_addr, core, 0))
 
     def on_l1_evict(self, core: int, line_addr: int, dirty: bool) -> None:
-        self._append(HOOK_L1_EVICT, line_addr, core, 1 if dirty else 0)
+        self._extend((HOOK_L1_EVICT, line_addr, core, 1 if dirty else 0))
 
     def on_invalidate(self, core: int, line_addr: int) -> None:
-        self._append(HOOK_INVALIDATE, line_addr, core, 0)
+        self._extend((HOOK_INVALIDATE, line_addr, core, 0))
 
     def on_l2_evict(self, line_addr: int) -> None:
-        self._append(HOOK_L2_EVICT, line_addr, -1, 0)
+        self._extend((HOOK_L2_EVICT, line_addr, -1, 0))
+
+    def columns(self) -> tuple[array, array, array, array]:
+        """The hook stream as packed (code, line, core, aux) arrays."""
+        hooks = self.hooks
+        return (
+            array("B", hooks[0::4]),
+            array("q", hooks[1::4]),
+            array("i", hooks[2::4]),
+            array("i", hooks[3::4]),
+        )
 
 
 class MachineTape:
@@ -162,18 +173,20 @@ class MachineTape:
         machine = Machine(machine_config)
         recorder = _Recorder()
         machine.add_listener(recorder)
+        hooks = recorder.hooks
 
         hook_off = array("q", bytes(8 * (n + 1)))
         pig = array("B", bytes(n))
         sharer_off = array("q", bytes(8 * (n + 1)))
         sharer_line = array("q")
         sharer_flag = array("B")
+        append_line = sharer_line.append
+        append_flag = sharer_flag.append
 
         access = machine.access
         charge = machine.charge
         has_other_sharers = machine.has_other_sharers
         core_for_thread = machine.core_for_thread
-        memory_source = SourceKind.MEMORY
         n_sharers = 0
 
         kinds = cols.kind
@@ -182,41 +195,42 @@ class MachineTape:
         sizes = cols.size
         cycles_col = cols.cycles
         for i in range(n):
-            hook_off[i] = len(recorder.code)
+            hook_off[i] = len(hooks) >> 2
             sharer_off[i] = n_sharers
             kind = kinds[i]
             if kind <= 1:  # READ / WRITE
                 core = core_for_thread(tids[i])
-                result = access(core, addrs[i], sizes[i], kind == 1)
+                lines = access(core, addrs[i], sizes[i], kind == 1).lines
                 count = 0
-                for line_result in result.lines:
+                for line_result in lines:
                     source = line_result.fill_source
-                    if source is not None and source.kind is not memory_source:
+                    if source is not None and source is not MEMORY_SOURCE:
                         count += 1
                     victim = line_result.l1_victim
                     if victim is not None and victim.dirty:
                         count += 1
-                pig[i] = count
-                for line_result in result.lines:
+                    # Sharer flags are read once the whole access is done.
                     line_addr = line_result.line_addr
-                    sharer_line.append(line_addr)
-                    sharer_flag.append(
-                        1 if has_other_sharers(line_addr, excluding=core) else 0
-                    )
-                    n_sharers += 1
+                    append_line(line_addr)
+                    shared = has_other_sharers(line_addr, excluding=core)
+                    append_flag(1 if shared else 0)
+                pig[i] = count
+                n_sharers += len(lines)
             elif kind == KIND_COMPUTE:
                 charge(cycles_col[i], "compute")
             elif kind != KIND_BARRIER:  # LOCK / UNLOCK
                 access(core_for_thread(tids[i]), addrs[i], _LOCK_WORD_BYTES, True)
-        hook_off[n] = len(recorder.code)
+        hook_off[n] = len(hooks) >> 2
         sharer_off[n] = n_sharers
 
         machine.remove_listener(recorder)
         self.hook_off = hook_off
-        self.hook_code = recorder.code
-        self.hook_line = recorder.line
-        self.hook_core = recorder.core
-        self.hook_aux = recorder.aux
+        (
+            self.hook_code,
+            self.hook_line,
+            self.hook_core,
+            self.hook_aux,
+        ) = recorder.columns()
         self.pig = pig
         self.sharer_off = sharer_off
         self.sharer_line = sharer_line

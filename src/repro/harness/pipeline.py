@@ -218,6 +218,11 @@ def run_pipeline(
         throughput=throughput,
         cache=cache,
         telemetry=telemetry,
+        engine={
+            "requested": engine_path,
+            "path": session.path_taken,
+            "fallback": session.fallback,
+        },
     )
     return PipelineRun(
         report=report,

@@ -83,6 +83,10 @@ class Bus:
         self._cycles = 0
         self._emitter = emitter if emitter is not None else NULL_EMITTER
         self.meta_model = snoopy_meta_model(config)
+        # Hot path: _spend bumps the live counters directly, with each
+        # kind's counter keys built once.
+        self._counts = self.stats._counts
+        self._spend_keys: dict[str, tuple[str, str]] = {}
 
     @property
     def cycles(self) -> int:
@@ -90,9 +94,22 @@ class Bus:
         return self._cycles
 
     def _spend(self, cycles: int, kind: str) -> int:
+        """Book one ``kind`` transaction of ``cycles``.
+
+        ``cycles`` is always a :class:`BusConfig` timing (validated positive
+        by its ``__post_init__``), so the counters skip
+        :meth:`StatCounters.add`'s sign check.
+        """
+        keys = self._spend_keys.get(kind)
+        if keys is None:
+            keys = self._spend_keys[kind] = (
+                f"bus.cycles.{kind}",
+                f"bus.transactions.{kind}",
+            )
         self._cycles += cycles
-        self.stats.add(f"bus.cycles.{kind}", cycles)
-        self.stats.add(f"bus.transactions.{kind}")
+        counts = self._counts
+        counts[keys[0]] += cycles
+        counts[keys[1]] += 1
         return cycles
 
     # ------------------------------------------------------------ data moves

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
-from repro.common.addresses import line_address
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
 from repro.obs.trace import NULL_EMITTER, TraceEmitter
@@ -34,7 +34,7 @@ class MESI(enum.Enum):
     INVALID = "I"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One resident cache line.
 
@@ -53,16 +53,29 @@ class CacheLine:
         return self.state is MESI.MODIFIED
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Victim:
-    """A line displaced by a fill: its address, and whether it was dirty."""
+    """A line displaced by a fill: its address, and whether it was dirty.
+
+    Slotted and read-only by convention (one is built per displacement).
+    """
 
     line_addr: int
     dirty: bool
 
 
+_LRU_TICK = attrgetter("lru_tick")
+
+
 class Cache:
-    """A set-associative cache of :class:`CacheLine` with true-LRU eviction."""
+    """A set-associative cache of :class:`CacheLine` with true-LRU eviction.
+
+    Every method takes any byte address and masks it to its line; masking
+    an already line-aligned address is a no-op, so the machine passes its
+    line addresses straight through.  Set indexing is inlined (one shift
+    and mask, no helper call) because these methods sit on every simulated
+    access.
+    """
 
     def __init__(
         self,
@@ -79,17 +92,10 @@ class Cache:
         self._emitter = emitter if emitter is not None else NULL_EMITTER
         # Hot-path constants (profiled: recomputing them per lookup is the
         # single largest cost of a simulation pass).
+        self._line_mask = ~(config.line_size - 1)
         self._line_shift = config.line_size.bit_length() - 1
         self._set_mask = config.num_sets - 1
-
-    # ---------------------------------------------------------------- helpers
-
-    def _set_for(self, line_addr: int) -> dict[int, CacheLine]:
-        return self._sets[(line_addr >> self._line_shift) & self._set_mask]
-
-    def _touch(self, line: CacheLine) -> None:
-        self._tick += 1
-        line.lru_tick = self._tick
+        self._ways = config.associativity
 
     # ----------------------------------------------------------------- lookup
 
@@ -98,17 +104,24 @@ class Cache:
 
         Does *not* update LRU state; use :meth:`access` on the hit path.
         """
-        line_addr = line_address(addr, self.config.line_size)
-        line = self._set_for(line_addr).get(line_addr)
+        line_addr = addr & self._line_mask
+        line = self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
+            line_addr
+        )
         if line is not None and line.state is MESI.INVALID:
             return None
         return line
 
     def access(self, addr: int) -> CacheLine | None:
         """Lookup that also refreshes LRU recency on a hit."""
-        line = self.lookup(addr)
-        if line is not None:
-            self._touch(line)
+        line_addr = addr & self._line_mask
+        line = self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
+            line_addr
+        )
+        if line is None or line.state is MESI.INVALID:
+            return None
+        self._tick += 1
+        line.lru_tick = self._tick
         return line
 
     def contains(self, addr: int) -> bool:
@@ -123,12 +136,12 @@ class Cache:
         Returns None when the target set still has a free way (or already
         holds the line).  Does not modify the cache.
         """
-        line_addr = line_address(line_addr, self.config.line_size)
-        cache_set = self._set_for(line_addr)
-        if line_addr in cache_set or len(cache_set) < self.config.associativity:
+        line_addr &= self._line_mask
+        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+        if line_addr in cache_set or len(cache_set) < self._ways:
             return None
-        victim = min(cache_set.values(), key=lambda ln: ln.lru_tick)
-        return Victim(line_addr=victim.tag, dirty=victim.dirty)
+        victim = min(cache_set.values(), key=_LRU_TICK)
+        return Victim(victim.tag, victim.state is MESI.MODIFIED)
 
     def fill(self, line_addr: int, state: MESI) -> Victim | None:
         """Install ``line_addr`` in ``state``; return the displaced victim.
@@ -139,8 +152,8 @@ class Cache:
         """
         if state is MESI.INVALID:
             raise SimulationError("cannot fill a line in Invalid state")
-        line_addr = line_address(line_addr, self.config.line_size)
-        cache_set = self._set_for(line_addr)
+        line_addr &= self._line_mask
+        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         if line_addr in cache_set:
             raise SimulationError(
                 f"{self.name}: fill of already-resident line 0x{line_addr:x}"
@@ -156,17 +169,15 @@ class Cache:
                     dirty=victim.dirty,
                 )
         self._tick += 1
-        cache_set[line_addr] = CacheLine(
-            tag=line_addr, state=state, lru_tick=self._tick
-        )
+        cache_set[line_addr] = CacheLine(line_addr, state, self._tick)
         return victim
 
     # ------------------------------------------------------- state management
 
     def set_state(self, line_addr: int, state: MESI) -> None:
         """Change the MESI state of a resident line (or evict, for INVALID)."""
-        line_addr = line_address(line_addr, self.config.line_size)
-        cache_set = self._set_for(line_addr)
+        line_addr &= self._line_mask
+        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         line = cache_set.get(line_addr)
         if line is None:
             raise SimulationError(
@@ -179,8 +190,8 @@ class Cache:
 
     def evict(self, line_addr: int) -> CacheLine:
         """Forcibly remove a resident line, returning its final contents."""
-        line_addr = line_address(line_addr, self.config.line_size)
-        cache_set = self._set_for(line_addr)
+        line_addr &= self._line_mask
+        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         line = cache_set.pop(line_addr, None)
         if line is None:
             raise SimulationError(

@@ -32,6 +32,12 @@ class FillSource:
     ``core`` is meaningful only for :attr:`SourceKind.CORE` (cache-to-cache
     transfer from another L1 that held the line in Modified or Exclusive
     state).
+
+    The memory and L2 sources are interned: :meth:`memory` and :meth:`l2`
+    return the module singletons :data:`MEMORY_SOURCE` and
+    :data:`L2_SOURCE`, and the machine keeps one core source per core, so
+    it builds no source on its access path.  Listeners may test the two
+    singletons by identity.
     """
 
     kind: SourceKind
@@ -40,12 +46,12 @@ class FillSource:
     @classmethod
     def memory(cls) -> "FillSource":
         """Fill satisfied by main memory (metadata starts fresh)."""
-        return cls(SourceKind.MEMORY)
+        return MEMORY_SOURCE
 
     @classmethod
     def l2(cls) -> "FillSource":
         """Fill satisfied by the shared L2 (metadata copied from L2)."""
-        return cls(SourceKind.L2)
+        return L2_SOURCE
 
     @classmethod
     def from_core(cls, core: int) -> "FillSource":
@@ -58,9 +64,17 @@ class FillSource:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+#: The interned memory and L2 sources (see :class:`FillSource`).
+MEMORY_SOURCE = FillSource(SourceKind.MEMORY)
+L2_SOURCE = FillSource(SourceKind.L2)
+
+
+@dataclass(slots=True)
 class LineAccessResult:
     """Everything that happened while satisfying one line's worth of access.
+
+    A slotted record built once per line on the machine's access path
+    (read-only by convention: nothing mutates it after construction).
 
     Attributes:
         line_addr: base address of the accessed line.
@@ -103,9 +117,12 @@ class LineAccessResult:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AccessResult:
-    """Result of one program-level access (possibly spanning lines)."""
+    """Result of one program-level access (possibly spanning lines).
+
+    Slotted and read-only by convention, like :class:`LineAccessResult`.
+    """
 
     core: int
     addr: int

@@ -41,6 +41,13 @@ from repro.sim.bus import Bus, MetaCostModel, snoopy_meta_model
 #: Alias making the strategy explicit at registration sites.
 SnoopyBus = Bus
 
+#: (cycle key, message key) of each directory control exchange, built once
+#: rather than formatted on every message.
+_CONTROL_KEYS = {
+    kind: (f"dir.cycles.{kind}", f"dir.messages.{kind}")
+    for kind in ("home_lookup", "invalidations", "owner_forward")
+}
+
 
 def directory_meta_model(
     config: BusConfig, directory: DirectoryConfig
@@ -87,9 +94,10 @@ class DirectoryFabric(Bus):
         self.meta_model = directory_meta_model(config, directory)
 
     def _control(self, cycles: int, kind: str, messages: int) -> int:
+        cycle_key, message_key = _CONTROL_KEYS[kind]
         self._cycles += cycles
-        self.stats.add(f"dir.cycles.{kind}", cycles)
-        self.stats.add(f"dir.messages.{kind}", messages)
+        self.stats.add(cycle_key, cycles)
+        self.stats.add(message_key, messages)
         self.stats.add(
             "dir.bytes.control", messages * self.directory.control_bytes
         )

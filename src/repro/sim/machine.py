@@ -25,9 +25,11 @@ from repro.common.addresses import spanned_lines
 from repro.common.config import MachineConfig
 from repro.common.errors import CoherenceError, SimulationError
 from repro.common.stats import StatCounters
-from repro.sim.cache import MESI, Cache, Victim
+from repro.sim.cache import MESI, Cache, CacheLine, Victim
 from repro.sim.fabric import make_fabric
 from repro.sim.coherence import (
+    L2_SOURCE,
+    MEMORY_SOURCE,
     AccessResult,
     EvictionRecord,
     FillSource,
@@ -35,6 +37,11 @@ from repro.sim.coherence import (
     MachineListener,
 )
 
+_MODIFIED = MESI.MODIFIED
+_EXCLUSIVE = MESI.EXCLUSIVE
+_SHARED = MESI.SHARED
+_INVALID = MESI.INVALID
+_OWNER_STATES = (_MODIFIED, _EXCLUSIVE)
 
 #: Pre-built stat names for the per-access counters (hot path).
 _ACCESS_STAT = {
@@ -45,7 +52,17 @@ _ACCESS_STAT = {
 
 
 class Machine:
-    """A functional model of the paper's CMP memory system (4..N cores)."""
+    """A functional model of the paper's CMP memory system (4..N cores).
+
+    The access path is the cost of every tape recording and every scalar
+    walk, so it avoids per-access allocation and helper calls where it
+    can: fill sources are built once per machine, listener callbacks are bound once per
+    (un)registration, counters whose increments are literal constants bump
+    the live counter directly, and the ``_holders`` map answers every
+    "who else holds this line" question — the E-vs-S fill state, the
+    ``shared_after`` flag and L2 back-invalidation — without building a
+    sorted list or scanning the L1s.
+    """
 
     def __init__(self, config: MachineConfig | None = None, obs=None):
         self.config = config or MachineConfig()
@@ -63,6 +80,7 @@ class Machine:
         self.stats = StatCounters()
         self.evictions = EvictionRecord()
         self._listeners: list[MachineListener] = []
+        self._bind_hooks()
         self._cycles = 0
         # line address -> set of cores whose L1 holds a valid copy.  Kept in
         # lockstep with the L1 contents; profiling showed deriving this by
@@ -72,16 +90,39 @@ class Machine:
         # placement counters reflect the threads that actually ran.
         self._thread_cores: dict[int, int] = {}
         self._occupied_cores: set[int] = set()
+        # Hot-path constants.
+        self._counts = self.stats._counts
+        self._num_cores = self.config.num_cores
+        self._line_size = self.config.line_size
+        self._line_mask = ~(self._line_size - 1)
+        self._l1_latency = self.config.l1.latency_cycles
+        self._l2_latency = self.config.l2.latency_cycles
+        self._memory_latency = self.config.memory_latency_cycles
+        self._charge_keys: dict[str, str] = {}
+        self._core_sources = tuple(
+            FillSource.from_core(core) for core in range(self._num_cores)
+        )
 
     # -------------------------------------------------------------- listeners
 
     def add_listener(self, listener: MachineListener) -> None:
         """Register a coherence-event observer (e.g. a race detector)."""
         self._listeners.append(listener)
+        self._bind_hooks()
 
     def remove_listener(self, listener: MachineListener) -> None:
         """Unregister a previously added observer."""
         self._listeners.remove(listener)
+        self._bind_hooks()
+
+    def _bind_hooks(self) -> None:
+        """Bind every listener's callbacks once, in registration order."""
+        listeners = self._listeners
+        self._on_fill = tuple(lst.on_fill for lst in listeners)
+        self._on_writeback = tuple(lst.on_writeback for lst in listeners)
+        self._on_l1_evict = tuple(lst.on_l1_evict for lst in listeners)
+        self._on_invalidate = tuple(lst.on_invalidate for lst in listeners)
+        self._on_l2_evict = tuple(lst.on_l2_evict for lst in listeners)
 
     # ----------------------------------------------------------------- timing
 
@@ -95,7 +136,10 @@ class Machine:
         if cycles < 0:
             raise SimulationError(f"negative cycle charge: {cycles}")
         self._cycles += cycles
-        self.stats.add(f"cycles.{reason}", cycles)
+        key = self._charge_keys.get(reason)
+        if key is None:
+            key = self._charge_keys[reason] = f"cycles.{reason}"
+        self.stats.add(key, cycles)
 
     # -------------------------------------------------------------- topology
 
@@ -119,9 +163,6 @@ class Machine:
         if not holders:
             return False
         return len(holders) > 1 or excluding not in holders
-
-    def _track_fill(self, core: int, line_addr: int) -> None:
-        self._holders.setdefault(line_addr, set()).add(core)
 
     def _track_drop(self, core: int, line_addr: int) -> None:
         holders = self._holders.get(line_addr)
@@ -157,82 +198,87 @@ class Machine:
 
     def access(self, core: int, addr: int, size: int, is_write: bool) -> AccessResult:
         """Perform one program access, spanning lines if necessary."""
-        if not 0 <= core < self.config.num_cores:
+        if not 0 <= core < self._num_cores:
             raise SimulationError(f"no such core: {core}")
-        results = [
-            self._access_line(core, line_addr, is_write)
-            for line_addr in spanned_lines(addr, size, self.config.line_size)
-        ]
-        total = sum(r.cycles for r in results)
-        self.stats.add("access.total")
-        self.stats.add("access.writes" if is_write else "access.reads")
-        return AccessResult(
-            core=core,
-            addr=addr,
-            size=size,
-            is_write=is_write,
-            lines=tuple(results),
-            cycles=total,
-        )
+        line_addr = addr & self._line_mask
+        if size > 0 and (addr + size - 1) & self._line_mask == line_addr:
+            result = self._access_line(core, line_addr, is_write)
+            lines = (result,)
+            total = result.cycles
+        else:
+            # Straddling accesses (and the size check) take the general path.
+            lines = tuple(
+                self._access_line(core, line, is_write)
+                for line in spanned_lines(addr, size, self._line_size)
+            )
+            total = sum(r.cycles for r in lines)
+        counts = self._counts
+        counts["access.total"] += 1
+        counts["access.writes" if is_write else "access.reads"] += 1
+        return AccessResult(core, addr, size, is_write, lines, total)
 
     # Internal: one line's worth of the access.
     def _access_line(self, core: int, line_addr: int, is_write: bool) -> LineAccessResult:
-        l1 = self.l1s[core]
-        line = l1.access(line_addr)
-        cycles = self.config.l1.latency_cycles
-
+        line = self.l1s[core].access(line_addr)
         if line is not None:
-            result = self._hit_path(core, line_addr, line.state, is_write, cycles)
+            result = self._hit_path(core, line_addr, line, is_write)
         else:
-            result = self._miss_path(core, line_addr, is_write, cycles)
-        self._cycles += result.cycles
-        self.stats.add("cycles.access", result.cycles)
-        self.stats.add(_ACCESS_STAT[result.hit_level, is_write])
+            result = self._miss_path(core, line_addr, is_write)
+        cycles = result.cycles
+        self._cycles += cycles
+        self.stats.add("cycles.access", cycles)
+        self._counts[_ACCESS_STAT[result.hit_level, is_write]] += 1
         return result
 
     def _hit_path(
-        self, core: int, line_addr: int, state: MESI, is_write: bool, cycles: int
+        self, core: int, line_addr: int, line: CacheLine, is_write: bool
     ) -> LineAccessResult:
-        l1 = self.l1s[core]
+        cycles = self._l1_latency
         upgraded = False
         invalidated: tuple[int, ...] = ()
         if is_write:
-            if state is MESI.SHARED:
+            state = line.state
+            if state is _SHARED:
                 # Bus upgrade: invalidate the other Shared copies.  The
                 # fabric hooks charge the directory's indirection (home
                 # lookup + exact-sharer invalidations); on the snoopy bus
                 # they are free — the address phase above was the broadcast.
-                cycles += self.bus.address_only("upgrade")
-                cycles += self.bus.home_lookup("upgrade")
-                victims = self.sharers(line_addr, excluding=core)
-                for other in victims:
-                    self.l1s[other].set_state(line_addr, MESI.INVALID)
+                bus = self.bus
+                cycles += bus.address_only("upgrade")
+                cycles += bus.home_lookup("upgrade")
+                invalidated = tuple(self.sharers(line_addr, excluding=core))
+                for other in invalidated:
+                    self.l1s[other].set_state(line_addr, _INVALID)
                     self._track_drop(other, line_addr)
                     self.evictions.invalidations += 1
-                    self._emit("on_invalidate", other, line_addr)
-                cycles += self.bus.sharer_invalidations(len(victims))
-                invalidated = tuple(victims)
+                    for hook in self._on_invalidate:
+                        hook(other, line_addr)
+                cycles += bus.sharer_invalidations(len(invalidated))
                 upgraded = True
-                l1.set_state(line_addr, MESI.MODIFIED)
-            elif state is MESI.EXCLUSIVE:
-                l1.set_state(line_addr, MESI.MODIFIED)
+                line.state = _MODIFIED
+            elif state is _EXCLUSIVE:
+                line.state = _MODIFIED
+        holders = self._holders.get(line_addr)
+        # Positional in field order: this record is built on every access.
         return LineAccessResult(
-            line_addr=line_addr,
-            is_write=is_write,
-            hit_level="l1",
-            fill_source=None,
-            upgraded=upgraded,
-            invalidated_cores=invalidated,
-            l1_victim=None,
-            l2_victim_line=None,
-            shared_after=bool(self.sharers(line_addr, excluding=core)),
-            cycles=cycles,
+            line_addr,
+            is_write,
+            "l1",
+            None,  # fill_source
+            upgraded,
+            invalidated,
+            None,  # l1_victim
+            None,  # l2_victim_line
+            # shared_after: has_other_sharers(line_addr, excluding=core).
+            holders is not None and (len(holders) > 1 or core not in holders),
+            cycles,
         )
 
-    def _miss_path(
-        self, core: int, line_addr: int, is_write: bool, cycles: int
-    ) -> LineAccessResult:
+    def _miss_path(self, core: int, line_addr: int, is_write: bool) -> LineAccessResult:
         l1 = self.l1s[core]
+        bus = self.bus
+        line_size = self._line_size
+        cycles = self._l1_latency
 
         # 1. Make room in the requester's L1 *first*, so the listener sees the
         #    victim leave before the new line arrives.
@@ -243,92 +289,97 @@ class Machine:
             self._retire_l1_line(core, l1_victim)
 
         # 2. Locate the line: snoop the other L1s (free on the bus) or ask
-        #    the home node (charged by the directory fabric).
-        cycles += self.bus.home_lookup("miss")
-        holders = self.sharers(line_addr, excluding=core)
+        #    the home node (charged by the directory fabric).  The requester
+        #    missed, so it is not among the holders.
+        cycles += bus.home_lookup("miss")
+        holders = self.sharers(line_addr)
         owner = self._owner_among(holders, line_addr)
+        # Invalidations of the *requested* line are announced only after the
+        # requester's on_fill, because the fill copies metadata from the
+        # very copy the invalidation destroys.
         invalidated: list[int] = []
-        # Invalidations of the *requested* line are deferred until after the
-        # requester's on_fill, because the fill copies metadata from the very
-        # copy the invalidation will destroy.
-        deferred_invalidations: list[int] = []
         l2_victim_line: int | None = None
 
         if owner is not None:
             # Cache-to-cache transfer from the Modified/Exclusive holder.
             hit_level = "c2c"
-            source = FillSource.from_core(owner)
-            cycles += self.bus.owner_forward()
-            owner_line = self.l1s[owner].lookup(line_addr)
-            assert owner_line is not None
-            if owner_line.state is MESI.MODIFIED:
+            source = self._core_sources[owner]
+            cycles += bus.owner_forward()
+            owner_l1 = self.l1s[owner]
+            if owner_l1.lookup(line_addr).state is _MODIFIED:
                 # Demotion writes the dirty data back into the L2.
-                cycles += self.bus.line_transfer(self.config.line_size, "writeback")
+                cycles += bus.line_transfer(line_size, "writeback")
                 self.evictions.l1_writebacks += 1
                 self._set_l2_dirty(line_addr)
-                self._emit("on_writeback", owner, line_addr)
-            cycles += self.bus.line_transfer(self.config.line_size, "c2c")
+                for hook in self._on_writeback:
+                    hook(owner, line_addr)
+            cycles += bus.line_transfer(line_size, "c2c")
             if is_write:
-                self.l1s[owner].set_state(line_addr, MESI.INVALID)
+                owner_l1.set_state(line_addr, _INVALID)
                 self._track_drop(owner, line_addr)
                 self.evictions.invalidations += 1
-                deferred_invalidations.append(owner)
                 invalidated.append(owner)
-                cycles += self.bus.sharer_invalidations(1)
+                cycles += bus.sharer_invalidations(1)
             else:
-                self.l1s[owner].set_state(line_addr, MESI.SHARED)
+                owner_l1.set_state(line_addr, _SHARED)
         elif holders:
             # Shared copies exist; the inclusive L2 supplies the data.
             hit_level = "l2"
-            source = FillSource.l2()
-            cycles += self.config.l2.latency_cycles
-            cycles += self.bus.line_transfer(self.config.line_size, "l2_fill")
+            source = L2_SOURCE
+            cycles += self._l2_latency
+            cycles += bus.line_transfer(line_size, "l2_fill")
             if is_write:
                 for other in holders:
-                    self.l1s[other].set_state(line_addr, MESI.INVALID)
+                    self.l1s[other].set_state(line_addr, _INVALID)
                     self._track_drop(other, line_addr)
                     self.evictions.invalidations += 1
-                    deferred_invalidations.append(other)
                     invalidated.append(other)
-                cycles += self.bus.sharer_invalidations(len(holders))
-        elif self.l2.contains(line_addr):
+                cycles += bus.sharer_invalidations(len(holders))
+        elif self.l2.access(line_addr) is not None:  # refreshes L2 LRU
             hit_level = "l2"
-            source = FillSource.l2()
-            cycles += self.config.l2.latency_cycles
-            cycles += self.bus.line_transfer(self.config.line_size, "l2_fill")
-            self.l2.access(line_addr)  # refresh L2 LRU
+            source = L2_SOURCE
+            cycles += self._l2_latency
+            cycles += bus.line_transfer(line_size, "l2_fill")
         else:
             hit_level = "memory"
-            source = FillSource.memory()
-            cycles += self.config.l2.latency_cycles  # L2 lookup that missed
-            cycles += self.config.memory_latency_cycles
-            cycles += self.bus.line_transfer(self.config.line_size, "mem_fill")
+            source = MEMORY_SOURCE
+            cycles += self._l2_latency  # L2 lookup that missed
+            cycles += self._memory_latency
+            cycles += bus.line_transfer(line_size, "mem_fill")
             l2_victim_line = self._fill_l2_from_memory(line_addr)
 
-        # 3. Install in the requester's L1.
+        # 3. Install in the requester's L1 — Shared if another core still
+        #    holds the line after any invalidations, else Exclusive.
+        sharers = self._holders.get(line_addr)
+        shared_after = sharers is not None
         if is_write:
-            new_state = MESI.MODIFIED
+            new_state = _MODIFIED
         else:
-            new_state = MESI.SHARED if self.sharers(line_addr, excluding=core) else MESI.EXCLUSIVE
-        fill_victim = self.l1s[core].fill(line_addr, new_state)
-        if fill_victim is not None:  # pragma: no cover - step 1 made room
+            new_state = _SHARED if shared_after else _EXCLUSIVE
+        # Step 1 made room, so the fill displaces nothing.
+        if l1.fill(line_addr, new_state) is not None:  # pragma: no cover
             raise CoherenceError("L1 victim selected twice for one miss")
-        self._track_fill(core, line_addr)
-        self._emit("on_fill", core, line_addr, source)
-        for other in deferred_invalidations:
-            self._emit("on_invalidate", other, line_addr)
+        if sharers is None:
+            self._holders[line_addr] = {core}
+        else:
+            sharers.add(core)
+        for hook in self._on_fill:
+            hook(core, line_addr, source)
+        for other in invalidated:
+            for hook in self._on_invalidate:
+                hook(other, line_addr)
 
         return LineAccessResult(
-            line_addr=line_addr,
-            is_write=is_write,
-            hit_level=hit_level,
-            fill_source=source,
-            upgraded=False,
-            invalidated_cores=tuple(invalidated),
-            l1_victim=l1_victim,
-            l2_victim_line=l2_victim_line,
-            shared_after=bool(self.sharers(line_addr, excluding=core)),
-            cycles=cycles,
+            line_addr,
+            is_write,
+            hit_level,
+            source,
+            False,  # upgraded
+            tuple(invalidated),
+            l1_victim,
+            l2_victim_line,
+            shared_after,
+            cycles,
         )
 
     # ------------------------------------------------------- eviction helpers
@@ -337,66 +388,71 @@ class Machine:
         """Handle a capacity eviction from an L1."""
         self.evictions.l1_evictions += 1
         if victim.dirty:
-            self.bus.line_transfer(self.config.line_size, "writeback")
+            self.bus.line_transfer(self._line_size, "writeback")
             self.evictions.l1_writebacks += 1
             self._set_l2_dirty(victim.line_addr)
-            self._emit("on_writeback", core, victim.line_addr)
-        self._emit("on_l1_evict", core, victim.line_addr, victim.dirty)
+            for hook in self._on_writeback:
+                hook(core, victim.line_addr)
+        for hook in self._on_l1_evict:
+            hook(core, victim.line_addr, victim.dirty)
 
     def _set_l2_dirty(self, line_addr: int) -> None:
         if not self.l2.contains(line_addr):
             raise CoherenceError(
                 f"inclusion violated: writeback of 0x{line_addr:x} missed the L2"
             )
-        self.l2.set_state(line_addr, MESI.MODIFIED)
+        self.l2.set_state(line_addr, _MODIFIED)
 
     def _fill_l2_from_memory(self, line_addr: int) -> int | None:
         """Install a fresh line in the L2; handle the inclusion victim."""
-        victim = self.l2.fill(line_addr, MESI.EXCLUSIVE)
+        victim = self.l2.fill(line_addr, _EXCLUSIVE)
         if victim is None:
             return None
-        # Back-invalidate every L1 copy of the victim (inclusion).
+        # Back-invalidate every L1 copy of the victim (inclusion), in core
+        # order; the holders map names exactly the L1s that have one.
+        victim_line = victim.line_addr
         victim_dirty = victim.dirty
-        back_invalidated = 0
-        for other, l1 in enumerate(self.l1s):
-            line = l1.lookup(victim.line_addr)
+        holders = self.sharers(victim_line)
+        for other in holders:
+            l1 = self.l1s[other]
+            line = l1.lookup(victim_line)
             if line is None:
-                continue
-            if line.dirty:
+                raise CoherenceError(
+                    f"holders map names core {other} for 0x{victim_line:x} "
+                    "but its L1 has no copy"
+                )
+            if line.state is _MODIFIED:
                 victim_dirty = True
                 self.evictions.l1_writebacks += 1
-                self.bus.line_transfer(self.config.line_size, "writeback")
-            l1.set_state(victim.line_addr, MESI.INVALID)
-            self._track_drop(other, victim.line_addr)
+                self.bus.line_transfer(self._line_size, "writeback")
+            l1.set_state(victim_line, _INVALID)
+            self._track_drop(other, victim_line)
             self.evictions.back_invalidations += 1
-            back_invalidated += 1
-            self._emit("on_invalidate", other, victim.line_addr)
-        self.bus.sharer_invalidations(back_invalidated)
+            for hook in self._on_invalidate:
+                hook(other, victim_line)
+        self.bus.sharer_invalidations(len(holders))
         if victim_dirty:
-            self.bus.line_transfer(self.config.line_size, "mem_writeback")
+            self.bus.line_transfer(self._line_size, "mem_writeback")
             self.evictions.l2_writebacks_to_memory += 1
-        self.evictions.note_l2_eviction(victim.line_addr)
-        self._emit("on_l2_evict", victim.line_addr)
+        self.evictions.note_l2_eviction(victim_line)
+        for hook in self._on_l2_evict:
+            hook(victim_line)
         if self._emitter_on:
-            self._obs_emitter.emit("l2.displacement", line=victim.line_addr)
-        return victim.line_addr
+            self._obs_emitter.emit("l2.displacement", line=victim_line)
+        return victim_line
 
     def _owner_among(self, holders: list[int], line_addr: int) -> int | None:
         """The single M/E holder among ``holders``, if any."""
         owners = []
         for core in holders:
             line = self.l1s[core].lookup(line_addr)
-            if line is not None and line.state in (MESI.MODIFIED, MESI.EXCLUSIVE):
+            if line is not None and line.state in _OWNER_STATES:
                 owners.append(core)
         if len(owners) > 1:
             raise CoherenceError(
                 f"multiple M/E holders of 0x{line_addr:x}: {owners}"
             )
         return owners[0] if owners else None
-
-    def _emit(self, hook: str, *args: object) -> None:
-        for listener in self._listeners:
-            getattr(listener, hook)(*args)
 
     # ------------------------------------------------------------- invariants
 

@@ -222,3 +222,61 @@ class TestCliMultiDetector:
         assert "hard-ideal:" in out
         assert "hb-ideal:" in out
         assert "alarm [" in out
+
+
+class TestPathChoice:
+    """The walk a session took, and why ``auto`` fell back, are recorded."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        program = build_workload("fuzz:3", seed=0)
+        return interleave(program, RandomScheduler(seed=0, max_burst=8)).trace
+
+    def run_session(self, trace, keys, **kwargs):
+        session = EngineSession(trace, **kwargs)
+        for key in keys:
+            session.add_config(DetectorConfig(key))
+        session.run()
+        return session.path_taken, session.fallback
+
+    def test_auto_without_obs_runs_batch(self, small):
+        assert self.run_session(small, ["hard-default"]) == ("batch", None)
+
+    def test_requested_scalar_is_not_a_fallback(self, small):
+        assert self.run_session(small, ["hard-default"], path="scalar") == (
+            "scalar",
+            None,
+        )
+
+    def test_flight_recorder_fallback_is_named(self, small):
+        from repro.obs import FlightRecorder, Observability
+
+        obs = Observability(telemetry=FlightRecorder())
+        assert self.run_session(small, ["hard-default"], obs=obs) == (
+            "scalar",
+            "flight recorder active",
+        )
+
+    def test_metrics_fallback_is_named(self, small):
+        from repro.obs import Observability
+
+        obs = Observability(collect_metrics=True)
+        assert self.run_session(small, ["hard-default"], obs=obs) == (
+            "scalar",
+            "metrics collection active",
+        )
+
+    def test_trace_emitter_takes_the_traced_walk(self, small):
+        from repro.obs import CountingEmitter, Observability
+
+        obs = Observability(emitter=CountingEmitter())
+        assert self.run_session(small, ["hard-default"], obs=obs) == (
+            "traced",
+            "trace emitter active",
+        )
+
+    def test_scalar_only_cores_are_named(self, small):
+        assert self.run_session(small, ["hard-default", "hybrid"]) == (
+            "batch+scalar",
+            "no batch kernel: hybrid",
+        )

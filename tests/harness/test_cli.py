@@ -169,6 +169,26 @@ class TestObservabilityCommands:
         assert report["telemetry"]["schema_version"] == 1
         assert "telemetry.engine.walks" in report["telemetry"]["counters"]
         assert "cache" in report
+        # The flight recorder forces the scalar walk; the report says so.
+        assert report["engine"] == {
+            "requested": "auto",
+            "path": "scalar",
+            "fallback": "flight recorder active",
+        }
+
+    def test_run_json_reports_batch_path_without_fallback(self, capsys):
+        assert main(["run", "fuzz:3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["engine"] == {
+            "requested": "auto",
+            "path": "batch",
+            "fallback": None,
+        }
+
+    def test_run_telemetry_prints_engine_fallback(self, capsys):
+        assert main(["run", "fuzz:3", "--telemetry"]) == 0
+        out = capsys.readouterr().out
+        assert "engine path: scalar (fallback: flight recorder active)" in out
 
     def test_fuzz_trace_out_validates_against_schema(self, tmp_path, capsys):
         path = tmp_path / "fuzz.jsonl"

@@ -1,4 +1,11 @@
-"""Property-based tests for MESI coherence and metadata consistency."""
+"""Property-based tests for MESI coherence and metadata consistency.
+
+Each example draws a machine — 4, 16 or 64 cores over the snoopy bus or
+the directory fabric — and a sequence of program accesses: unaligned and
+line-spanning data accesses (offset 0–31, size 1–8) mixed with 4-byte
+lock-word writes.  The caches are tiny, so L1 evictions and L2
+displacements (with their back-invalidations) happen constantly.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,68 +14,118 @@ from repro.common.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.metadata import CacheMetadataStore
 
-accesses = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),      # core
-        st.integers(min_value=0, max_value=120),    # line index
-        st.booleans(),                              # write?
-    ),
-    max_size=400,
-)
+LINE = 32
+BASE = 0x1000
 
 
-def tiny_machine() -> Machine:
+@st.composite
+def runs(draw, max_size=400):
+    """(num_cores, coherence, [(core, addr, size, is_write), ...])."""
+    num_cores = draw(st.sampled_from((4, 16, 64)))
+    coherence = draw(st.sampled_from(("snoopy", "directory")))
+    data_access = st.tuples(
+        st.integers(min_value=0, max_value=num_cores - 1),  # core
+        st.integers(min_value=0, max_value=120),            # line index
+        st.integers(min_value=0, max_value=LINE - 1),       # offset
+        st.integers(min_value=1, max_value=8),              # size
+        st.booleans(),                                      # write?
+    )
+    lock_write = st.tuples(
+        st.integers(min_value=0, max_value=num_cores - 1),
+        st.integers(min_value=0, max_value=120),
+        st.sampled_from(range(0, LINE, 4)),
+        st.just(4),
+        st.just(True),
+    )
+    accesses = draw(st.lists(st.one_of(data_access, lock_write), max_size=max_size))
+    return num_cores, coherence, [
+        (core, BASE + LINE * index + offset, size, is_write)
+        for core, index, offset, size, is_write in accesses
+    ]
+
+
+def tiny_machine(num_cores: int = 4, coherence: str = "snoopy") -> Machine:
     return Machine(
         MachineConfig(
-            num_cores=4,
-            l1=CacheConfig(256, 2, 32, 3),
-            l2=CacheConfig(1024, 2, 32, 10),
+            num_cores=num_cores,
+            coherence=coherence,
+            l1=CacheConfig(256, 2, LINE, 3),
+            l2=CacheConfig(1024, 2, LINE, 10),
         )
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(accesses)
-def test_mesi_invariants_hold(seq):
-    machine = tiny_machine()
-    for core, index, is_write in seq:
-        machine.access(core, 0x1000 + 32 * index, 4, is_write)
-    machine.check_invariants()
-
-
-@settings(max_examples=60, deadline=None)
-@given(accesses)
-def test_holders_map_matches_l1_contents(seq):
-    machine = tiny_machine()
-    for core, index, is_write in seq:
-        machine.access(core, 0x1000 + 32 * index, 4, is_write)
+def holders_from_l1s(machine: Machine) -> dict:
     derived = {}
     for core, l1 in enumerate(machine.l1s):
         for line in l1.resident_lines():
             derived.setdefault(line.tag, set()).add(core)
-    assert derived == machine._holders
+    return derived
 
 
 @settings(max_examples=60, deadline=None)
-@given(accesses)
-def test_writer_always_ends_modified(seq):
-    machine = tiny_machine()
-    for core, index, is_write in seq:
-        machine.access(core, 0x1000 + 32 * index, 4, is_write)
-        line = machine.l1s[core].lookup(0x1000 + 32 * index)
-        assert line is not None
-        if is_write:
-            assert line.state.value == "M"
+@given(runs())
+def test_mesi_invariants_hold(run):
+    num_cores, coherence, seq = run
+    machine = tiny_machine(num_cores, coherence)
+    for core, addr, size, is_write in seq:
+        machine.access(core, addr, size, is_write)
+    machine.check_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+def test_holders_map_matches_l1_contents(run):
+    num_cores, coherence, seq = run
+    machine = tiny_machine(num_cores, coherence)
+    for core, addr, size, is_write in seq:
+        machine.access(core, addr, size, is_write)
+        assert holders_from_l1s(machine) == machine._holders
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+def test_shared_after_matches_sharers(run):
+    # The access path answers shared_after from the holders map instead of
+    # building the sorted sharer list; the two must agree on every line.
+    num_cores, coherence, seq = run
+    machine = tiny_machine(num_cores, coherence)
+    for core, addr, size, is_write in seq:
+        result = machine.access(core, addr, size, is_write)
+        for line_result in result.lines:
+            line_addr = line_result.line_addr
+            assert line_result.shared_after == bool(
+                machine.sharers(line_addr, excluding=core)
+            )
+            assert line_result.shared_after == machine.has_other_sharers(
+                line_addr, excluding=core
+            )
+    machine.check_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+def test_writer_always_ends_modified(run):
+    num_cores, coherence, seq = run
+    machine = tiny_machine(num_cores, coherence)
+    for core, addr, size, is_write in seq:
+        result = machine.access(core, addr, size, is_write)
+        for line_result in result.lines:
+            line = machine.l1s[core].lookup(line_result.line_addr)
+            assert line is not None
+            if is_write:
+                assert line.state.value == "M"
 
 
 @settings(max_examples=40, deadline=None)
-@given(accesses)
-def test_metadata_store_mirrors_protocol(seq):
-    machine = tiny_machine()
+@given(runs())
+def test_metadata_store_mirrors_protocol(run):
+    num_cores, coherence, seq = run
+    machine = tiny_machine(num_cores, coherence)
     store = CacheMetadataStore(fresh=lambda line: [line], clone=list.copy)
     machine.add_listener(store)
-    for core, index, is_write in seq:
-        machine.access(core, 0x1000 + 32 * index, 4, is_write)
+    for core, addr, size, is_write in seq:
+        machine.access(core, addr, size, is_write)
     for core, l1 in enumerate(machine.l1s):
         for line in l1.resident_lines():
             assert store.get(core, line.tag) is not None
@@ -77,11 +134,12 @@ def test_metadata_store_mirrors_protocol(seq):
 
 
 @settings(max_examples=40, deadline=None)
-@given(accesses)
-def test_cycles_monotone_and_positive(seq):
-    machine = tiny_machine()
+@given(runs())
+def test_cycles_monotone_and_positive(run):
+    num_cores, coherence, seq = run
+    machine = tiny_machine(num_cores, coherence)
     previous = 0
-    for core, index, is_write in seq:
-        machine.access(core, 0x1000 + 32 * index, 4, is_write)
+    for core, addr, size, is_write in seq:
+        machine.access(core, addr, size, is_write)
         assert machine.cycles > previous
         previous = machine.cycles
