@@ -8,6 +8,7 @@ from repro.harness.detectors import DetectorConfig, make_detector
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner
 from repro.harness.pipeline import run_pipeline
 from repro.harness.tracestats import TraceStatsCore, characterize
+from repro.obs import CountingEmitter, FlightRecorder, Observability
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
@@ -249,8 +250,6 @@ class TestPathChoice:
         )
 
     def test_flight_recorder_fallback_is_named(self, small):
-        from repro.obs import FlightRecorder, Observability
-
         obs = Observability(telemetry=FlightRecorder())
         assert self.run_session(small, ["hard-default"], obs=obs) == (
             "scalar",
@@ -258,8 +257,6 @@ class TestPathChoice:
         )
 
     def test_metrics_fallback_is_named(self, small):
-        from repro.obs import Observability
-
         obs = Observability(collect_metrics=True)
         assert self.run_session(small, ["hard-default"], obs=obs) == (
             "scalar",
@@ -267,8 +264,6 @@ class TestPathChoice:
         )
 
     def test_trace_emitter_takes_the_traced_walk(self, small):
-        from repro.obs import CountingEmitter, Observability
-
         obs = Observability(emitter=CountingEmitter())
         assert self.run_session(small, ["hard-default"], obs=obs) == (
             "traced",
