@@ -56,12 +56,13 @@ class Machine:
 
     The access path is the cost of every tape recording and every scalar
     walk, so it avoids per-access allocation and helper calls where it
-    can: fill sources are built once per machine, listener callbacks are bound once per
-    (un)registration, counters whose increments are literal constants bump
-    the live counter directly, and the ``_holders`` map answers every
-    "who else holds this line" question — the E-vs-S fill state, the
-    ``shared_after`` flag and L2 back-invalidation — without building a
-    sorted list or scanning the L1s.
+    can: fill sources are built once per machine, listener callbacks are
+    bound once per (un)registration, counters whose increments are
+    literal constants bump the live counter directly, and the
+    ``_holders`` map answers every "who else holds this line" question —
+    the E-vs-S fill state, the ``shared_after`` flag and L2
+    back-invalidation — without building a sorted list or scanning the
+    L1s.
     """
 
     def __init__(self, config: MachineConfig | None = None, obs=None):
