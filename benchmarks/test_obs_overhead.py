@@ -8,10 +8,11 @@ benchmark holds to a hard ratio: a ``HardDetector.run`` with the null
 bundle may take at most 1.05x the bare ``run(trace)`` wall-clock, best of
 N to shed scheduler noise.
 
-The flight recorder makes the same claim for *enabled* telemetry: its
-sampled engine walks pay one countdown per stepped event, so an engine
-pass with ``Observability(telemetry=FlightRecorder())`` must stay inside
-the identical 5% budget.
+The flight recorder makes the same claim for *enabled* telemetry: it
+rides the batch walk, paying two ``perf_counter`` calls per core per sync
+run plus one frame per walk layer, so an engine pass with
+``Observability(telemetry=FlightRecorder())`` must stay inside the
+identical 5% budget — and must take the same walk as the bare pass.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def test_flight_recorder_overhead_under_5_percent(barnes_trace, benchmark):
     def run_engine(obs):
         session = EngineSession(barnes_trace, obs=obs)
         session.add_config(config)
-        return session.run()
+        session.run()
+        # Both sides of the ratio must time the same walk.
+        assert session.path_taken == "batch"
+        return session
 
     # Warm both paths once (allocator, branch caches) before timing.
     run_engine(None)

@@ -557,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--telemetry",
         action="store_true",
-        help="attach the engine flight recorder (sampled per-core step "
-        "time, lane dedup ratio, sync density)",
+        help="attach the engine flight recorder (exact per-core step "
+        "time, walk-layer frames, sync density)",
     )
     run.add_argument(
         "--flame",

@@ -16,21 +16,23 @@ machine, and sharing would conflate which detector's replay produced them.
 Metrics-only observability is share-safe — the machine's behaviour depends
 on ``obs`` only through the emitter.
 
-A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
-(``obs.telemetry``) is also share-safe: the engine switches to sampled walk
-variants that dispatch the *identical* event sequence and add only one
-countdown per stepped event, timing every ``sample_period``-th step to
-estimate per-core wall time, events/sec, and the lane dedup ratio.
-
-When no observability is active, cores that advertise the batch protocol
-(``begin_batch``/``step_batch``/``finish_batch``) are driven through the
-*vectorized* walk instead: whole sync runs of the columnar trace
+When no emitter or metrics collection is active, cores that advertise the
+batch protocol (``begin_batch``/``step_batch``/``finish_batch``) are driven
+through the *vectorized* walk instead: whole sync runs of the columnar trace
 (:meth:`~repro.common.events.Trace.columns`) in one call each, with the
 simulated machine's data-path prerecorded once per
 (columns, machine config) by :class:`~repro.engine.tape.MachineTape`.
 Results remain bit-for-bit identical to the scalar walk; ``path="scalar"``
 forces the per-event reference oracle and ``path="batch"`` asserts the
 vectorized path is actually taken.
+
+A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
+(``obs.telemetry``) never changes the path choice.  On the batch walk it
+times each core's ``step_batch`` calls exactly (two ``perf_counter`` calls
+per core per sync run) and frames the columnar pack, each tape fetch,
+``begin_batch`` and ``finish_batch``; on the sharded path it frames the
+parent's side; on the scalar walk it times each solo core's loop and each
+shared-machine group's walk as a whole.
 
 ``path="sharded"`` goes one step further: the trace is partitioned by
 address (:mod:`repro.engine.shard`) and each shard's batch walk runs in a
@@ -44,6 +46,7 @@ core was registered by config, and the trace is large enough
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 from repro.common.errors import ReproError
 from repro.common.events import OpKind, Trace
@@ -117,7 +120,7 @@ class EngineSession:
         #: scalar), ``"sharded"`` or ``"traced"`` — set by :meth:`run`.
         self.path_taken: str | None = None
         #: Why ``path="auto"`` did not take the batch walk for every core
-        #: (e.g. ``"flight recorder active"``); None when nothing fell back.
+        #: (e.g. ``"metrics collection active"``); None when nothing fell back.
         self.fallback: str | None = None
 
     @property
@@ -192,17 +195,16 @@ class EngineSession:
         obs = self.obs
         tracing = obs is not None and obs.emitter.enabled
         recorder = obs.telemetry if obs is not None else None
+        source = self._trace if self._trace is not None else self._cols
         if recorder is not None:
-            self._census = recorder.observe_trace(self.trace)
+            self._census = recorder.observe_trace(source)
 
-        # Batch path: observability hooks fire per event inside scalar
-        # ``step`` implementations, so any active obs (emitter, metrics, or
-        # a flight recorder) forces the scalar walk — recorded as the
-        # fallback under "auto", an error under "batch" and "sharded".
+        # Batch path: emitter and metrics hooks fire per event inside scalar
+        # ``step`` implementations, so either forces the scalar walk —
+        # recorded as the fallback under "auto", an error under "batch" and
+        # "sharded".  A flight recorder rides every walk.
         if tracing:
             obs_blocker = "trace emitter active"
-        elif recorder is not None:
-            obs_blocker = "flight recorder active"
         elif obs is not None and obs.active:
             obs_blocker = "metrics collection active"
         else:
@@ -224,8 +226,8 @@ class EngineSession:
         if self.path == "sharded":
             if not batch_allowed:
                 raise EngineError(
-                    "engine path 'sharded' is incompatible with active "
-                    "observability (emitter, metrics, or flight recorder)"
+                    "engine path 'sharded' is incompatible with an active "
+                    "trace emitter or metrics collection"
                 )
             if not sharded_ok:
                 raise EngineError(
@@ -234,20 +236,20 @@ class EngineSession:
                     "rebuild the cores from their configs"
                 )
             self.path_taken = "sharded"
-            return self._run_sharded()
+            return self._run_sharded(recorder)
         if (
             self.path == "auto"
             and sharded_ok
             and self.jobs > 1
-            and self.columns().n >= self.shard_threshold
+            and len(source) >= self.shard_threshold
         ):
             self.path_taken = "sharded"
-            return self._run_sharded()
+            return self._run_sharded(recorder)
         if self.path == "batch":
             if not batch_allowed:
                 raise EngineError(
-                    "engine path 'batch' is incompatible with active "
-                    "observability (emitter, metrics, or flight recorder)"
+                    "engine path 'batch' is incompatible with an active "
+                    "trace emitter or metrics collection"
                 )
             laggards = [
                 core.name
@@ -275,8 +277,7 @@ class EngineSession:
                     core.name for core in scalar_cores
                 )
 
-        if batch_cores:
-            self._walk_batch(batch_cores)
+        results = self._walk_batch(batch_cores, recorder) if batch_cores else {}
 
         groups: dict = {}
         for core in scalar_cores:
@@ -288,6 +289,10 @@ class EngineSession:
                 groups[machine_config] = group = MachineGroup(machine_config)
             group.members.append(core)
 
+        # Under a flight recorder each scalar loop is timed as a whole: a
+        # solo core under its own name, a shared-machine group under its
+        # members' names joined by "+".
+        perf = time.perf_counter
         solo: list = []
         for core in scalar_cores:
             machine_config = getattr(core, "machine_config", None)
@@ -298,122 +303,93 @@ class EngineSession:
                 solo.append(core)
         for group in groups.values():
             if len(group.members) > 1:
+                t0 = perf()
+                self._walk_group(group)
                 if recorder is not None:
-                    self._walk_group_sampled(group, recorder)
-                else:
-                    self._walk_group(group)
+                    wall = perf() - t0
+                    stepped = sum(
+                        1 for e in self.trace if e.op.kind is not OpKind.COMPUTE
+                    )
+                    name = "+".join(core.name for core in group.members)
+                    recorder.record_walk(wall)
+                    recorder.record_core_walk(name, stepped, wall)
+                    recorder.record_group(len(group.members), group.accesses)
         for core in solo:
             core.begin(self.trace, obs=obs)
+            step = core.step
+            t0 = perf()
+            for event in self.trace:
+                step(event)
             if recorder is not None:
-                self._walk_solo_sampled(core, recorder)
-            else:
-                step = core.step
-                for event in self.trace:
-                    step(event)
+                wall = perf() - t0
+                recorder.record_walk(wall)
+                recorder.record_core_walk(core.name, len(self.trace), wall)
         return [
-            core.finish_batch() if id(core) in batch_ids else core.finish()
+            results[id(core)] if id(core) in results else core.finish()
             for core in self._cores
         ]
 
-    def _run_sharded(self) -> list:
+    def _run_sharded(self, recorder) -> list:
         # The sharded walk: shard.run_sharded rebuilds each config's core
         # per shard in worker processes and merges the results losslessly.
         from repro.engine.shard import run_sharded
 
-        return run_sharded(
-            self.columns(),
-            self._configs,
-            jobs=self.jobs,
-            shards=self.shards,
-            tape_cache=self.tape_cache,
-        )
+        walk = recorder.walk if recorder is not None else nullcontext
+        frame = recorder.frame if recorder is not None else nullcontext
+        with walk():
+            with frame("pack"):
+                cols = self.columns()
+            return run_sharded(
+                cols,
+                self._configs,
+                jobs=self.jobs,
+                shards=self.shards,
+                tape_cache=self.tape_cache,
+                recorder=recorder,
+            )
 
-    def _walk_batch(self, cores: list) -> None:
+    def _walk_batch(self, cores: list, recorder) -> dict:
         # The vectorized walk: cores consume whole sync runs of the columnar
         # trace in one ``step_batch`` call each.  Machine-backed cores get a
         # MachineTape — the recorded data-path of (columns, machine config),
         # memoised on the columns so repeated sessions replay nothing (and
         # persisted via the tape cache so later *processes* replay nothing).
+        # Sync runs split only at barriers, so timing each step_batch call
+        # is exact and cheap enough to do always; a recorder gets the times.
+        # Returns each core's finish_batch result, keyed by id(core).
         from repro.engine.tape import MachineTape
 
-        cols = self.columns()
-        for core in cores:
-            machine_config = getattr(core, "machine_config", None)
-            tape = (
-                MachineTape.for_columns(
-                    cols, machine_config, cache=self.tape_cache
-                )
-                if machine_config is not None
-                else None
-            )
-            core.begin_batch(cols, tape)
-        for run in cols.sync_runs():
-            lo = run.lo
-            hi = run.hi
+        walk = recorder.walk if recorder is not None else nullcontext
+        frame = recorder.frame if recorder is not None else nullcontext
+        with walk():
+            with frame("pack"):
+                cols = self.columns()
             for core in cores:
-                core.step_batch(cols, lo, hi)
-
-    def _walk_group_sampled(self, group: MachineGroup, recorder) -> None:
-        # The flight-recorder variant of _walk_group: identical event
-        # dispatch (so results stay bit-for-bit), plus one countdown per
-        # stepped event; every sample_period-th stepped event times each
-        # member's step individually.  The sampled means scale to per-core
-        # wall estimates, and the stepped count falls out of the countdown
-        # arithmetic — no extra per-event accounting.
-        feed = group.feed
-        steps = [core.step for core in group.members]
-        indices = range(len(steps))
-        COMPUTE = OpKind.COMPUTE
-        perf = time.perf_counter
-        period = recorder.sample_period
-        countdown = period
-        samples = 0
-        spent = [0.0] * len(steps)
-        t_walk = perf()
-        for event in self.trace:
-            feed(event)
-            if event.op.kind is not COMPUTE:
-                countdown -= 1
-                if countdown:
-                    for step in steps:
-                        step(event)
-                else:
-                    countdown = period
-                    samples += 1
-                    for index in indices:
-                        t0 = perf()
-                        steps[index](event)
-                        spent[index] += perf() - t0
-        wall = perf() - t_walk
-        stepped = samples * period + (period - countdown)
-        recorder.record_walk(wall)
-        for core, sampled_s in zip(group.members, spent):
-            recorder.record_core_walk(core.name, stepped, sampled_s, samples)
-        recorder.record_group(len(steps), group.accesses)
-
-    def _walk_solo_sampled(self, core, recorder) -> None:
-        # Sampled walk of one independent core (own machine or trace-only).
-        step = core.step
-        perf = time.perf_counter
-        period = recorder.sample_period
-        countdown = period
-        samples = 0
-        spent = 0.0
-        t_walk = perf()
-        for event in self.trace:
-            countdown -= 1
-            if countdown:
-                step(event)
-            else:
-                countdown = period
-                samples += 1
-                t0 = perf()
-                step(event)
-                spent += perf() - t0
-        wall = perf() - t_walk
-        stepped = samples * period + (period - countdown)
-        recorder.record_walk(wall)
-        recorder.record_core_walk(core.name, stepped, spent, samples)
+                machine_config = getattr(core, "machine_config", None)
+                tape = (
+                    MachineTape.for_columns(
+                        cols, machine_config, self.tape_cache, recorder
+                    )
+                    if machine_config is not None
+                    else None
+                )
+                with frame("begin_batch"):
+                    core.begin_batch(cols, tape)
+            perf = time.perf_counter
+            steps = [core.step_batch for core in cores]
+            spent = [0.0] * len(steps)
+            for run in cols.sync_runs():
+                lo = run.lo
+                hi = run.hi
+                for index, step in enumerate(steps):
+                    t0 = perf()
+                    step(cols, lo, hi)
+                    spent[index] += perf() - t0
+            if recorder is not None:
+                for core, wall in zip(cores, spent):
+                    recorder.record_core_walk(core.name, cols.n, wall)
+            with frame("finish_batch"):
+                return {id(core): core.finish_batch() for core in cores}
 
     def _walk_group(self, group: MachineGroup) -> None:
         # COMPUTE events touch only the shared machine's cycle ledger (the
@@ -433,8 +409,8 @@ class EngineSession:
     def _walk_traced(self, recorder=None) -> None:
         # Emitter active: every core replays its own machine (no sharing),
         # and the walk emits one span per core with its cumulative step time.
-        # Per-core timing is exact here, so a flight recorder (if any) gets
-        # samples == stepped rather than a sampled estimate.
+        # Per-core timing is exact here too, so a flight recorder (if any)
+        # gets each core's summed step time.
         emitter = self.obs.emitter
         steps = [core.step for core in self._cores]
         spent = [0.0] * len(steps)
@@ -454,7 +430,7 @@ class EngineSession:
             events = len(self.trace)
             recorder.record_walk(perf() - t_walk)
             for core, wall in zip(self._cores, spent):
-                recorder.record_core_walk(core.name, events, wall, events)
+                recorder.record_core_walk(core.name, events, wall)
 
 
 def detect_with_engine(

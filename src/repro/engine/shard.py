@@ -50,6 +50,7 @@ import shutil
 import tempfile
 from array import array
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -538,6 +539,7 @@ def run_sharded(
     jobs: int = 1,
     shards: int | None = None,
     tape_cache=None,
+    recorder=None,
 ) -> list[DetectionResult]:
     """Detect over ``cols`` with every config, sharded by address.
 
@@ -546,7 +548,8 @@ def run_sharded(
     processes (1 = run every shard serially in-process, still exercising
     the full shard/merge machinery); ``shards`` defaults to ``jobs`` (or 2
     when serial).  ``tape_cache`` persists the machine tapes so reruns —
-    and the workers — skip the simulator entirely.
+    and the workers — skip the simulator entirely.  A flight ``recorder``
+    gets the parent's tape, baseline, fan-out and merge steps as frames.
     """
     from repro.harness.detectors import DetectorConfig, make_detector
     from repro.harness.parallel import fan_out
@@ -573,56 +576,60 @@ def run_sharded(
         getattr(core, "machine_config", None) for core in cores
     ]
     del cores
+    frame = recorder.frame if recorder is not None else nullcontext
 
     # Record (or cache-load) the real tapes once, in the parent.
     tapes: dict = {}
     for machine_config in machine_configs:
         if machine_config is not None and machine_config not in tapes:
             tapes[machine_config] = MachineTape.for_columns(
-                cols, machine_config, cache=tape_cache
+                cols, machine_config, cache=tape_cache, recorder=recorder
             )
 
     # The sync-only baseline the merge subtracts (shards - 1) times.
-    baseline = (
-        _detect_shard(
-            cols, tapes, configs, unit_shift, {}, 1, 0, sync_only=True
+    with frame("baseline"):
+        baseline = (
+            _detect_shard(
+                cols, tapes, configs, unit_shift, {}, 1, 0, sync_only=True
+            )
+            if shards > 1
+            else None
         )
-        if shards > 1
-        else None
-    )
 
     shard_outcomes: list = [None] * shards
-    if jobs > 1 and shards > 1:
-        cols_path, tape_paths = _shared_paths(cols, tapes, tape_cache)
-        spec = ShardSpec(
-            cols_path=cols_path,
-            tape_paths=tape_paths,
-            configs=configs,
-            unit_shift=unit_shift,
-            num_shards=shards,
-        )
-        for shard_id, outcomes in fan_out(
-            tuple(range(shards)),
-            _shard_run,
-            jobs=jobs,
-            initializer=_shard_init,
-            initargs=(spec,),
-            serial_cleanup=_reset_shard_worker,
-        ):
-            shard_outcomes[shard_id] = outcomes
-    else:
-        overrides = build_partition(cols, unit_shift, shards)
-        for shard_id in range(shards):
-            shard_outcomes[shard_id] = _detect_shard(
-                cols, tapes, configs, unit_shift, overrides, shards, shard_id
+    with frame("fan_out"):
+        if jobs > 1 and shards > 1:
+            cols_path, tape_paths = _shared_paths(cols, tapes, tape_cache)
+            spec = ShardSpec(
+                cols_path=cols_path,
+                tape_paths=tape_paths,
+                configs=configs,
+                unit_shift=unit_shift,
+                num_shards=shards,
             )
+            for shard_id, outcomes in fan_out(
+                tuple(range(shards)),
+                _shard_run,
+                jobs=jobs,
+                initializer=_shard_init,
+                initargs=(spec,),
+                serial_cleanup=_reset_shard_worker,
+            ):
+                shard_outcomes[shard_id] = outcomes
+        else:
+            overrides = build_partition(cols, unit_shift, shards)
+            for shard_id in range(shards):
+                shard_outcomes[shard_id] = _detect_shard(
+                    cols, tapes, configs, unit_shift, overrides, shards, shard_id
+                )
 
-    return _merge_results(
-        configs,
-        names,
-        machine_configs,
-        tapes,
-        shard_outcomes,
-        baseline,
-        shards,
-    )
+    with frame("merge"):
+        return _merge_results(
+            configs,
+            names,
+            machine_configs,
+            tapes,
+            shard_outcomes,
+            baseline,
+            shards,
+        )

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 from array import array
 
 from repro.common.coltrace import (
@@ -241,24 +242,36 @@ class MachineTape:
 
     @classmethod
     def for_columns(
-        cls, cols: ColumnarTrace, machine_config: MachineConfig, cache=None
+        cls,
+        cols: ColumnarTrace,
+        machine_config: MachineConfig,
+        cache=None,
+        recorder=None,
     ) -> "MachineTape":
         """The tape for ``(cols, machine_config)``, memoised on ``cols``.
 
         With a :class:`~repro.harness.tracecache.TapeCache`, a memo miss
         first tries the on-disk cache (mmap-loaded, zero decode cost) and a
         fresh recording is persisted for every later process and session —
-        so each (trace, machine config) pair is simulated once *ever*.
+        so each (trace, machine config) pair is simulated once *ever*.  A
+        :class:`~repro.obs.telemetry.FlightRecorder` gets the fetch as a
+        ``tape.memo``, ``tape.load`` or ``tape.record`` frame.
         """
+        t0 = time.perf_counter()
         tape = cols._tapes.get(machine_config)
+        source = "memo"
         if tape is None:
+            source = "load"
             if cache is not None:
                 tape = cache.load(cols, machine_config)
             if tape is None:
+                source = "record"
                 tape = cls(cols, machine_config)
                 if cache is not None:
                     cache.store(cols, tape)
             cols._tapes[machine_config] = tape
+        if recorder is not None:
+            recorder.record_tape(source, time.perf_counter() - t0)
         return tape
 
     @classmethod

@@ -16,9 +16,9 @@ Two benchmarks cover the engine's hot paths:
   (the round-1 interleaving), so the columnar/tape memos amortize exactly
   as they do in a real grid cell where one trace meets many
   configurations — round 1 pays the tape recording, later rounds measure
-  the steady-state walk, and min-of-rounds reports the latter.  The
-  flight-recorder telemetry comes from one extra untimed pass (an active
-  recorder forces the scalar walk, so it cannot ride the timed rounds).
+  the steady-state walk, and min-of-rounds reports the latter.  A
+  flight recorder rides the timed rounds, so the telemetry describes the
+  walk the timings measure.
 * ``engine_sharded`` — the same cell shape on the address-sharded
   parallel path (``path="sharded"``, ``engine_jobs`` worker processes),
   producing a ``BENCH_engine_sharded.json`` CI can compare against the
@@ -101,6 +101,7 @@ def _bench_engine(
     interleave_s: list[float] = []
     detect_s: list[float] = []
     shared_trace = None
+    recorder = FlightRecorder()
     for index in range(rounds):
         t0 = perf()
         program = build_workload(app, seed=workload_seed)
@@ -116,7 +117,12 @@ def _bench_engine(
         # Every detect round scores the round-1 trace: the columnar/tape
         # memos live on the trace object, so this measures the same
         # amortization a grid cell sees.
-        session = EngineSession(shared_trace, path=engine_path, jobs=engine_jobs)
+        session = EngineSession(
+            shared_trace,
+            obs=Observability(telemetry=recorder),
+            path=engine_path,
+            jobs=engine_jobs,
+        )
         for config in configs:
             session.add_config(config)
         t0 = perf()
@@ -127,16 +133,6 @@ def _bench_engine(
                 f"round {index + 1}/{rounds}: build {build_s[-1]:.3f}s "
                 f"interleave {interleave_s[-1]:.3f}s detect {detect_s[-1]:.3f}s"
             )
-
-    # Untimed telemetry pass: the recorder demands the scalar walk, so it
-    # stays off the clock regardless of the measured engine path.
-    recorder = FlightRecorder()
-    observed = EngineSession(
-        shared_trace, obs=Observability(telemetry=recorder), path="scalar"
-    )
-    for config in configs:
-        observed.add_config(config)
-    observed.run()
 
     telemetry = recorder.snapshot()
     result = BenchResult(name=name, rounds=rounds)

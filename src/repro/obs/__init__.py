@@ -10,8 +10,9 @@ The observability layer threaded through the whole pipeline:
   with counter-delta attribution;
 * :class:`~repro.obs.runreport.RunReport` — the machine-readable artifact
   of one run;
-* :class:`~repro.obs.telemetry.FlightRecorder` — sampled engine telemetry
-  (per-core step time, lane dedup, sync density, flamegraph frames);
+* :class:`~repro.obs.telemetry.FlightRecorder` — engine telemetry that
+  rides the batch walk (per-core step time, walk-layer frames, sync
+  density, flamegraph frames);
 * :mod:`repro.obs.perf` and :mod:`repro.obs.export` — the continuous
   performance observatory: the ``BENCH_<name>.json`` schema/writer/compare
   and the Prometheus-text + JSON metrics exporters;
@@ -63,9 +64,10 @@ class Observability:
             (``repro run --metrics``).
         telemetry: the optional engine flight recorder
             (:class:`~repro.obs.telemetry.FlightRecorder`).  Unlike the
-            emitter, telemetry is *sampled* — the engine pays one countdown
-            per stepped event — so it does not flip :attr:`active` and the
-            detectors' per-event instrumentation stays off.
+            emitter, telemetry times whole batch calls and walks, not
+            events, so it does not flip :attr:`active`: the engine keeps its
+            batch and sharded walks and the detectors' per-event
+            instrumentation stays off.
     """
 
     __slots__ = ("emitter", "metrics", "collect_metrics", "telemetry")

@@ -1,17 +1,17 @@
-"""The engine flight recorder: cheap, sampled telemetry of one engine pass.
+"""The engine flight recorder: cheap, exact telemetry of one engine pass.
 
-A :class:`FlightRecorder` answers "where does engine time actually go"
-without paying per-event instrumentation cost.  It is grounded in the
-sampling literature the ROADMAP points at ("Dynamic Race Detection with
-O(1) Samples", HardRace's selective monitoring): the hot loop pays one
-integer countdown per stepped event, and only every
-:attr:`~FlightRecorder.sample_period`-th event is individually timed.
-Everything else is derived:
+A :class:`FlightRecorder` answers "where does engine time actually go" on
+the walk that actually runs: it rides the batch and sharded walks without
+changing the path choice.  It records:
 
-* **per-core step time** — the sampled mean step latency scaled by the
-  stepped-event count (exact when the engine is already tracing);
-* **events/sec per core** — stepped events over that estimated wall time;
-* **lane dedup hit ratio** — machine accesses the shared
+* **per-core step time** — exact (each ``step_batch`` call is timed; sync
+  runs split only at barriers, so that is a few calls per core), with
+  events/sec and mean step latency derived from it;
+* **walk frames** — ``engine;walk`` and one leaf per layer (columnar
+  ``pack``, ``tape.record``/``tape.memo``/``tape.load``, ``begin_batch``,
+  ``core.<name>``, ``finish_batch``; ``baseline``/``fan_out``/``merge`` on
+  the sharded path), plus the share of the walk the leaves attribute;
+* **lane dedup hit ratio** — scalar walk only: machine accesses a shared
   :class:`~repro.engine.machineshare.MachineGroup` replay performed once
   instead of once per member;
 * **sync-point density** — locks/unlocks/barriers per 1k trace events,
@@ -22,11 +22,9 @@ Everything else is derived:
   power the collapsed-stack (flamegraph-compatible) dump.
 
 The recorder rides the :class:`~repro.obs.Observability` bundle as its
-``telemetry`` attribute; :class:`~repro.engine.EngineSession` switches to
-its sampled walk variants when one is present.  Recorders merge
-associatively (:meth:`merge`), so parallel grid workers can each carry one
-and fan their telemetry back in, exactly like
-:class:`~repro.obs.metrics.MetricsRegistry` shards.
+``telemetry`` attribute.  Recorders merge associatively (:meth:`merge`),
+so parallel grid workers can each carry one and fan their telemetry back
+in, exactly like :class:`~repro.obs.metrics.MetricsRegistry` shards.
 """
 
 from __future__ import annotations
@@ -39,10 +37,7 @@ from repro.common.fsio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 
 #: Bumped on any backwards-incompatible change to :meth:`FlightRecorder.snapshot`.
-TELEMETRY_SCHEMA_VERSION = 1
-
-#: One stepped event in this many is individually timed.
-DEFAULT_SAMPLE_PERIOD = 512
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: The op-kind census reads one trace event in this many.
 DEFAULT_CENSUS_STRIDE = 64
@@ -50,13 +45,17 @@ DEFAULT_CENSUS_STRIDE = 64
 #: Op kinds that are synchronization points (the HARD hot-path events).
 SYNC_KINDS = (OpKind.LOCK, OpKind.UNLOCK, OpKind.BARRIER)
 
+#: The per-core aggregate fields (:attr:`FlightRecorder.cores` entries).
+_CORE_FIELDS = ("stepped", "walks", "wall_s")
+
+#: The frame every engine walk's leaf frames nest under.
+_WALK_FRAME = ("engine", "walk")
+
 
 class FlightRecorder:
-    """Sampled counters, per-core walk estimates, and hierarchical frames.
+    """Counters, exact per-core walk times, and hierarchical frames.
 
     Args:
-        sample_period: time one stepped event in this many (>= 1; 1 times
-            every step, which is exact but no longer cheap).
         census_stride: read one trace event in this many for the op-kind
             census (>= 1).
         registry: the metrics registry counters land in; a fresh private
@@ -65,15 +64,11 @@ class FlightRecorder:
 
     def __init__(
         self,
-        sample_period: int = DEFAULT_SAMPLE_PERIOD,
         census_stride: int = DEFAULT_CENSUS_STRIDE,
         registry: MetricsRegistry | None = None,
     ):
-        if sample_period < 1:
-            raise ValueError(f"sample_period must be >= 1: {sample_period}")
         if census_stride < 1:
             raise ValueError(f"census_stride must be >= 1: {census_stride}")
-        self.sample_period = sample_period
         self.census_stride = census_stride
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Per-core walk aggregates, keyed by core name.
@@ -96,11 +91,27 @@ class FlightRecorder:
             self._frame_stack.pop()
             self.record_frame(path, time.perf_counter() - t0)
 
+    @contextmanager
+    def walk(self):
+        """Time one engine walk; frames opened inside nest under ``engine;walk``."""
+        outer = self._frame_stack
+        self._frame_stack = list(_WALK_FRAME)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._frame_stack = outer
+            self.record_walk(time.perf_counter() - t0)
+
     def record_frame(self, path: tuple[str, ...], seconds: float) -> None:
         """Accumulate ``seconds`` of wall time on one frame path."""
         if seconds < 0:
             raise ValueError(f"frame durations must be non-negative: {seconds}")
         self.frames[path] = self.frames.get(path, 0.0) + seconds
+
+    def record_tape(self, source: str, seconds: float) -> None:
+        """One machine-tape fetch (``record``, ``memo`` or ``load``) as a frame."""
+        self.record_frame((*self._frame_stack, f"tape.{source}"), seconds)
 
     def collapsed(self) -> str:
         """The frames as flamegraph collapsed-stack lines.
@@ -177,37 +188,25 @@ class FlightRecorder:
         registry.add("telemetry.trace.sync_points", sync)
         return estimates
 
-    def record_core_walk(
-        self, name: str, stepped: int, sampled_s: float, samples: int
-    ) -> None:
-        """Fold one core's (possibly sampled) walk into the aggregates.
+    def record_core_walk(self, name: str, stepped: int, wall_s: float) -> None:
+        """Fold one core's timed walk into the aggregates.
 
-        ``stepped`` is how many events the core's ``step`` consumed,
-        ``samples`` how many of them were individually timed, ``sampled_s``
-        their summed wall time.  ``samples == stepped`` means the timing
-        was exact (the engine's traced walk).
+        ``stepped`` is how many events the core consumed, ``wall_s`` the
+        exact time it spent consuming them.
         """
-        entry = self.cores.setdefault(
-            name,
-            {"stepped": 0, "samples": 0, "sampled_s": 0.0, "est_s": 0.0, "walks": 0},
-        )
+        entry = self.cores.setdefault(name, dict.fromkeys(_CORE_FIELDS, 0))
         entry["stepped"] += stepped
-        entry["samples"] += samples
-        entry["sampled_s"] += sampled_s
         entry["walks"] += 1
-        est = sampled_s / samples * stepped if samples else 0.0
-        entry["est_s"] += est
-        if samples:
-            self.registry.observe(
-                "telemetry.step_us", sampled_s / samples * 1e6
-            )
-        self.record_frame(("engine", "walk", f"core.{name}"), est)
+        entry["wall_s"] += wall_s
+        if stepped:
+            self.registry.observe("telemetry.step_us", wall_s / stepped * 1e6)
+        self.record_frame((*_WALK_FRAME, f"core.{name}"), wall_s)
 
     def record_walk(self, wall_s: float) -> None:
         """Record one whole engine walk (all cores, one trace pass)."""
         self.registry.add("telemetry.engine.walks")
         self.registry.timer("telemetry.engine.walk").observe(wall_s)
-        self.record_frame(("engine", "walk"), wall_s)
+        self.record_frame(_WALK_FRAME, wall_s)
 
     def record_group(self, members: int, shared_accesses: int) -> None:
         """Record one shared-machine group's deduplication win.
@@ -230,10 +229,7 @@ class FlightRecorder:
         """Fold another recorder in (associative and commutative)."""
         self.registry.merge_registry(other.registry)
         for name, entry in other.cores.items():
-            mine = self.cores.setdefault(
-                name,
-                {"stepped": 0, "samples": 0, "sampled_s": 0.0, "est_s": 0.0, "walks": 0},
-            )
+            mine = self.cores.setdefault(name, dict.fromkeys(_CORE_FIELDS, 0))
             for key, value in entry.items():
                 mine[key] += value
         for path, seconds in other.frames.items():
@@ -245,9 +241,10 @@ class FlightRecorder:
     def snapshot(self) -> dict:
         """The recorder's state as one JSON-serialisable dict.
 
-        Raw counters plus the derived quantities the tentpole questions
-        need: per-core events/sec and estimated step time, the lane dedup
-        hit ratio, sync-point density per 1k events, and the frame table.
+        Raw counters plus the derived quantities: per-core events/sec and
+        step time, the lane dedup hit ratio, sync-point density per 1k
+        events, the share of walk time the walk's leaf frames attribute,
+        and the frame table.
         """
         counters = self.registry.snapshot()
         events = counters.get("telemetry.trace.events", 0)
@@ -256,22 +253,24 @@ class FlightRecorder:
         dedup_hits = counters.get("telemetry.lane.dedup_hits", 0)
         shared = counters.get("telemetry.lane.shared_accesses", 0)
         would_be = shared + dedup_hits
+        walk_s = self.frames.get(_WALK_FRAME, 0.0)
+        attributed_s = sum(
+            seconds
+            for path, seconds in self.frames.items()
+            if len(path) == 3 and path[:2] == _WALK_FRAME
+        )
         cores = {}
         for name, entry in sorted(self.cores.items()):
-            est_s = entry["est_s"]
+            stepped, wall_s = entry["stepped"], entry["wall_s"]
             cores[name] = {
-                "stepped": entry["stepped"],
-                "samples": entry["samples"],
+                "stepped": stepped,
                 "walks": entry["walks"],
-                "est_wall_s": round(est_s, 6),
-                "est_step_us": round(est_s / entry["stepped"] * 1e6, 3)
-                if entry["stepped"]
-                else 0.0,
-                "events_per_s": round(entry["stepped"] / est_s, 1) if est_s else 0.0,
+                "wall_s": round(wall_s, 6),
+                "step_us": round(wall_s / stepped * 1e6, 3) if stepped else 0.0,
+                "events_per_s": round(stepped / wall_s, 1) if wall_s else 0.0,
             }
         return {
             "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "sample_period": self.sample_period,
             "census_stride": self.census_stride,
             "counters": counters,
             "cores": cores,
@@ -286,6 +285,9 @@ class FlightRecorder:
                     members / counters.get("telemetry.lane.groups", 1), 2
                 )
                 if members
+                else 0.0,
+                "walk_attributed_frac": round(attributed_s / walk_s, 4)
+                if walk_s
                 else 0.0,
             },
             "frames": {
@@ -307,13 +309,13 @@ class FlightRecorder:
         derived = snap["derived"]
         lines.append(
             f"  sync density: {derived['sync_density_per_1k']}/1k events, "
-            f"lane dedup hit ratio: {derived['lane_dedup_hit_ratio']}"
+            f"lane dedup hit ratio: {derived['lane_dedup_hit_ratio']}, "
+            f"walk attributed: {derived['walk_attributed_frac']:.1%}"
         )
         for name, core in snap["cores"].items():
             lines.append(
                 f"  core {name}: {core['events_per_s']:,.0f} events/s "
-                f"({core['est_step_us']}us/step, "
-                f"{core['stepped']:,} stepped, {core['samples']:,} sampled)"
+                f"({core['step_us']}us/step, {core['stepped']:,} stepped)"
             )
         for path, seconds in snap["frames"].items():
             lines.append(f"  frame {path}: {seconds:.4f}s")

@@ -132,10 +132,12 @@ class TestPathSelection:
             session.run()
 
     def test_auto_with_recorder_still_matches(self, trace):
-        # A flight recorder forces the scalar walk under "auto"; results
-        # must still be the reference results.
-        obs = Observability(telemetry=FlightRecorder())
-        observed = detect_many(trace, ("hard-default",), obs=obs)
+        # A flight recorder rides the batch walk under "auto"; results
+        # must still be the scalar reference results.
+        session = EngineSession(trace, obs=Observability(telemetry=FlightRecorder()))
+        session.add_config(DetectorConfig.coerce("hard-default"))
+        observed = session.run()
+        assert session.path_taken == "batch"
         plain = detect_many(trace, ("hard-default",), engine_path="scalar")
         assert result_key(observed[0]) == result_key(plain[0])
 

@@ -249,12 +249,26 @@ class TestPathChoice:
             None,
         )
 
-    def test_flight_recorder_fallback_is_named(self, small):
+    def test_flight_recorder_keeps_the_batch_walk(self, small):
         obs = Observability(telemetry=FlightRecorder())
         assert self.run_session(small, ["hard-default"], obs=obs) == (
-            "scalar",
-            "flight recorder active",
+            "batch",
+            None,
         )
+
+    @pytest.mark.parametrize("path", ["batch", "sharded"])
+    def test_requested_fast_paths_accept_a_recorder(self, small, path):
+        obs = Observability(telemetry=FlightRecorder())
+        assert self.run_session(small, ["hard-default"], obs=obs, path=path) == (
+            path,
+            None,
+        )
+
+    @pytest.mark.parametrize("path", ["batch", "sharded"])
+    def test_requested_fast_paths_still_refuse_metrics(self, small, path):
+        obs = Observability(collect_metrics=True, telemetry=FlightRecorder())
+        with pytest.raises(EngineError, match="metrics collection"):
+            self.run_session(small, ["hard-default"], obs=obs, path=path)
 
     def test_metrics_fallback_is_named(self, small):
         obs = Observability(collect_metrics=True)

@@ -20,11 +20,12 @@ class TestRunBenchmark:
         for phase in ("build", "interleave", "detect"):
             assert phase in result.phases
             assert len(result.phases[phase]["rounds_s"]) == 2
-        # The counter snapshot comes from one untimed flight-recorded scalar
-        # pass after the rounds (a recorder forces the scalar walk, which
-        # would skew timings): one walk per dispatch — hard-default's group
-        # plus the solo hb-ideal lane.
+        # The flight recorder rides the timed detect rounds: one batch walk
+        # per round, every core timed in it.
         assert result.counters["telemetry.engine.walks"] == 2
+        cores = result.extras["telemetry"]["cores"]
+        assert sorted(cores) == ["hard-default", "hb-ideal"]
+        assert all(core["walks"] == 2 for core in cores.values())
         assert result.extras["app"] == "fuzz:3"
         assert result.extras["detectors"] == ["hard-default", "hb-ideal"]
         assert result.extras["engine_path"] == "auto"

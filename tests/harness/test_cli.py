@@ -166,15 +166,18 @@ class TestObservabilityCommands:
     def test_run_json_carries_telemetry_block(self, capsys):
         assert main(["run", "fuzz:3", "--json", "--telemetry"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["telemetry"]["schema_version"] == 1
+        assert report["telemetry"]["schema_version"] == 2
         assert "telemetry.engine.walks" in report["telemetry"]["counters"]
         assert "cache" in report
-        # The flight recorder forces the scalar walk; the report says so.
+        # The flight recorder rides the batch walk it describes.
         assert report["engine"] == {
             "requested": "auto",
-            "path": "scalar",
-            "fallback": "flight recorder active",
+            "path": "batch",
+            "fallback": None,
         }
+        cores = report["telemetry"]["cores"]
+        assert cores["hard-default"]["stepped"] == report["trace_events"]
+        assert cores["hard-default"]["wall_s"] > 0
 
     def test_run_json_reports_batch_path_without_fallback(self, capsys):
         assert main(["run", "fuzz:3", "--json"]) == 0
@@ -185,10 +188,11 @@ class TestObservabilityCommands:
             "fallback": None,
         }
 
-    def test_run_telemetry_prints_engine_fallback(self, capsys):
+    def test_run_telemetry_prints_engine_path(self, capsys):
         assert main(["run", "fuzz:3", "--telemetry"]) == 0
         out = capsys.readouterr().out
-        assert "engine path: scalar (fallback: flight recorder active)" in out
+        assert "engine path: batch\n" in out
+        assert "fallback" not in out
 
     def test_fuzz_trace_out_validates_against_schema(self, tmp_path, capsys):
         path = tmp_path / "fuzz.jsonl"

@@ -9,6 +9,7 @@ from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
+from tests.engine.test_batch_path import BATCH_KEYS, result_key
 
 
 def small_trace(app="fuzz:3", seed=0):
@@ -85,20 +86,37 @@ class TestCensus:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            FlightRecorder(sample_period=0)
-        with pytest.raises(ValueError):
             FlightRecorder(census_stride=0)
+        # Timing is exact on every walk: there is no sampling knob.
+        with pytest.raises(TypeError):
+            FlightRecorder(sample_period=512)
+
+    def test_columnar_input_is_censused_without_event_objects(self):
+        trace = small_trace()
+        cols = trace.columns()
+        expected = FlightRecorder().observe_trace(trace)
+        recorder = FlightRecorder()
+        session = EngineSession(cols, obs=Observability(telemetry=recorder))
+        session.add_config(DetectorConfig.coerce("hard-default"))
+        session.run()
+        assert session._trace is None
+        assert session._census == expected
 
 
 class TestWalkAggregates:
-    def test_record_core_walk_scales_samples_to_estimate(self):
+    def test_record_core_walk_derives_rates(self):
         recorder = FlightRecorder()
-        # 10 samples totalling 1ms over 1000 stepped events -> 100ms est.
-        recorder.record_core_walk("hard", 1000, 0.001, 10)
+        # 1000 stepped events in an exactly timed 100ms.
+        recorder.record_core_walk("hard", 1000, 0.1)
         core = recorder.snapshot()["cores"]["hard"]
-        assert core["stepped"] == 1000
-        assert core["est_wall_s"] == pytest.approx(0.1)
-        assert core["events_per_s"] == pytest.approx(10_000, rel=0.01)
+        assert core == {
+            "stepped": 1000,
+            "walks": 1,
+            "wall_s": pytest.approx(0.1),
+            "step_us": pytest.approx(100.0),
+            "events_per_s": pytest.approx(10_000),
+        }
+        assert recorder.frames[("engine", "walk", "core.hard")] == 0.1
 
     def test_record_group_dedup_ratio(self):
         recorder = FlightRecorder()
@@ -116,10 +134,32 @@ class TestWalkAggregates:
         recorder = FlightRecorder()
         recorder.record_walk(0.5)
         snap = recorder.snapshot()
-        assert snap["schema_version"] == TELEMETRY_SCHEMA_VERSION
+        assert snap["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
+        assert "sample_period" not in snap
         assert snap["counters"]["telemetry.engine.walks"] == 1
         assert "engine;walk" in snap["frames"]
         assert "telemetry.engine.walk" in snap["timers"]
+
+    def test_walk_attributed_frac_sums_direct_children(self):
+        recorder = FlightRecorder()
+        with recorder.walk():
+            with recorder.frame("pack"):
+                pass
+            recorder.record_tape("record", 0.0)
+        # Frames opened inside a walk nest under engine;walk.
+        assert set(recorder.frames) == {
+            ("engine", "walk"),
+            ("engine", "walk", "pack"),
+            ("engine", "walk", "tape.record"),
+        }
+        recorder.frames[("engine", "walk")] = 1.0
+        recorder.frames[("engine", "walk", "pack")] = 0.25
+        recorder.frames[("engine", "walk", "tape.record")] = 0.5
+        recorder.record_frame(("engine", "walk", "pack", "deeper"), 0.2)
+        snap = recorder.snapshot()
+        assert snap["counters"]["telemetry.engine.walks"] == 1
+        assert snap["derived"]["walk_attributed_frac"] == 0.75
+        assert FlightRecorder().snapshot()["derived"]["walk_attributed_frac"] == 0.0
 
 
 class TestMerge:
@@ -128,7 +168,7 @@ class TestMerge:
         shards = []
         for worker in range(2):
             shard = FlightRecorder()
-            shard.record_core_walk("hard", 500, 0.0005, 5)
+            shard.record_core_walk("hard", 500, 0.05)
             shard.record_group(2, 50)
             shard.record_walk(0.25)
             shard.record_frame(("engine", "walk"), 0.25)
@@ -139,6 +179,7 @@ class TestMerge:
         snap = merged.snapshot()
         assert snap["cores"]["hard"]["stepped"] == 1000
         assert snap["cores"]["hard"]["walks"] == 2
+        assert snap["cores"]["hard"]["wall_s"] == pytest.approx(0.1)
         assert snap["counters"]["telemetry.lane.dedup_hits"] == 100
         assert snap["counters"]["telemetry.engine.walks"] == 2
         # Frames merged without re-entering the stack accounting.
@@ -146,8 +187,8 @@ class TestMerge:
 
     def test_merge_preserves_step_histogram(self):
         a, b = FlightRecorder(), FlightRecorder()
-        a.record_core_walk("x", 100, 0.001, 1)
-        b.record_core_walk("x", 100, 0.002, 1)
+        a.record_core_walk("x", 100, 0.001)
+        b.record_core_walk("x", 100, 0.002)
         a.merge(b)
         assert a.registry.histogram("telemetry.step_us").count == 2
 
@@ -178,29 +219,40 @@ class TestEngineIntegration:
             ] == [(rep.seq, rep.thread_id, rep.addr) for rep in r.reports]
 
     def test_stepped_counts_cover_every_non_compute_event(self, trace):
-        recorder = FlightRecorder(sample_period=7)  # force mid-period end
-        session = EngineSession(trace, obs=Observability(telemetry=recorder))
+        # On the scalar walk a shared-machine group is timed as a whole,
+        # under its members' names; members skip COMPUTE events (charged
+        # once on the shared machine).
+        recorder = FlightRecorder()
+        session = EngineSession(
+            trace, obs=Observability(telemetry=recorder), path="scalar"
+        )
         session.add_config(DetectorConfig.coerce("hard-default"))
-        session.add_config(DetectorConfig.coerce("hb-default"))
+        session.add_config(DetectorConfig.coerce("software"))
         session.run()
         non_compute = sum(
             1 for event in trace if event.op.kind.value != "compute"
         )
-        for core in recorder.cores.values():
-            # Grouped cores skip COMPUTE events (charged once on the shared
-            # machine), so the countdown arithmetic must land exactly there.
-            assert core["stepped"] == non_compute
+        assert list(recorder.cores) == ["hard-default+software"]
+        assert recorder.cores["hard-default+software"]["stepped"] == non_compute
 
     def test_solo_walk_steps_every_event(self, trace):
-        recorder = FlightRecorder(sample_period=7)
-        session = EngineSession(trace, obs=Observability(telemetry=recorder))
+        recorder = FlightRecorder()
+        session = EngineSession(
+            trace, obs=Observability(telemetry=recorder), path="scalar"
+        )
         session.add_config(DetectorConfig.coerce("hb-ideal"))  # trace-only
         session.run()
-        assert recorder.cores["hb-ideal"]["stepped"] == len(trace)
+        core = recorder.cores["hb-ideal"]
+        assert core["stepped"] == len(trace)
+        assert core["wall_s"] > 0
+        assert recorder.frames[("engine", "walk", "core.hb-ideal")] == core["wall_s"]
 
     def test_group_dedup_recorded_for_shared_machines(self, trace):
+        # Lane counters exist only where lanes do: on the scalar walk.
         recorder = FlightRecorder()
-        session = EngineSession(trace, obs=Observability(telemetry=recorder))
+        session = EngineSession(
+            trace, obs=Observability(telemetry=recorder), path="scalar"
+        )
         # hard-default and software share one MachineConfig.
         session.add_config(DetectorConfig.coerce("hard-default"))
         session.add_config(DetectorConfig.coerce("software"))
@@ -223,5 +275,90 @@ class TestEngineIntegration:
         session.add_config(DetectorConfig.coerce("hb-ideal"))
         session.run()
         core = recorder.cores["hb-ideal"]
-        # Tracing times every step: samples == stepped (exact, not sampled).
-        assert core["samples"] == core["stepped"] == len(trace)
+        assert core["stepped"] == len(trace)
+        assert core["walks"] == 1
+
+
+def run_recorded(trace, keys, **kwargs):
+    """One recorder-on session over ``keys``: (session, results, recorder)."""
+    recorder = FlightRecorder()
+    session = EngineSession(trace, obs=Observability(telemetry=recorder), **kwargs)
+    for key in keys:
+        session.add_config(DetectorConfig.coerce(key))
+    return session, session.run(), recorder
+
+
+class TestBatchWalk:
+    """A recorder rides the batch walk: same path, same results, exact timing."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return small_trace()
+
+    @pytest.mark.parametrize(
+        "machine",
+        [{}, {"num_cores": 16, "coherence": "directory"}],
+        ids=["default", "directory-16"],
+    )
+    def test_results_bit_for_bit_for_every_batch_key(self, trace, machine):
+        configs = [DetectorConfig(key, **machine) for key in BATCH_KEYS]
+        plain = EngineSession(trace)
+        for config in configs:
+            plain.add_config(config)
+        session, recorded, _ = run_recorded(trace, configs)
+        assert session.path_taken == "batch"
+        assert [result_key(r) for r in recorded] == [
+            result_key(r) for r in plain.run()
+        ]
+
+    def test_every_core_is_timed_over_the_whole_trace(self, trace):
+        _, _, recorder = run_recorded(trace, BATCH_KEYS)
+        snap = recorder.snapshot()
+        assert sorted(snap["cores"]) == sorted(BATCH_KEYS)
+        for core in snap["cores"].values():
+            assert core["stepped"] == len(trace)
+            assert core["walks"] == 1
+        assert snap["counters"]["telemetry.engine.walks"] == 1
+
+    def test_walk_layers_get_frames(self, tmp_path):
+        from repro.harness.tracecache import TapeCache
+
+        fresh = small_trace()
+        cache = TapeCache(tmp_path)
+        keys = ("hard-default", "software", "hb-ideal")
+        _, _, recorder = run_recorded(fresh, keys, tape_cache=cache)
+        frames = {";".join(path) for path in recorder.frames}
+        for leaf in ("pack", "begin_batch", "finish_batch", "tape.record", "tape.memo"):
+            assert f"engine;walk;{leaf}" in frames
+        # A new columnar view of the same trace loads the stored tape.
+        _, _, reload = run_recorded(small_trace(), keys, tape_cache=cache)
+        assert ("engine", "walk", "tape.load") in reload.frames
+        assert ("engine", "walk", "tape.record") not in reload.frames
+
+    def test_hybrid_still_gets_a_timed_walk(self, trace):
+        session, _, recorder = run_recorded(trace, ("hard-default", "hybrid"))
+        assert session.path_taken == "batch+scalar"
+        assert recorder.cores["hybrid"]["stepped"] == len(trace)
+        assert recorder.cores["hybrid"]["wall_s"] > 0
+        assert recorder.cores["hard-default"]["stepped"] == len(trace)
+
+    def test_sharded_path_records_parent_frames(self):
+        trace = small_trace()  # fresh columns: the tape is recorded here
+        session, results, recorder = run_recorded(
+            trace, ("hard-default", "hb-ideal"), path="sharded"
+        )
+        assert session.path_taken == "sharded"
+        plain = EngineSession(trace, path="batch")
+        for key in ("hard-default", "hb-ideal"):
+            plain.add_config(DetectorConfig(key))
+        assert [result_key(r) for r in results] == [
+            result_key(r) for r in plain.run()
+        ]
+        for leaf in ("pack", "tape.record", "baseline", "fan_out", "merge"):
+            assert ("engine", "walk", leaf) in recorder.frames, leaf
+
+
+def test_walk_attribution_covers_raytrace():
+    trace = small_trace("raytrace")
+    _, _, recorder = run_recorded(trace, BATCH_KEYS)
+    assert recorder.snapshot()["derived"]["walk_attributed_frac"] >= 0.90
