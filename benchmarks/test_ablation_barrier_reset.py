@@ -47,7 +47,7 @@ def test_reset_does_not_hurt_detection(runner, checked):
             trace = runner.trace_for("ocean", run)
             detector = make_detector("hard-ideal", barrier_reset=True)
             result = run_core(detector.core(), trace)
-            bug = runner.program_for("ocean", run).injected_bug
+            bug = runner.injected_bug("ocean", run)
             detected += any(
                 bug.matches_report(r.addr, r.size, r.site) for r in result.reports
             )

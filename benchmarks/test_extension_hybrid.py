@@ -29,7 +29,7 @@ def hybrid_data(runner):
         detected = {"hybrid": 0, "hard-ideal": 0, "hb-ideal": 0}
         for run in range(10):
             trace = runner.trace_for(app, run)
-            bug = runner.program_for(app, run).injected_bug
+            bug = runner.injected_bug(app, run)
             for key in detected:
                 result = run_core(make_detector(key).core(), trace)
                 detected[key] += score_detection(result, bug)

@@ -55,7 +55,7 @@ import struct
 from array import array
 from typing import Iterable, NamedTuple
 
-from repro.common.errors import ProgramError
+from repro.common.errors import ProgramError, ReproError
 from repro.common.events import Op, OpKind, Site, Trace, TraceEvent
 
 #: Stable integer codes for :class:`~repro.common.events.OpKind`.
@@ -82,6 +82,10 @@ _CODE_TO_KIND = (
     OpKind.BARRIER,
     OpKind.COMPUTE,
 )
+
+
+#: Every valid ``kind`` column byte (a ``bytes.translate`` delete table).
+_KNOWN_KIND_CODES = bytes(range(len(_CODE_TO_KIND)))
 
 
 def kind_of_code(code: int) -> OpKind:
@@ -249,7 +253,17 @@ class ColumnarTrace:
         return self
 
     def to_events(self) -> list[TraceEvent]:
-        """Decode back to a list of :class:`TraceEvent` (ops interned)."""
+        """Decode back to a list of :class:`TraceEvent` (ops interned).
+
+        Raises :class:`~repro.common.errors.ReproError` once :meth:`close`
+        has released mmap-backed columns, rather than decoding nothing.
+        """
+        if len(self.kind) != self.n:
+            raise ReproError(
+                f"the columns of trace {self.label!r} were closed before its "
+                "events were read; read trace.events before closing the "
+                "runner (or the trace cache) that loaded it"
+            )
         sites = self.sites
         kinds = _CODE_TO_KIND
         ops: dict[tuple, Op] = {}
@@ -281,17 +295,20 @@ class ColumnarTrace:
         return events
 
     def to_trace(self) -> Trace:
-        """Decode into a full :class:`Trace` (bug sites and label restored)."""
-        trace = Trace(
-            events=self.to_events(),
+        """A :class:`Trace` backed by these columns (bug sites and label restored).
+
+        Nothing is decoded here: the trace's ``events`` are built by
+        :meth:`to_events` on first access, so read them before
+        :meth:`close` releases an mmap-backed instance.
+        """
+        return Trace(
             num_threads=self.num_threads,
             injected_bug_sites=frozenset(
                 self.sites[sid] for sid in self.bug_site_ids
             ),
             label=self.label,
+            columns=self,
         )
-        trace._columnar = self
-        return trace
 
     # ----------------------------------------------------------- derived data
 
@@ -371,9 +388,10 @@ class ColumnarTrace:
 
         Closes any machine tapes memoised on these columns, releases the
         column memoryviews, and closes the backing buffer when it is an
-        ``mmap``.  After closing, the packed columns must not be read again;
-        in-memory (array-backed) instances are unaffected apart from losing
-        their tape memo.
+        ``mmap``.  After closing, the packed columns must not be read again
+        (a lazy :meth:`to_events` decode raises instead); in-memory
+        (array-backed) instances are unaffected apart from losing their
+        tape memo.
         """
         for tape in self._tapes.values():
             close_tape = getattr(tape, "close", None)
@@ -435,7 +453,10 @@ class ColumnarTrace:
 
         ``buf`` may be ``bytes`` or an ``mmap.mmap``; columns become
         zero-copy ``memoryview`` casts into it either way, so an mmap-backed
-        trace pays no decode cost for the packed data.
+        trace pays no decode cost for the packed data.  Raises
+        :class:`~repro.common.errors.ProgramError` for a buffer that does
+        not hold every column in full, or whose columns a decode would
+        reject (see :meth:`_check_codes`).
         """
         view = memoryview(buf)
         if bytes(view[: len(_MAGIC)]) != _MAGIC:
@@ -463,6 +484,7 @@ class ColumnarTrace:
         )
         self.bug_site_ids = tuple(header["bug_sites"])
         self._buffer = buf
+        n = self.n
         for name, typecode in _COLUMNS:
             code, offset, nbytes = header["columns"][name]
             if code != typecode:
@@ -470,8 +492,37 @@ class ColumnarTrace:
                     f"column {name!r} typecode mismatch: {code!r} != {typecode!r}"
                 )
             start = payload_start + offset
-            setattr(self, name, view[start : start + nbytes].cast(typecode))
+            if start + nbytes > len(view):
+                raise ProgramError(
+                    f"column {name!r} runs past the end of the buffer "
+                    f"({start + nbytes} > {len(view)} bytes): truncated entry"
+                )
+            column = view[start : start + nbytes].cast(typecode)
+            if len(column) != n:
+                raise ProgramError(
+                    f"column {name!r} holds {len(column)} items, expected {n}"
+                )
+            setattr(self, name, column)
+        self._check_codes()
         return self
+
+    def _check_codes(self) -> None:
+        """Reject kind codes and site ids a decode could not resolve.
+
+        C-level passes over the packed columns (``bytes.translate`` for the
+        kind codes, ``min``/``max`` for the site ids), so a load answers for
+        the whole entry without decoding a single event.
+        """
+        unknown = bytes(self.kind).translate(None, _KNOWN_KIND_CODES)
+        if unknown:
+            raise ProgramError(f"unknown op kind code {unknown[0]}")
+        num_sites = len(self.sites)
+        if self.n and (min(self.site_id) < -1 or max(self.site_id) >= num_sites):
+            raise ProgramError(
+                f"site id out of range [-1, {num_sites}) in the site_id column"
+            )
+        if any(not 0 <= sid < num_sites for sid in self.bug_site_ids):
+            raise ProgramError(f"bug site id out of range [0, {num_sites})")
 
 
 def columns_of(trace_or_columns) -> ColumnarTrace:

@@ -20,7 +20,7 @@ one site count as a single alarm.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ProgramError
 
@@ -173,29 +173,60 @@ class TraceEvent:
         return f"[{self.seq}] t{self.thread_id}: {body}"
 
 
-@dataclass
 class Trace:
     """A fully interleaved execution: the input every detector consumes.
 
     The trace also records which synthetic *bug* (if any) was injected into
     the run, so the harness can score detector output against ground truth.
+
+    A trace is backed by its event list, by its packed columnar encoding
+    (``columns=``, a :class:`~repro.common.coltrace.ColumnarTrace`), or by
+    both.  A column-backed trace decodes :attr:`events` on first access;
+    ``len()``, :meth:`columns` and the metadata answer from the columns
+    without decoding, so a batch-path consumer never builds event objects.
     """
 
-    events: list[TraceEvent] = field(default_factory=list)
-    num_threads: int = 0
-    injected_bug_sites: frozenset[Site] = frozenset()
-    label: str = ""
+    def __init__(
+        self,
+        events: list[TraceEvent] | None = None,
+        num_threads: int = 0,
+        injected_bug_sites: frozenset[Site] = frozenset(),
+        label: str = "",
+        *,
+        columns=None,
+    ):
+        if events is None and columns is None:
+            events = []
+        #: The decoded event list; ``None`` until a column-backed trace is
+        #: first read event by event.
+        self._events = events
+        self._columnar = columns
+        self.num_threads = num_threads
+        self.injected_bug_sites = injected_bug_sites
+        self.label = label
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The executed events in order (decoded from the columns on first use)."""
+        events = self._events
+        if events is None:
+            events = self._events = self._columnar.to_events()
+        return events
 
     def __len__(self) -> int:
-        return len(self.events)
+        events = self._events
+        return len(events) if events is not None else self._columnar.n
 
     def __iter__(self):
         return iter(self.events)
 
     def append(self, thread_id: int, op: Op) -> TraceEvent:
         """Append an executed op, assigning the next sequence number."""
-        event = TraceEvent(seq=len(self.events), thread_id=thread_id, op=op)
-        self.events.append(event)
+        events = self._events
+        if events is None:
+            events = self.events
+        event = TraceEvent(seq=len(events), thread_id=thread_id, op=op)
+        events.append(event)
         return event
 
     def columns(self):
@@ -203,10 +234,11 @@ class Trace:
 
         Returns a :class:`~repro.common.coltrace.ColumnarTrace`.  The
         encoding is built once and cached; appending further events
-        invalidates the cache (guarded by event count).
+        invalidates the cache (guarded by event count, which a
+        column-backed trace answers without decoding).
         """
-        columnar = getattr(self, "_columnar", None)
-        if columnar is None or columnar.n != len(self.events):
+        columnar = self._columnar
+        if columnar is None or columnar.n != len(self):
             from repro.common.coltrace import ColumnarTrace
 
             columnar = ColumnarTrace.from_events(self)

@@ -289,10 +289,11 @@ class EngineSession:
                 groups[machine_config] = group = MachineGroup(machine_config)
             group.members.append(core)
 
-        # Under a flight recorder each scalar loop is timed as a whole: a
+        # Under a flight recorder each scalar loop is one timed walk: a
         # solo core under its own name, a shared-machine group under its
         # members' names joined by "+".
         perf = time.perf_counter
+        walk = recorder.walk if recorder is not None else nullcontext
         solo: list = []
         for core in scalar_cores:
             machine_config = getattr(core, "machine_config", None)
@@ -304,25 +305,25 @@ class EngineSession:
         for group in groups.values():
             if len(group.members) > 1:
                 t0 = perf()
-                self._walk_group(group)
+                with walk():
+                    self._walk_group(group)
                 if recorder is not None:
                     wall = perf() - t0
                     stepped = sum(
                         1 for e in self.trace if e.op.kind is not OpKind.COMPUTE
                     )
                     name = "+".join(core.name for core in group.members)
-                    recorder.record_walk(wall)
                     recorder.record_core_walk(name, stepped, wall)
                     recorder.record_group(len(group.members), group.accesses)
         for core in solo:
             core.begin(self.trace, obs=obs)
             step = core.step
             t0 = perf()
-            for event in self.trace:
-                step(event)
+            with walk():
+                for event in self.trace:
+                    step(event)
             if recorder is not None:
                 wall = perf() - t0
-                recorder.record_walk(wall)
                 recorder.record_core_walk(core.name, len(self.trace), wall)
         return [
             results[id(core)] if id(core) in results else core.finish()
@@ -415,8 +416,8 @@ class EngineSession:
         steps = [core.step for core in self._cores]
         spent = [0.0] * len(steps)
         perf = time.perf_counter
-        t_walk = perf()
-        with emitter.span("engine.walk", cores=len(steps)):
+        walk = recorder.walk if recorder is not None else nullcontext
+        with walk(), emitter.span("engine.walk", cores=len(steps)):
             for event in self.trace:
                 for index, step in enumerate(steps):
                     t0 = perf()
@@ -428,7 +429,6 @@ class EngineSession:
             )
         if recorder is not None:
             events = len(self.trace)
-            recorder.record_walk(perf() - t_walk)
             for core, wall in zip(self._cores, spent):
                 recorder.record_core_walk(core.name, events, wall)
 

@@ -22,10 +22,13 @@ with ``jobs > 1`` fans them out across worker processes via
 
 Three caches keep the sweeps cheap:
 
-* traces are memoised in memory per (app, run) and — when a cache
-  directory is configured — persisted to a process-safe on-disk
-  :class:`~repro.harness.tracecache.TraceCache` so workers don't
-  re-interleave the same run;
+* traces are memoised in memory per (app, run) as packed columns — when a
+  cache directory is configured, persisted to and mmap-loaded from a
+  process-safe on-disk :class:`~repro.harness.tracecache.TraceCache` so
+  workers don't re-interleave the same run.  Beside each trace the runner
+  keeps one :class:`RunRecord` (program digest and injected bug); the
+  program itself and the interleaved event objects are released before
+  the detectors walk the columns;
 * detector verdicts are cached on disk (JSON, keyed by a configuration
   signature) with atomic write-then-rename, because the sensitivity sweeps
   of Section 5.2 revisit the same runs under many detector configurations;
@@ -40,7 +43,7 @@ import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.common.events import Trace
 from repro.common.fsio import atomic_write_text
@@ -95,6 +98,34 @@ class RunOutcome:
         return data
 
 
+class RunRecord(NamedTuple):
+    """What the runner keeps of one (app, run) program once its trace exists."""
+
+    #: :func:`program_digest` of the program: keys the trace and verdict caches.
+    digest: int
+    #: The injected bug the run is scored against (``None`` for a clean run).
+    bug: InjectedBug | None
+
+
+def program_digest(program: ParallelProgram) -> int:
+    """A stable digest of a program's content.
+
+    Folding this into the cache keys makes cached traces and verdicts
+    self-invalidate whenever a workload generator (or the injection
+    protocol) changes.
+    """
+    parts: list[object] = [program.name]
+    for thread in program.threads:
+        parts.append(thread.thread_id)
+        parts.append(len(thread.ops))
+        # Sample ops densely enough to catch any generator change
+        # without hashing hundreds of thousands of objects.
+        parts.extend(
+            (op.kind.value, op.addr, op.size, op.cycles) for op in thread.ops[::7]
+        )
+    return derive_seed(*parts)
+
+
 def score_detection(result: DetectionResult, bug: InjectedBug | None) -> bool:
     """True iff any report corresponds to the injected bug."""
     if bug is None:
@@ -127,11 +158,14 @@ class ExperimentRunner:
             evaluates everything serially in this process.
         trace_memo_limit: maximum number of traces held in the in-memory
             memo at once (least-recently-used eviction via
-            :meth:`drop_trace`).  Traces are by far the largest objects a
-            sweep touches — hundreds of thousands of events each — so an
-            unbounded memo grows linearly with the number of (app, run)
-            executions visited.  ``None`` disables the bound.  The on-disk
-            trace cache is unaffected: evicted traces reload from disk.
+            :meth:`drop_trace`).  A memoised trace is its packed columns
+            (34 bytes per event, in memory or mmap-ed from the trace
+            cache) plus what the walks memoise on them: the batch
+            kernels' row tuples and machine tapes.  Event objects are
+            decoded only if a caller reads ``trace.events``, and then stay
+            with the trace until it is evicted.  ``None`` disables the
+            bound.  The on-disk trace cache is unaffected: evicted traces
+            reload from disk.
         metrics: an existing :class:`~repro.obs.metrics.MetricsRegistry` to
             book harness counters into (defaults to a private registry);
             pass an Observability bundle's registry to surface trace-memo
@@ -181,23 +215,47 @@ class ExperimentRunner:
         if trace_memo_limit is not None and trace_memo_limit < 1:
             trace_memo_limit = 1
         self.trace_memo_limit = trace_memo_limit
-        self._programs: dict[tuple[str, int], ParallelProgram] = {}
+        #: The program last built for a :class:`RunRecord`, as ((app, run),
+        #: program), kept so a trace-cache miss can interleave it without a
+        #: second build; released once a trace is loaded or built (or a
+        #: scoring call returns).
+        self._held_program: tuple[tuple[str, int], ParallelProgram] | None = None
         self._traces: OrderedDict[tuple[str, int], Trace] = OrderedDict()
-        self._digests: dict[tuple[str, int], int] = {}
+        self._records: dict[tuple[str, int], RunRecord] = {}
         self._outcomes: dict[tuple[str, int, str], RunOutcome] = {}
 
     # ------------------------------------------------------------ traces
 
     def program_for(self, app: str, run: int) -> ParallelProgram:
-        """The (possibly bug-injected) program of one run."""
-        key = (app, run)
-        program = self._programs.get(key)
-        if program is None:
-            program = build_workload(app, seed=self.workload_seed)
-            if run != CLEAN_RUN:
-                program = inject_bug(program, seed=(self.workload_seed, run))
-            self._programs[key] = program
+        """The (possibly bug-injected) program of one run.
+
+        Built on demand: the runner keeps a program only until the run's
+        trace is loaded or built, so a later call builds it again.  For
+        the injected bug alone, :meth:`injected_bug` answers from the
+        run's record without a build.
+        """
+        held = self._held_program
+        if held is not None and held[0] == (app, run):
+            return held[1]
+        program = build_workload(app, seed=self.workload_seed)
+        if run != CLEAN_RUN:
+            program = inject_bug(program, seed=(self.workload_seed, run))
         return program
+
+    def injected_bug(self, app: str, run: int) -> InjectedBug | None:
+        """The bug injected into one run (``None`` for :data:`CLEAN_RUN`)."""
+        return self._record(app, run).bug
+
+    def _record(self, app: str, run: int) -> RunRecord:
+        """The run's digest and bug, building its program the first time."""
+        key = (app, run)
+        record = self._records.get(key)
+        if record is None:
+            program = self.program_for(app, run)
+            record = RunRecord(program_digest(program), program.injected_bug)
+            self._records[key] = record
+            self._held_program = (key, program)
+        return record
 
     def trace_for(self, app: str, run: int) -> Trace:
         """The interleaved trace of one run (memoised, disk-cached).
@@ -224,13 +282,19 @@ class ExperimentRunner:
         return trace
 
     def _build_trace(self, app: str, run: int) -> Trace:
-        """Load one run's trace from the disk cache or interleave it."""
+        """Load one run's trace from the disk cache or interleave it.
+
+        Either way the result is backed by packed columns only: the
+        program and the interleaved event objects are released here.
+        """
         cache_key = self._trace_cache_key(app, run)
         trace = self.trace_cache.load(app, run, *cache_key)
         if trace is not None:
+            self._held_program = None
             self.metrics.add("harness.trace_cache_hits")
             return trace
         program = self.program_for(app, run)
+        self._held_program = None
         seed = schedule_seed_for(app, self.workload_seed, run)
         scheduler = RandomScheduler(
             seed=seed, min_burst=SCHEDULE_MIN_BURST, max_burst=SCHEDULE_MAX_BURST
@@ -239,21 +303,25 @@ class ExperimentRunner:
             trace = interleave(program, scheduler).trace
         self.metrics.add("harness.traces_built")
         self.trace_cache.store(trace, app, run, *cache_key)
-        return trace
+        return trace.columns().to_trace()
 
     def _trace_cache_key(self, app: str, run: int) -> tuple[object, ...]:
         """Everything beyond (app, run) that determines the interleaving."""
         return (
             self.workload_seed,
-            self._program_digest(app, run),
+            self._record(app, run).digest,
             SCHEDULE_MIN_BURST,
             SCHEDULE_MAX_BURST,
         )
 
     def drop_trace(self, app: str, run: int) -> None:
-        """Release a memoised trace (the sweeps manage memory explicitly)."""
+        """Release a memoised trace (the sweeps manage memory explicitly).
+
+        The run's :class:`RunRecord` stays: it is two small values, and it
+        spares a program build when the trace is reloaded.
+        """
         self._traces.pop((app, run), None)
-        self._programs.pop((app, run), None)
+        self._held_program = None
 
     # ----------------------------------------------------------- scoring
 
@@ -313,7 +381,7 @@ class ExperimentRunner:
                 session.add_config(cfg)
             with self.metrics.time("harness.detect"):
                 results = session.run()
-            bug = self.program_for(app, run).injected_bug
+            bug = self.injected_bug(app, run)
             for (index, cfg, signature), result in zip(pending, results):
                 self.metrics.add("harness.cells_evaluated")
                 outcome = RunOutcome(
@@ -329,6 +397,8 @@ class ExperimentRunner:
                 self._cache_put(outcome, signature)
                 self._outcomes[(app, run, signature)] = outcome
                 outcomes[index] = outcome
+        # A program built only for the verdict-cache key goes now.
+        self._held_program = None
         # Duplicate configurations in one batch resolve from the memo.
         return [
             outcomes[index]
@@ -366,8 +436,15 @@ class ExperimentRunner:
         Multi-thousand-cell sweeps would otherwise hold one file descriptor
         per visited trace/tape cache entry until garbage collection; the
         runner is also a context manager so call sites can scope this.
+        Every per-run memo is cleared too.  A trace loaded from the cache
+        can no longer decode its events afterwards (reading them raises
+        :class:`~repro.common.errors.ReproError`), so read ``trace.events``
+        before closing.
         """
         self._traces.clear()
+        self._held_program = None
+        self._records.clear()
+        self._outcomes.clear()
         self.trace_cache.close()
         self.tape_cache.close()
 
@@ -420,34 +497,10 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------- cache
 
-    def _program_digest(self, app: str, run: int) -> int:
-        """A stable digest of the run's program content.
-
-        Folding this into the cache key makes cached verdicts self-invalidate
-        whenever a workload generator (or the injection protocol) changes.
-        """
-        key = (app, run)
-        digest = self._digests.get(key)
-        if digest is None:
-            program = self.program_for(app, run)
-            parts: list[object] = [program.name]
-            for thread in program.threads:
-                parts.append(thread.thread_id)
-                parts.append(len(thread.ops))
-                # Sample ops densely enough to catch any generator change
-                # without hashing hundreds of thousands of objects.
-                parts.extend(
-                    (op.kind.value, op.addr, op.size, op.cycles)
-                    for op in thread.ops[::7]
-                )
-            digest = derive_seed(*parts)
-            self._digests[key] = digest
-        return digest
-
     def _cache_path(self, app: str, run: int, signature: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        digest = self._program_digest(app, run)
+        digest = self._record(app, run).digest
         stem = f"{app}_{run}_{derive_seed(signature, self.workload_seed, digest):016x}"
         return self.cache_dir / f"{stem}.json"
 

@@ -17,8 +17,12 @@ verdict cache.
 
 Loads ``mmap`` the entry and cast the columns zero-copy out of the mapped
 buffer: the packed arrays a batch-path engine session consumes come
-straight off the page cache, and the loaded trace carries them pre-attached
-(``Trace.columns()`` returns the mapped encoding without re-packing).
+straight off the page cache, and the loaded trace is backed by them
+(``Trace.columns()`` returns the mapped encoding without re-packing; event
+objects are decoded only if a caller reads ``trace.events``).  The load
+checks what a decode would have caught, on the columns themselves: every
+column holds exactly ``n`` items, every kind code is known and every site
+id indexes the site table.
 
 Writes use the write-then-:func:`os.replace` protocol (atomic on POSIX),
 so concurrent workers racing to store the same trace are harmless: both
@@ -84,9 +88,12 @@ class TraceCache:
     def load(self, app: str, run: int, *key_parts: object) -> Trace | None:
         """The cached trace, or ``None`` on a miss (or unreadable entry).
 
-        The returned trace carries the mmap-backed columnar encoding
-        pre-attached, so ``trace.columns()`` is free and the batch engine
-        path reads the packed arrays straight from the mapping.
+        The returned trace is backed by the mmap-ed columns and decodes no
+        event at load, so ``trace.columns()`` is free and the batch engine
+        path reads the packed arrays straight from the mapping.  Its
+        ``events`` decode on first access, which must come before
+        :meth:`close`.  An entry that is truncated, or holds an unknown
+        kind code or an out-of-range site id, is unlinked and missed.
         """
         path = self.path_for(app, run, *key_parts)
         if path is None:

@@ -19,7 +19,10 @@ changing the path choice.  It records:
   :attr:`~FlightRecorder.census_stride`, so the census touches ~1.5% of
   events);
 * **per-phase wall time** — hierarchical :meth:`frame` regions that also
-  power the collapsed-stack (flamegraph-compatible) dump.
+  power the collapsed-stack (flamegraph-compatible) dump;
+* **garbage collection** — while a walk runs, a :data:`gc.callbacks` hook
+  counts the collector's runs per generation and times each pause, and
+  ``derived.gc_pause_frac`` gives the pauses' share of the walk.
 
 The recorder rides the :class:`~repro.obs.Observability` bundle as its
 ``telemetry`` attribute.  Recorders merge associatively (:meth:`merge`),
@@ -29,6 +32,7 @@ in, exactly like :class:`~repro.obs.metrics.MetricsRegistry` shards.
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 
@@ -50,6 +54,12 @@ _CORE_FIELDS = ("stepped", "walks", "wall_s")
 
 #: The frame every engine walk's leaf frames nest under.
 _WALK_FRAME = ("engine", "walk")
+
+#: Collections counted during walks, one counter per GC generation.
+_GC_COUNTERS = tuple(f"telemetry.gc.gen{gen}" for gen in range(3))
+
+#: Every collector pause during a walk, one interval per collection.
+_GC_PAUSE_TIMER = "telemetry.gc.pause"
 
 
 class FlightRecorder:
@@ -76,6 +86,9 @@ class FlightRecorder:
         #: Cumulative wall seconds per frame path (flamegraph stacks).
         self.frames: dict[tuple[str, ...], float] = {}
         self._frame_stack: list[str] = []
+        #: ``perf_counter`` at the start of the collection in progress.
+        self._gc_t0 = 0.0
+        self._gc_pause = self.registry.timer(_GC_PAUSE_TIMER)
 
     # ------------------------------------------------------------ frames
 
@@ -93,15 +106,31 @@ class FlightRecorder:
 
     @contextmanager
     def walk(self):
-        """Time one engine walk; frames opened inside nest under ``engine;walk``."""
+        """Time one engine walk; frames opened inside nest under ``engine;walk``.
+
+        The garbage collector's runs during the walk are counted per
+        generation and each pause is timed (:meth:`_on_gc`); the hook is
+        removed again when the walk ends.
+        """
         outer = self._frame_stack
         self._frame_stack = list(_WALK_FRAME)
+        on_gc = self._on_gc
+        gc.callbacks.append(on_gc)
         t0 = time.perf_counter()
         try:
             yield
         finally:
+            gc.callbacks.remove(on_gc)
             self._frame_stack = outer
             self.record_walk(time.perf_counter() - t0)
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        # A gc.callbacks hook: "start" and "stop" bracket each collection.
+        if phase == "start":
+            self._gc_t0 = time.perf_counter()
+        else:
+            self._gc_pause.observe(time.perf_counter() - self._gc_t0)
+            self.registry.add(_GC_COUNTERS[info["generation"]])
 
     def record_frame(self, path: tuple[str, ...], seconds: float) -> None:
         """Accumulate ``seconds`` of wall time on one frame path."""
@@ -244,7 +273,7 @@ class FlightRecorder:
         Raw counters plus the derived quantities: per-core events/sec and
         step time, the lane dedup hit ratio, sync-point density per 1k
         events, the share of walk time the walk's leaf frames attribute,
-        and the frame table.
+        the share the collector's pauses took, and the frame table.
         """
         counters = self.registry.snapshot()
         events = counters.get("telemetry.trace.events", 0)
@@ -259,6 +288,7 @@ class FlightRecorder:
             for path, seconds in self.frames.items()
             if len(path) == 3 and path[:2] == _WALK_FRAME
         )
+        gc_pause_s = self._gc_pause.total_s
         cores = {}
         for name, entry in sorted(self.cores.items()):
             stepped, wall_s = entry["stepped"], entry["wall_s"]
@@ -289,6 +319,7 @@ class FlightRecorder:
                 "walk_attributed_frac": round(attributed_s / walk_s, 4)
                 if walk_s
                 else 0.0,
+                "gc_pause_frac": round(gc_pause_s / walk_s, 4) if walk_s else 0.0,
             },
             "frames": {
                 ";".join(path): round(seconds, 6)
@@ -310,7 +341,8 @@ class FlightRecorder:
         lines.append(
             f"  sync density: {derived['sync_density_per_1k']}/1k events, "
             f"lane dedup hit ratio: {derived['lane_dedup_hit_ratio']}, "
-            f"walk attributed: {derived['walk_attributed_frac']:.1%}"
+            f"walk attributed: {derived['walk_attributed_frac']:.1%}, "
+            f"gc pauses: {derived['gc_pause_frac']:.1%}"
         )
         for name, core in snap["cores"].items():
             lines.append(

@@ -169,3 +169,98 @@ class TestMakeDetector:
         assert hard.config.bloom.vector_bits == 32
         ideal = make_detector("hard-ideal", granularity=16)
         assert ideal.granularity == 16
+
+
+def held_programs(runner) -> list:
+    """Every ParallelProgram reachable from the runner's own attributes."""
+    from repro.threads.program import ParallelProgram
+
+    found = []
+    for value in vars(runner).values():
+        if isinstance(value, dict):
+            items = list(value.values())
+        elif isinstance(value, tuple):
+            items = list(value)
+        else:
+            items = [value]
+        found.extend(item for item in items if isinstance(item, ParallelProgram))
+    return found
+
+
+class TestColumnMemo:
+    """The runner memo holds columns plus one small record per run."""
+
+    CONFIGS = ("hard-default", "hb-ideal")
+
+    @staticmethod
+    def warm_runner(cache_dir) -> ExperimentRunner:
+        """Trace and tape caches, no verdict cache: every call walks."""
+        return ExperimentRunner(
+            trace_cache_dir=cache_dir / "traces", tape_cache_dir=cache_dir / "tapes"
+        )
+
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("warm")
+        with self.warm_runner(cache_dir) as cold:
+            cold.run_detectors("raytrace", 0, self.CONFIGS)
+        return cache_dir
+
+    def test_warm_cell_decodes_nothing_and_holds_no_program(self, cache_dir):
+        with self.warm_runner(cache_dir) as runner:
+            outcomes = runner.run_detectors("raytrace", 0, self.CONFIGS)
+            assert runner.trace_cache.hits == 1
+            trace = runner.trace_for("raytrace", 0)
+            assert trace._events is None
+            assert held_programs(runner) == []
+            assert outcomes[0].detected
+
+    def test_cold_cell_holds_columns_not_events(self):
+        runner = ExperimentRunner()
+        runner.run_detectors("raytrace", CLEAN_RUN, ["hb-ideal"])
+        assert runner.trace_for("raytrace", CLEAN_RUN)._events is None
+        assert held_programs(runner) == []
+
+    def test_verdict_cache_hits_release_the_program(self, tmp_path):
+        ExperimentRunner(cache_dir=tmp_path).run_detector(
+            "raytrace", CLEAN_RUN, "hb-ideal"
+        )
+        runner = ExperimentRunner(cache_dir=tmp_path)
+        runner.run_detector("raytrace", CLEAN_RUN, "hb-ideal")
+        assert runner.metrics.snapshot()["harness.verdict_cache_hits"] == 1
+        assert held_programs(runner) == []
+
+    @pytest.mark.parametrize("run", [CLEAN_RUN, 0, 1, 2, 3, 4])
+    def test_injected_bug_matches_the_program(self, runner, run):
+        assert runner.injected_bug("raytrace", run) == (
+            runner.program_for("raytrace", run).injected_bug
+        )
+
+    def test_lazy_events_equal_the_columns(self):
+        runner = ExperimentRunner()
+        trace = runner.trace_for("raytrace", CLEAN_RUN)
+        cols = trace.columns()
+        assert trace._events is None
+        assert trace.events == cols.to_events()
+
+    def test_decoding_after_close_raises(self, cache_dir):
+        from repro.common.errors import ReproError
+
+        runner = self.warm_runner(cache_dir)
+        trace = runner.trace_for("raytrace", 0)
+        runner.close()
+        with pytest.raises(ReproError, match="closing the runner"):
+            trace.events
+
+    def test_close_clears_every_per_run_memo(self, cache_dir):
+        runner = self.warm_runner(cache_dir)
+        runner.run_detectors("raytrace", 0, self.CONFIGS)
+        runner.injected_bug("raytrace", CLEAN_RUN)  # record only, no trace
+        assert runner._traces and runner._records and runner._outcomes
+        assert held_programs(runner)  # the clean run's, built for its record
+        runner.close()
+        memos = ("_traces", "_records", "_outcomes")
+        assert {name: len(getattr(runner, name)) for name in memos} == dict.fromkeys(
+            memos, 0
+        )
+        assert held_programs(runner) == []

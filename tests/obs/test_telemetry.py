@@ -1,5 +1,7 @@
 """Unit and integration tests for the engine flight recorder."""
 
+import gc
+
 import pytest
 
 from repro.engine import EngineSession
@@ -160,6 +162,71 @@ class TestWalkAggregates:
         assert snap["counters"]["telemetry.engine.walks"] == 1
         assert snap["derived"]["walk_attributed_frac"] == 0.75
         assert FlightRecorder().snapshot()["derived"]["walk_attributed_frac"] == 0.0
+
+
+class TestGcCensus:
+    """A walk counts the collector's runs and pauses, then unhooks itself."""
+
+    def test_collections_are_counted_per_generation(self):
+        recorder = FlightRecorder()
+        with recorder.walk():
+            gc.collect(0)
+            gc.collect(2)
+            gc.collect(2)
+        counters = recorder.registry.snapshot()
+        # Allocation can trigger more young collections; forced ones count.
+        assert counters["telemetry.gc.gen0"] >= 1
+        assert counters["telemetry.gc.gen2"] >= 2
+        pause = recorder.registry.timer("telemetry.gc.pause")
+        assert pause.count == sum(
+            counters.get(f"telemetry.gc.gen{gen}", 0) for gen in range(3)
+        )
+        snap = recorder.snapshot()
+        walk_s = snap["frames"]["engine;walk"]
+        assert snap["derived"]["gc_pause_frac"] == round(pause.total_s / walk_s, 4)
+        assert 0.0 < snap["derived"]["gc_pause_frac"] <= 1.0
+
+    def test_collections_outside_a_walk_are_not_counted(self):
+        recorder = FlightRecorder()
+        gc.collect()
+        assert not any(
+            name.startswith("telemetry.gc.") for name in recorder.registry.snapshot()
+        )
+        assert recorder.snapshot()["derived"]["gc_pause_frac"] == 0.0
+
+    def test_callback_removed_after_a_walk(self):
+        before = list(gc.callbacks)
+        recorder = FlightRecorder()
+        with pytest.raises(RuntimeError):
+            with recorder.walk():
+                assert len(gc.callbacks) == len(before) + 1
+                raise RuntimeError("walk failed")
+        assert gc.callbacks == before
+
+    @pytest.mark.parametrize("path", ["batch", "scalar"])
+    def test_engine_walks_leave_callbacks_unchanged(self, path):
+        before = list(gc.callbacks)
+        _, _, recorder = run_recorded(
+            small_trace(), ["hard-default", "hb-ideal"], path=path
+        )
+        assert gc.callbacks == before
+        assert "gc_pause_frac" in recorder.snapshot()["derived"]
+
+    def test_merge_adds_pauses(self):
+        shards = []
+        for _ in range(2):
+            shard = FlightRecorder()
+            with shard.walk():
+                gc.collect(2)
+            shards.append(shard)
+        merged = FlightRecorder()
+        for shard in shards:
+            merged.merge(shard)
+        pauses = [s.registry.timer("telemetry.gc.pause") for s in shards]
+        merged_pause = merged.registry.timer("telemetry.gc.pause")
+        assert merged_pause.count == sum(p.count for p in pauses)
+        assert merged_pause.total_s == pytest.approx(sum(p.total_s for p in pauses))
+        assert merged.registry.snapshot()["telemetry.gc.gen2"] >= 2
 
 
 class TestMerge:
