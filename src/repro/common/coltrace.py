@@ -45,17 +45,26 @@ state machines (flash-reset of every cached BFVector, all-to-all vector
 clock join).  Lock/unlock events mutate only the executing thread's lock
 register, so they do not end a run; batch kernels handle them inline.  Each
 barrier event is its own single-event run with ``sync=True``.
+
+Held locks
+----------
+
+:meth:`held_locks` derives, once per trace, the locks each event's thread
+holds as an exact int bitmask (one bit per distinct lock word), so the
+lockset kernels intersect candidate sets with ``&`` — HARD's BFVector AND
+without the Bloom filter's collisions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from array import array
 from typing import Iterable, NamedTuple
 
-from repro.common.errors import ProgramError, ReproError
+from repro.common.errors import DetectorError, ProgramError, ReproError
 from repro.common.events import Op, OpKind, Site, Trace, TraceEvent
 
 #: Stable integer codes for :class:`~repro.common.events.OpKind`.
@@ -83,6 +92,9 @@ _CODE_TO_KIND = (
     OpKind.COMPUTE,
 )
 
+
+#: Matches the LOCK and UNLOCK bytes of a packed ``kind`` column.
+_LOCK_OPS = re.compile(b"[%c%c]" % (KIND_LOCK, KIND_UNLOCK))
 
 #: Every valid ``kind`` column byte (a ``bytes.translate`` delete table).
 _KNOWN_KIND_CODES = bytes(range(len(_CODE_TO_KIND)))
@@ -149,6 +161,7 @@ class ColumnarTrace:
         "is_write",
         "_sync_runs",
         "_rows",
+        "_held",
         "_tapes",
         "_buffer",
         "_digest",
@@ -166,6 +179,7 @@ class ColumnarTrace:
         self.bug_site_ids: tuple[int, ...] = ()
         self._sync_runs = None
         self._rows = None
+        self._held = None
         #: Per-MachineConfig replay tapes, memoised by the engine.
         self._tapes: dict = {}
         #: Backing buffer for mmap-loaded columns (keeps the map alive).
@@ -320,11 +334,7 @@ class ColumnarTrace:
         runs = self._sync_runs
         if runs is None:
             runs = []
-            data = (
-                self.kind.tobytes()
-                if isinstance(self.kind, array)
-                else bytes(self.kind)
-            )
+            data = self._kind_bytes()
             needle = bytes((KIND_BARRIER,))
             lo = 0
             pos = data.find(needle)
@@ -352,6 +362,65 @@ class ColumnarTrace:
                 zip(self.kind, self.tid, self.addr, self.size, self.site_id)
             )
         return rows
+
+    def held_locks(self) -> list[int]:
+        """Per-event bitmask of the locks the event's thread holds (memoised).
+
+        ``held_locks()[i]`` is the lock set of thread ``tid[i]`` just after
+        event ``i``, as an int: every distinct lock word owns one bit,
+        assigned in first-acquire order, and the bit stays set while the
+        thread's acquire depth on that lock is above zero, so re-entrant
+        acquires nest.  One pass over the LOCK/UNLOCK events derives the
+        column; the events between two of them copy their thread's current
+        mask.  Raises :class:`~repro.common.errors.DetectorError` on the
+        release of a lock the thread does not hold.
+        """
+        held = self._held
+        if held is None:
+            held = self._held = self._derive_held_locks()
+        return held
+
+    def _derive_held_locks(self) -> list[int]:
+        data = self._kind_bytes()
+        tids = self.tid.tolist()
+        addrs = self.addr
+        current = [0] * max(self.num_threads, max(tids, default=-1) + 1)
+        mask_of_thread = current.__getitem__
+        bits: dict[int, int] = {}
+        depths: dict[tuple[int, int], int] = {}
+        held: list[int] = []
+        extend = held.extend
+        lo = 0
+        for match in _LOCK_OPS.finditer(data):
+            i = match.start()
+            extend(map(mask_of_thread, tids[lo:i]))
+            tid = tids[i]
+            addr = addrs[i]
+            key = (tid, addr)
+            depth = depths.get(key, 0)
+            if data[i] == KIND_LOCK:
+                bit = bits.get(addr)
+                if bit is None:
+                    bit = bits[addr] = 1 << len(bits)
+                if not depth:
+                    current[tid] |= bit
+                depths[key] = depth + 1
+            else:
+                if depth <= 0:
+                    raise DetectorError(
+                        f"t{tid} released lock 0x{addr:x} it never took"
+                    )
+                if depth == 1:
+                    current[tid] &= ~bits[addr]
+                depths[key] = depth - 1
+            held.append(current[tid])
+            lo = i + 1
+        extend(map(mask_of_thread, tids[lo:]))
+        return held
+
+    def _kind_bytes(self) -> bytes:
+        kind = self.kind
+        return kind.tobytes() if isinstance(kind, array) else bytes(kind)
 
     def content_digest(self) -> str:
         """A stable hex digest of the full trace content (memoised).
@@ -399,6 +468,7 @@ class ColumnarTrace:
                 close_tape()
         self._tapes = {}
         self._rows = None
+        self._held = None
         buf = self._buffer
         if buf is None:
             return

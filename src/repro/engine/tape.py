@@ -223,6 +223,11 @@ class MachineTape:
                 access(core_for_thread(tids[i]), addrs[i], _LOCK_WORD_BYTES, True)
         hook_off[n] = len(hooks) >> 2
         sharer_off[n] = n_sharers
+        # The scalar walk places a thread at its first event of any kind;
+        # place the threads whose events never reach the data path (only
+        # barriers or compute) so ``machine.threads.placed`` agrees.
+        for tid in sorted(set(tids)):
+            core_for_thread(tid)
 
         machine.remove_listener(recorder)
         self.hook_off = hook_off

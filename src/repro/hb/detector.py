@@ -22,7 +22,7 @@ from repro.common.errors import DetectorError
 from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.core.detector import LOCK_WORD_BYTES
-from repro.hb.meta import HBLineMeta
+from repro.hb.meta import HBChunkMeta, HBLineMeta, check_epochs
 from repro.hb.vectorclock import SyncClocks
 from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
@@ -172,7 +172,8 @@ class HappensBeforeCore:
     # metadata store keeps one object per line, so only memory fills (fresh
     # history) and L2 displacements (history lost) need replaying from the
     # tape's hook stream; vector clocks and chunk histories are the same
-    # objects the scalar path uses.
+    # objects the scalar path uses.  A filled line holds None per chunk until
+    # an access first touches it: an untouched history is empty.
 
     def begin_batch(self, cols, tape) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
@@ -198,8 +199,6 @@ class HappensBeforeCore:
 
     def step_batch(self, cols, lo: int, hi: int) -> None:
         """Process events ``[lo, hi)`` of ``cols`` against the tape."""
-        from repro.hb.meta import HBChunkMeta
-
         rows = cols.rows()
         sites = cols.sites
         participants = cols.participants
@@ -231,23 +230,24 @@ class HappensBeforeCore:
             while h < h1:
                 code = hook_code[h]
                 if code == 0:  # fill from memory: fresh (empty) history
-                    lines[hook_line[h]] = [
-                        HBChunkMeta() for _ in range(chunks_per_line)
-                    ]
+                    lines[hook_line[h]] = [None] * chunks_per_line
                 elif code == 6:  # L2 displacement: history lost
                     del lines[hook_line[h]]
                 h += 1
 
             if kind <= 1:  # READ / WRITE
                 is_write = kind == 1
-                clock = threads[tid]
+                values = threads[tid].values
                 first = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
                 chunk_addr = first
                 while True:
                     meta = lines[chunk_addr & line_mask]
-                    chunk = meta[(chunk_addr & offset_mask) >> chunk_shift]
-                    conflicts = chunk.check_and_update(tid, clock, is_write)
+                    index = (chunk_addr & offset_mask) >> chunk_shift
+                    chunk = meta[index]
+                    if chunk is None:  # first touch since the fill
+                        chunk = meta[index] = HBChunkMeta()
+                    conflicts = check_epochs(chunk, tid, values, is_write)
                     n_history_updates += 1
                     for detail in conflicts:
                         log_add(

@@ -85,38 +85,46 @@ class FastTrackCore:
 
     # ------------------------------------------------------------ chunk logic
 
-    def _check_read(self, chunk: FTChunk, tid: int, clock) -> list[str]:
-        """Race-check one read against the chunk history, then record it."""
+    def _check_read(self, chunk: FTChunk, tid: int, values: list[int]) -> list[str]:
+        """Race-check one read against the chunk history, then record it.
+
+        ``values`` is the reader's vector clock: a recorded epoch ``(u, c)``
+        happens-before the read iff ``c <= values[u]``.
+        """
         conflicts = _NO_CONFLICTS
         write = chunk.last_write
-        if write is not None and write[0] != tid and not clock.knows(write):
-            conflicts = [f"unordered with write by t{write[0]}@{write[1]}"]
+        if write is not None:
+            writer, value = write
+            if writer != tid and value > values[writer]:
+                conflicts = [f"unordered with write by t{writer}@{value}"]
         vector = chunk.read_vector
         if vector is not None:
-            vector[tid] = clock.values[tid]
+            vector[tid] = values[tid]
         else:
             epoch = chunk.read_epoch
-            if epoch is None or epoch[0] == tid or clock.knows(epoch):
+            if epoch is None or epoch[0] == tid or epoch[1] <= values[epoch[0]]:
                 # The recorded read (if any) happens-before this one: the
                 # new epoch subsumes it and exclusive mode is preserved.
-                chunk.read_epoch = (tid, clock.values[tid])
+                chunk.read_epoch = (tid, values[tid])
             else:
                 # Two genuinely concurrent reads: inflate to a read map.
-                chunk.read_vector = {epoch[0]: epoch[1], tid: clock.values[tid]}
+                chunk.read_vector = {epoch[0]: epoch[1], tid: values[tid]}
                 chunk.read_epoch = None
                 self._n_read_inflations += 1
         return conflicts
 
-    def _check_write(self, chunk: FTChunk, tid: int, clock) -> list[str]:
+    def _check_write(self, chunk: FTChunk, tid: int, values: list[int]) -> list[str]:
         """Race-check one write against the chunk history, then record it."""
         conflicts = None
         write = chunk.last_write
-        if write is not None and write[0] != tid and not clock.knows(write):
-            conflicts = [f"unordered with write by t{write[0]}@{write[1]}"]
+        if write is not None:
+            writer, value = write
+            if writer != tid and value > values[writer]:
+                conflicts = [f"unordered with write by t{writer}@{value}"]
         vector = chunk.read_vector
         if vector is not None:
             for reader, value in vector.items():
-                if reader != tid and not clock.knows((reader, value)):
+                if reader != tid and value > values[reader]:
                     if conflicts is None:
                         conflicts = []
                     conflicts.append(f"unordered with read by t{reader}@{value}")
@@ -124,14 +132,13 @@ class FastTrackCore:
         else:
             epoch = chunk.read_epoch
             if epoch is not None:
-                if epoch[0] != tid and not clock.knows(epoch):
+                reader, value = epoch
+                if reader != tid and value > values[reader]:
                     if conflicts is None:
                         conflicts = []
-                    conflicts.append(
-                        f"unordered with read by t{epoch[0]}@{epoch[1]}"
-                    )
+                    conflicts.append(f"unordered with read by t{reader}@{value}")
                 chunk.read_epoch = None
-        chunk.last_write = (tid, clock.values[tid])
+        chunk.last_write = (tid, values[tid])
         return conflicts if conflicts is not None else _NO_CONFLICTS
 
     # ---------------------------------------------------------- scalar path
@@ -164,7 +171,7 @@ class FastTrackCore:
         else:
             chunks = self.chunks
             stats = self.run_stats
-            clock = clocks.clock(thread_id)
+            values = clocks.clock(thread_id).values
             is_write = op.is_write
             check = self._check_write if is_write else self._check_read
             for chunk_addr in spanned_chunks(op.addr, op.size, self.d.granularity):
@@ -172,7 +179,7 @@ class FastTrackCore:
                 if chunk is None:
                     chunk = FTChunk()
                     chunks[chunk_addr] = chunk
-                conflicts = check(chunk, thread_id, clock)
+                conflicts = check(chunk, thread_id, values)
                 self._n_history_updates += 1
                 for detail in conflicts:
                     report = self.log.add(
@@ -238,7 +245,7 @@ class FastTrackCore:
             if kind <= 1:  # READ / WRITE
                 is_write = kind == 1
                 check = check_write if is_write else check_read
-                clock = threads[tid]
+                values = threads[tid].values
                 first = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
                 chunk_addr = first
@@ -246,7 +253,7 @@ class FastTrackCore:
                     chunk = chunks.get(chunk_addr)
                     if chunk is None:
                         chunk = chunks[chunk_addr] = FTChunk()
-                    conflicts = check(chunk, tid, clock)
+                    conflicts = check(chunk, tid, values)
                     n_history_updates += 1
                     for detail in conflicts:
                         log_add(

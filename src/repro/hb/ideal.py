@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.common.addresses import spanned_chunks
 from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
-from repro.hb.meta import HBChunkMeta
+from repro.hb.meta import HBChunkMeta, check_epochs
 from repro.hb.vectorclock import SyncClocks
 from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
@@ -114,7 +114,8 @@ class IdealHappensBeforeCore:
     # ------------------------------------------------------------- batch path
     # Vectorized kernel over the columnar trace.  Trace-only (no machine, no
     # tape); the vector clocks and per-chunk histories are the same objects
-    # the scalar path uses — only the event dispatch is flattened.
+    # the scalar path uses — only the event dispatch is flattened, and the
+    # conflict rule reads the accessor's clock values once per access.
 
     def begin_batch(self, cols, tape=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
@@ -146,7 +147,7 @@ class IdealHappensBeforeCore:
             kind, tid, addr, size, sid = rows[i]
             if kind <= 1:  # READ / WRITE
                 is_write = kind == 1
-                clock = threads[tid]
+                values = threads[tid].values
                 first = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
                 chunk_addr = first
@@ -154,7 +155,7 @@ class IdealHappensBeforeCore:
                     chunk = chunks.get(chunk_addr)
                     if chunk is None:
                         chunk = chunks[chunk_addr] = HBChunkMeta()
-                    conflicts = chunk.check_and_update(tid, clock, is_write)
+                    conflicts = check_epochs(chunk, tid, values, is_write)
                     n_history_updates += 1
                     for detail in conflicts:
                         log_add(

@@ -44,27 +44,37 @@ class HBChunkMeta:
 
         Returns human-readable conflict descriptions (empty = no race).
         """
-        conflicts = None
-        write = self.last_write
-        if (
-            write is not None
-            and write[0] != thread_id
-            and not clock.knows(write)
-        ):
-            conflicts = [f"unordered with write by t{write[0]}@{write[1]}"]
-        if is_write:
-            reads = self.reads
-            if reads:
-                for reader, value in reads.items():
-                    if reader != thread_id and not clock.knows((reader, value)):
-                        if conflicts is None:
-                            conflicts = []
-                        conflicts.append(f"unordered with read by t{reader}@{value}")
-                reads.clear()
-            self.last_write = clock.epoch(thread_id)
-        else:
-            self.reads[thread_id] = clock.values[thread_id]
-        return conflicts if conflicts is not None else _NO_CONFLICTS
+        return check_epochs(self, thread_id, clock.values, is_write)
+
+
+def check_epochs(
+    chunk: HBChunkMeta, thread_id: int, values: list[int], is_write: bool
+) -> list[str]:
+    """:meth:`HBChunkMeta.check_and_update` against a clock's raw ``values``.
+
+    The batch kernels call this directly, reading ``values`` once per
+    access: a recorded epoch ``(u, c)`` is unordered with the access iff
+    ``c > values[u]``.
+    """
+    conflicts = None
+    write = chunk.last_write
+    if write is not None:
+        writer, value = write
+        if writer != thread_id and value > values[writer]:
+            conflicts = [f"unordered with write by t{writer}@{value}"]
+    if is_write:
+        reads = chunk.reads
+        if reads:
+            for reader, value in reads.items():
+                if reader != thread_id and value > values[reader]:
+                    if conflicts is None:
+                        conflicts = []
+                    conflicts.append(f"unordered with read by t{reader}@{value}")
+            reads.clear()
+        chunk.last_write = (thread_id, values[thread_id])
+    else:
+        chunk.reads[thread_id] = values[thread_id]
+    return conflicts if conflicts is not None else _NO_CONFLICTS
 
 
 class HBLineMeta:

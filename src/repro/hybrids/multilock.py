@@ -23,7 +23,10 @@ access arrives.
 
 Per access: O(T * S) record checks where S is the number of distinct
 locksets per thread (the Fine-Grained Lens taxonomy's cost for
-lockset-set schemes), each an O(|L|) disjointness test.
+lockset-set schemes).  The scalar walk tests each record with a
+frozenset intersection; the batch walk stamps records with the trace's
+held-lock bitmask (``ColumnarTrace.held_locks``), so each test is one int
+AND and the same-``(thread, lockset)`` dedup is one dict lookup.
 
 ``use_weak_hb=False`` disables condition 2 entirely (every record is
 treated as concurrent): that is the pure pairwise-lockset ablation the
@@ -68,6 +71,22 @@ def _record(records: list[list], tid: int, value: int, lockset: frozenset) -> No
             record[1] = value
             return
     records.append([tid, value, lockset])
+
+
+class MaskChunk:
+    """The batch walk's :class:`MultiChunk`: records keyed by lock bitmask.
+
+    ``writes`` and ``reads`` map ``(thread, held-lock bitmask)`` to the
+    record's epoch value.  A dict keeps insertion order and a refresh keeps
+    its key's position, so iteration order is exactly :class:`MultiChunk`'s
+    list order while the same-key dedup costs O(1).
+    """
+
+    __slots__ = ("writes", "reads")
+
+    def __init__(self):
+        self.writes: dict[tuple[int, int], int] = {}
+        self.reads: dict[tuple[int, int], int] = {}
 
 
 @dataclass
@@ -234,15 +253,15 @@ class MultiLockHBCore:
 
     # ------------------------------------------------------------- batch path
     # Vectorized kernel over the columnar trace.  Trace-only (no machine, no
-    # tape); the weak clocks and chunk histories are the same objects the
-    # scalar path uses — only the event dispatch is flattened.
+    # tape); the weak clocks are the scalar path's, the chunk histories are
+    # MaskChunks keyed by the trace's held-lock bitmasks.
 
     def begin_batch(self, cols, tape=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = WeakClocks(cols.num_threads)
-        self.held = {}
+        self._held = cols.held_locks()
         self.chunks = {}
         self._n_history_updates = 0
         self._n_acquires = 0
@@ -253,15 +272,15 @@ class MultiLockHBCore:
     def step_batch(self, cols, lo: int, hi: int) -> None:
         """Process events ``[lo, hi)`` of ``cols``."""
         rows = cols.rows()
+        held = self._held
         sites = cols.sites
         participants = cols.participants
         granularity = self.d.granularity
+        weak_hb = self.d.use_weak_hb
         chunk_mask = ~(granularity - 1)
         threads = self.clocks.threads
-        held = self.held
         chunks = self.chunks
         log_add = self.log.add
-        check = self._check
         n_history_updates = self._n_history_updates
         n_reports = self._n_reports
 
@@ -269,50 +288,67 @@ class MultiLockHBCore:
             kind, tid, addr, size, sid = rows[i]
             if kind <= 1:  # READ / WRITE
                 is_write = kind == 1
-                clock = threads[tid]
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
+                values = threads[tid].values
+                mask = held[i]
                 first = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
                 chunk_addr = first
                 while True:
                     chunk = chunks.get(chunk_addr)
                     if chunk is None:
-                        chunk = chunks[chunk_addr] = MultiChunk()
-                    conflicts = check(chunk, tid, clock, locks, is_write)
+                        chunk = chunks[chunk_addr] = MaskChunk()
+                    # _check on ints: a record conflicts when foreign,
+                    # lock-disjoint and (with weak_hb) not weak-known.
+                    # Inlined as two loops, this timed about 1.3x faster
+                    # than one loop over (label, records) pairs and 1.5x
+                    # faster than a helper call.
+                    writes = chunk.writes
+                    conflicts = None
+                    for (thread, lockset), value in writes.items():
+                        if not (
+                            thread == tid
+                            or lockset & mask
+                            or (weak_hb and value <= values[thread])
+                        ):
+                            if conflicts is None:
+                                conflicts = []
+                            conflicts.append(f"write by t{thread}@{value}")
+                    if is_write:
+                        reads = chunk.reads
+                        if reads:
+                            for (thread, lockset), value in reads.items():
+                                if not (
+                                    thread == tid
+                                    or lockset & mask
+                                    or (weak_hb and value <= values[thread])
+                                ):
+                                    if conflicts is None:
+                                        conflicts = []
+                                    conflicts.append(f"read by t{thread}@{value}")
+                            reads.clear()
+                        writes[(tid, mask)] = values[tid]
+                    else:
+                        chunk.reads[(tid, mask)] = values[tid]
                     n_history_updates += 1
-                    for detail in conflicts:
-                        log_add(
-                            seq=i,
-                            thread_id=tid,
-                            addr=addr,
-                            size=size,
-                            site=sites[sid],
-                            is_write=is_write,
-                            detail=f"{detail} (chunk 0x{chunk_addr:x})",
-                        )
-                        n_reports += 1
+                    if conflicts is not None:
+                        for record in conflicts:
+                            log_add(
+                                seq=i,
+                                thread_id=tid,
+                                addr=addr,
+                                size=size,
+                                site=sites[sid],
+                                is_write=is_write,
+                                detail=f"lock-disjoint with {record} "
+                                f"(chunk 0x{chunk_addr:x})",
+                            )
+                        n_reports += len(conflicts)
                     if chunk_addr == last:
                         break
                     chunk_addr += granularity
             elif kind == 2:  # LOCK
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
-                locks[addr] = locks.get(addr, 0) + 1
                 self._n_acquires += 1
             elif kind == 3:  # UNLOCK
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
-                if locks.get(addr, 0) <= 0:
-                    raise DetectorError(
-                        f"t{tid} released lock 0x{addr:x} it never took"
-                    )
-                locks[addr] -= 1
-                if not locks[addr]:
-                    del locks[addr]
                 self._n_releases += 1
             elif kind == 4:  # BARRIER
                 self._barrier(tid, addr, participants[i])

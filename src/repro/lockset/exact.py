@@ -191,14 +191,15 @@ class IdealLocksetCore:
     # ------------------------------------------------------------- batch path
     # Vectorized kernel over the columnar trace.  Trace-only (no machine, no
     # tape); chunk records are flat ``[candidate, state, owner]`` triples with
-    # the Figure 2 transition inlined, int-coded 0=V/1=E/2=S/3=SM and
-    # ``candidate is None`` standing for :data:`ALL_LOCKS`.
+    # the Figure 2 transition inlined, int-coded 0=V/1=E/2=S/3=SM.  A
+    # candidate set is an int over the trace's lock bits (``held_locks``),
+    # with -1 standing for :data:`ALL_LOCKS`, so intersection is ``&``.
 
     def begin_batch(self, cols, tape=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
-        self.held = {}
+        self._held = cols.held_locks()
         self._flat_chunks: dict[int, list] = {}
         self._arrivals = {}
         self._n_candidate_updates = 0
@@ -210,12 +211,12 @@ class IdealLocksetCore:
     def step_batch(self, cols, lo: int, hi: int) -> None:
         """Process events ``[lo, hi)`` of ``cols``."""
         rows = cols.rows()
+        held = self._held
         sites = cols.sites
         participants = cols.participants
         granularity = self.d.granularity
         barrier_reset = self.d.barrier_reset
         chunk_mask = ~(granularity - 1)
-        held = self.held
         chunks = self._flat_chunks
         arrivals = self._arrivals
         log_add = self.log.add
@@ -226,41 +227,28 @@ class IdealLocksetCore:
             kind, tid, addr, size, sid = rows[i]
             if kind <= 1:  # READ / WRITE
                 is_write = kind == 1
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
+                locks = held[i]
                 first = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
                 chunk_addr = first
                 while True:
                     chunk = chunks.get(chunk_addr)
                     if chunk is None:
-                        chunk = chunks[chunk_addr] = [ALL_LOCKS, 0, NO_OWNER]
+                        chunk = chunks[chunk_addr] = [-1, 0, NO_OWNER]
                     state = chunk[1]
-                    owner = chunk[2]
                     # Figure 2, inline (0=V, 1=E, 2=S, 3=SM).
                     if state == 0:
                         chunk[1] = 1
                         chunk[2] = tid
-                    elif state == 1 and tid == owner:
+                    elif state == 1 and tid == chunk[2]:
                         pass
                     elif state != 3 and not is_write:
                         chunk[1] = 2
-                        candidate = chunk[0]
-                        chunk[0] = (
-                            set(locks)
-                            if candidate is None
-                            else candidate & locks.keys()
-                        )
+                        chunk[0] &= locks
                         n_candidate_updates += 1
                     else:
                         chunk[1] = 3
-                        candidate = chunk[0]
-                        candidate = chunk[0] = (
-                            set(locks)
-                            if candidate is None
-                            else candidate & locks.keys()
-                        )
+                        candidate = chunk[0] = chunk[0] & locks
                         n_candidate_updates += 1
                         if not candidate:
                             log_add(
@@ -278,22 +266,8 @@ class IdealLocksetCore:
                         break
                     chunk_addr += granularity
             elif kind == 2:  # LOCK
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
-                locks[addr] = locks.get(addr, 0) + 1
                 self._n_acquires += 1
             elif kind == 3:  # UNLOCK
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
-                if locks.get(addr, 0) <= 0:
-                    raise DetectorError(
-                        f"t{tid} released lock 0x{addr:x} it never took"
-                    )
-                locks[addr] -= 1
-                if not locks[addr]:
-                    del locks[addr]
                 self._n_releases += 1
             elif kind == 4:  # BARRIER
                 count = arrivals.get(addr, 0) + 1
@@ -303,10 +277,8 @@ class IdealLocksetCore:
                     arrivals[addr] = 0
                     self._n_episodes += 1
                     if barrier_reset:
-                        for chunk in chunks.values():
-                            chunk[0] = ALL_LOCKS
-                            chunk[1] = 0
-                            chunk[2] = NO_OWNER
+                        # A reset chunk is indistinguishable from a fresh one.
+                        chunks.clear()
             # kind == 5 (COMPUTE): no effect.
 
         self._n_candidate_updates = n_candidate_updates

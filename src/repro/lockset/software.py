@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.common.addresses import spanned_chunks
 from repro.common.config import MachineConfig
+from repro.common.errors import DetectorError
 from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.core.detector import LOCK_WORD_BYTES
@@ -124,6 +125,10 @@ class SoftwareLocksetCore:
             if op.kind is OpKind.LOCK:
                 locks[op.addr] = locks.get(op.addr, 0) + 1
             else:
+                if locks.get(op.addr, 0) <= 0:
+                    raise DetectorError(
+                        f"t{thread_id} released lock 0x{op.addr:x} it never took"
+                    )
                 locks[op.addr] -= 1
                 if not locks[op.addr]:
                     del locks[op.addr]
@@ -198,7 +203,8 @@ class SoftwareLocksetCore:
     # tool keeps no cache-resident metadata (unbounded shadow tables), so no
     # hook replay is needed; chunk records are flat ``[candidate, state,
     # owner]`` triples with the Figure 2 transition inlined, int-coded
-    # 0=V/1=E/2=S/3=SM, ``candidate is None`` standing for ALL_LOCKS.
+    # 0=V/1=E/2=S/3=SM.  A candidate set is an int over the trace's lock
+    # bits (``held_locks``), with -1 standing for ALL_LOCKS.
 
     def begin_batch(self, cols, tape) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
@@ -206,7 +212,7 @@ class SoftwareLocksetCore:
         self._tape = tape
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
-        self.held = {}
+        self._held = cols.held_locks()
         self._flat_chunks: dict[int, list] = {}
         self._arrivals = {}
         self._n_sync = 0
@@ -217,12 +223,12 @@ class SoftwareLocksetCore:
     def step_batch(self, cols, lo: int, hi: int) -> None:
         """Process events ``[lo, hi)`` of ``cols`` against the tape."""
         rows = cols.rows()
+        held = self._held
         sites = cols.sites
         participants = cols.participants
         granularity = self.d.granularity
         barrier_reset = self.d.barrier_reset
         chunk_mask = ~(granularity - 1)
-        held = self.held
         chunks = self._flat_chunks
         arrivals = self._arrivals
         log_add = self.log.add
@@ -235,9 +241,7 @@ class SoftwareLocksetCore:
             kind, tid, addr, size, sid = rows[i]
             if kind <= 1:  # READ / WRITE
                 is_write = kind == 1
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
+                locks = held[i]
                 first = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
                 chunk_addr = first
@@ -245,32 +249,21 @@ class SoftwareLocksetCore:
                     n_checks += 1
                     chunk = chunks.get(chunk_addr)
                     if chunk is None:
-                        chunk = chunks[chunk_addr] = [None, 0, NO_OWNER]
+                        chunk = chunks[chunk_addr] = [-1, 0, NO_OWNER]
                     state = chunk[1]
-                    owner = chunk[2]
                     # Figure 2, inline (0=V, 1=E, 2=S, 3=SM).
                     if state == 0:
                         chunk[1] = 1
                         chunk[2] = tid
-                    elif state == 1 and tid == owner:
+                    elif state == 1 and tid == chunk[2]:
                         pass
                     elif state != 3 and not is_write:
                         chunk[1] = 2
-                        candidate = chunk[0]
-                        chunk[0] = (
-                            set(locks)
-                            if candidate is None
-                            else candidate & locks.keys()
-                        )
+                        chunk[0] &= locks
                         n_intersections += 1
                     else:
                         chunk[1] = 3
-                        candidate = chunk[0]
-                        candidate = chunk[0] = (
-                            set(locks)
-                            if candidate is None
-                            else candidate & locks.keys()
-                        )
+                        candidate = chunk[0] = chunk[0] & locks
                         n_intersections += 1
                         if not candidate:
                             log_add(
@@ -288,15 +281,6 @@ class SoftwareLocksetCore:
                         break
                     chunk_addr += granularity
             elif kind <= 3:  # LOCK / UNLOCK
-                locks = held.get(tid)
-                if locks is None:
-                    locks = held[tid] = {}
-                if kind == 2:
-                    locks[addr] = locks.get(addr, 0) + 1
-                else:
-                    locks[addr] -= 1
-                    if not locks[addr]:
-                        del locks[addr]
                 n_sync += 1
             elif kind == 4:  # BARRIER
                 count = arrivals.get(addr, 0) + 1
@@ -305,10 +289,8 @@ class SoftwareLocksetCore:
                 else:
                     arrivals[addr] = 0
                     if barrier_reset:
-                        for chunk in chunks.values():
-                            chunk[0] = None
-                            chunk[1] = 0
-                            chunk[2] = NO_OWNER
+                        # A reset chunk is indistinguishable from a fresh one.
+                        chunks.clear()
             # kind == 5 (COMPUTE): cycles already on the tape.
 
         self._n_sync = n_sync

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs import Observability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaceReport:
     """One dynamic race report.
 
@@ -83,14 +83,7 @@ class RaceReportLog:
     ) -> RaceReport:
         """Record one dynamic report."""
         report = RaceReport(
-            detector=self.detector,
-            seq=seq,
-            thread_id=thread_id,
-            addr=addr,
-            size=size,
-            site=site,
-            is_write=is_write,
-            detail=detail,
+            self.detector, seq, thread_id, addr, size, site, is_write, detail
         )
         self._reports.append(report)
         self._sites.add(site)

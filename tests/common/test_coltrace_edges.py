@@ -11,7 +11,7 @@ from pathlib import Path
 
 from repro.api import detect
 from repro.common.coltrace import ColumnarTrace, SyncRun
-from repro.common.events import Site, Trace, barrier, read, write
+from repro.common.events import Site, Trace, barrier, lock, read, unlock, write
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
@@ -94,6 +94,43 @@ class TestDegenerateShapes:
         _barrier_all(trace, 1, 2)
         _barrier_all(trace, 2, 2)
         return trace
+
+
+class TestHeldLocks:
+    def test_reentrant_acquires_nest(self):
+        trace = Trace(num_threads=1)
+        for op in (lock(0xA0, SITE), lock(0xA0, SITE), read(0x100, SITE)):
+            trace.append(0, op)
+        for op in (unlock(0xA0, SITE), read(0x100, SITE)):
+            trace.append(0, op)
+        for op in (unlock(0xA0, SITE), read(0x100, SITE)):
+            trace.append(0, op)
+        held = ColumnarTrace.from_events(trace).held_locks()
+        assert held == [1, 1, 1, 1, 1, 0, 0]
+
+    def test_bits_in_first_acquire_order_per_thread(self):
+        trace = Trace(num_threads=2)
+        trace.append(0, lock(0xB0, SITE))  # first acquired: bit 0
+        trace.append(1, lock(0xA0, SITE))  # bit 1
+        trace.append(0, lock(0xA0, SITE))  # same lock, same bit
+        trace.append(1, write(0x100, SITE))
+        trace.append(0, write(0x100, SITE))
+        trace.append(0, unlock(0xB0, SITE))
+        trace.append(0, read(0x100, SITE))
+        held = ColumnarTrace.from_events(trace).held_locks()
+        assert held == [0b01, 0b10, 0b11, 0b10, 0b11, 0b10, 0b10]
+
+    def test_memoised_until_close(self):
+        trace = Trace(num_threads=1)
+        trace.append(0, lock(0xA0, SITE))
+        cols = ColumnarTrace.from_events(trace)
+        first = cols.held_locks()
+        assert cols.held_locks() is first
+        cols.close()
+        assert cols.held_locks() == first and cols.held_locks() is not first
+
+    def test_empty_trace(self):
+        assert ColumnarTrace.from_events(Trace(num_threads=0)).held_locks() == []
 
 
 class TestMmapReloadMidSuite:

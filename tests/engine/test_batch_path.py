@@ -14,10 +14,13 @@ import pytest
 
 from repro.api import detect, detect_many
 from repro.common.coltrace import ColumnarTrace
+from repro.common.errors import DetectorError
+from repro.common.events import Site, Trace, read, unlock
 from repro.engine import EngineError, EngineSession
 from repro.fuzz import load_case
 from repro.fuzz.corpus import corpus_paths
 from repro.harness.detectors import DetectorConfig, make_detector
+from repro.hybrids.multilock import MultiLockHBDetector
 from repro.obs import FlightRecorder, Observability, RecordingEmitter
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
@@ -154,6 +157,37 @@ class TestCorpusExemplars:
             a = detect(trace, key, engine_path="batch")
             b = detect(trace, key, engine_path="scalar")
             assert result_key(a) == result_key(b), (path.stem, key)
+        # The MultiLock-HB ablations the fuzz oracle and the conformance
+        # harness build, which no registry key reaches.
+        for ablation in ({"use_weak_hb": False}, {"barrier_reset": False}):
+            a, b = (
+                run_detector(trace, MultiLockHBDetector(**ablation), path)
+                for path in ("batch", "scalar")
+            )
+            assert result_key(a) == result_key(b), (path.stem, ablation)
+
+
+def run_detector(trace, detector, path):
+    """One detector instance over ``trace`` on the given engine path."""
+    session = EngineSession(trace, path=path)
+    session.add(detector)
+    return session.run()[0]
+
+
+class TestUnbalancedRelease:
+    @pytest.mark.parametrize("path", ("scalar", "batch", "sharded"))
+    @pytest.mark.parametrize(
+        "key", ("hard-ideal", "software", "acculock", "multilock-hb")
+    )
+    def test_release_of_untaken_lock_names_it(self, key, path):
+        site = Site("release.c", 1, "release")
+        trace = Trace(num_threads=1)
+        trace.append(0, read(0x2000, site))
+        trace.append(0, unlock(0x1000, site))
+        with pytest.raises(
+            DetectorError, match=r"^t0 released lock 0x1000 it never took$"
+        ):
+            detect(trace, key, engine_path=path)
 
 
 class TestDeprecatedRunShim:

@@ -1,7 +1,11 @@
 """Unit tests for race reports, logs and detection results."""
 
+import pickle
+
+import pytest
+
 from repro.common.events import Site
-from repro.reporting import DetectionResult, RaceReportLog
+from repro.reporting import DetectionResult, RaceReport, RaceReportLog
 
 
 def make_log(n_sites: int = 2, dynamic_per_site: int = 3) -> RaceReportLog:
@@ -43,6 +47,39 @@ class TestRaceReportLog:
         log = make_log(1, 1)
         text = str(next(iter(log)))
         assert "race" in text and "t0" in text
+
+
+class TestRaceReport:
+    def test_log_builds_the_keyword_equivalent(self):
+        report = make_log(n_sites=1, dynamic_per_site=1)._reports[0]
+        assert report == RaceReport(
+            detector="test",
+            seq=0,
+            thread_id=0,
+            addr=0x1000,
+            size=4,
+            site=Site("r.c", 0),
+            is_write=True,
+            detail="x",
+        )
+
+    def test_equality_and_hashing(self):
+        a, b = make_log(n_sites=1, dynamic_per_site=2)
+        again = make_log(n_sites=1, dynamic_per_site=2)._reports[0]
+        assert a == again and hash(a) == hash(again)
+        assert a != b
+        assert len({a, b, again}) == 2
+
+    def test_pickle_round_trip(self):
+        for report in make_log():
+            clone = pickle.loads(pickle.dumps(report))
+            assert clone == report and hash(clone) == hash(report)
+
+    def test_frozen_and_slotted(self):
+        report = next(iter(make_log()))
+        assert not hasattr(report, "__dict__")
+        with pytest.raises(AttributeError):
+            report.seq = 1
 
 
 class TestDetectionResult:
