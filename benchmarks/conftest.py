@@ -1,13 +1,13 @@
 """Shared fixtures for the paper-exhibit benchmarks.
 
 Every benchmark regenerates one table or figure of the paper's evaluation.
-Detector verdicts are cached on disk (keyed by workload content + detector
-configuration), so a warm cache makes re-runs fast.  Benchmark runs write
-their cache entries under a session-scoped temporary directory by default —
-the checked-in ``results/cache`` must not grow as a side effect of running
-the suite (``repro cache gc`` manages its size).  Point
-``REPRO_BENCH_CACHE_DIR`` at a persistent directory (e.g.
-``results/cache``) to keep a warm cache across runs.  Each benchmark
+Detector verdicts are cached on disk (keyed by the run's coordinates, the
+detector configuration and the package's source digest), so a warm cache
+makes re-runs fast.  Benchmark runs write their cache entries under a
+session-scoped temporary directory by default, so running the suite never
+fills the exhibits' git-ignored ``results/cache`` (``repro cache gc``
+manages its size).  Point ``REPRO_BENCH_CACHE_DIR`` at a persistent
+directory (e.g. ``results/cache``) to keep a warm cache across runs.  Each benchmark
 writes its exhibit to ``results/`` and prints it.
 """
 

@@ -65,7 +65,7 @@ from array import array
 from typing import Iterable, NamedTuple
 
 from repro.common.errors import DetectorError, ProgramError, ReproError
-from repro.common.events import Op, OpKind, Site, Trace, TraceEvent
+from repro.common.events import InjectedBug, Op, OpKind, Site, Trace, TraceEvent
 
 #: Stable integer codes for :class:`~repro.common.events.OpKind`.
 KIND_READ = 0
@@ -119,7 +119,7 @@ _COLUMNS = (
 
 #: On-disk format magic + version (bump on any layout change).
 _MAGIC = b"RPRCOLT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SyncRun(NamedTuple):
@@ -150,7 +150,7 @@ class ColumnarTrace:
         "num_threads",
         "label",
         "sites",
-        "bug_site_ids",
+        "bug",
         "kind",
         "tid",
         "addr",
@@ -175,8 +175,9 @@ class ColumnarTrace:
         self.label = ""
         #: Interned site table; ``site_id`` column indexes into it.
         self.sites: tuple[Site, ...] = ()
-        #: Indices into :attr:`sites` of the injected bug sites.
-        self.bug_site_ids: tuple[int, ...] = ()
+        #: The injected bug of the run (``None`` for a clean run); its sites
+        #: are interned in :attr:`sites`.
+        self.bug: InjectedBug | None = None
         self._sync_runs = None
         self._rows = None
         self._held = None
@@ -244,18 +245,15 @@ class ColumnarTrace:
                     site_table.append(site)
                 site_id[i] = sid
 
-        bug_ids = []
         for site in sorted(
             trace.injected_bug_sites, key=lambda s: (s.file, s.line, s.label)
         ):
-            sid = site_ids.get(site)
-            if sid is None:
-                sid = site_ids[site] = len(site_table)
+            if site not in site_ids:
+                site_ids[site] = len(site_table)
                 site_table.append(site)
-            bug_ids.append(sid)
 
         self.sites = tuple(site_table)
-        self.bug_site_ids = tuple(bug_ids)
+        self.bug = trace.injected_bug
         self.kind = kind
         self.tid = tid
         self.addr = addr
@@ -309,7 +307,7 @@ class ColumnarTrace:
         return events
 
     def to_trace(self) -> Trace:
-        """A :class:`Trace` backed by these columns (bug sites and label restored).
+        """A :class:`Trace` backed by these columns (bug and label restored).
 
         Nothing is decoded here: the trace's ``events`` are built by
         :meth:`to_events` on first access, so read them before
@@ -317,9 +315,7 @@ class ColumnarTrace:
         """
         return Trace(
             num_threads=self.num_threads,
-            injected_bug_sites=frozenset(
-                self.sites[sid] for sid in self.bug_site_ids
-            ),
+            injected_bug=self.bug,
             label=self.label,
             columns=self,
         )
@@ -426,31 +422,40 @@ class ColumnarTrace:
         """A stable hex digest of the full trace content (memoised).
 
         Identical for array-backed and mmap-loaded instances of the same
-        trace: the hash covers the serialisation header (metadata + site
-        table) and every packed column's raw bytes, which is exactly what
-        :meth:`to_bytes` round-trips.  Keys the on-disk tape cache.
+        trace: the hash covers the serialisation header's metadata (counts,
+        label, site table, injected bug) and every packed column's raw
+        bytes, which is exactly what :meth:`to_bytes` round-trips.  Keys the
+        on-disk tape cache, and :meth:`from_bytes` checks it on every load.
         """
         digest = self._digest
         if digest is None:
             h = hashlib.blake2b(digest_size=16)
-            meta = {
-                "version": FORMAT_VERSION,
-                "n": self.n,
-                "num_threads": self.num_threads,
-                "label": self.label,
-                "sites": [[s.file, s.line, s.label] for s in self.sites],
-                "bug_sites": list(self.bug_site_ids),
-            }
-            h.update(json.dumps(meta, separators=(",", ":")).encode("utf-8"))
+            h.update(json.dumps(self._meta(), separators=(",", ":")).encode("utf-8"))
             for name, _ in _COLUMNS:
-                column = getattr(self, name)
-                h.update(
-                    column.tobytes()
-                    if isinstance(column, array)
-                    else bytes(column)
-                )
+                h.update(getattr(self, name))  # arrays and casts hash uncopied
             digest = self._digest = h.hexdigest()
         return digest
+
+    def _meta(self) -> dict:
+        """The header fields besides the column layout and the digest."""
+        bug = self.bug
+        if bug is not None:
+            site_ids = {site: sid for sid, site in enumerate(self.sites)}
+            bug = {
+                "thread": bug.thread_id,
+                "lock": bug.lock_addr,
+                "ops": [bug.lock_op_index, bug.unlock_op_index],
+                "chunks": sorted(bug.chunk_addresses),
+                "sites": sorted(site_ids[site] for site in bug.sites),
+            }
+        return {
+            "version": FORMAT_VERSION,
+            "n": self.n,
+            "num_threads": self.num_threads,
+            "label": self.label,
+            "sites": [[s.file, s.line, s.label] for s in self.sites],
+            "bug": bug,
+        }
 
     def close(self) -> None:
         """Release mmap-backed resources deterministically (idempotent).
@@ -501,15 +506,9 @@ class ColumnarTrace:
             columns_meta[name] = [typecode, offset, len(raw)]
             payload_parts.append(raw)
             offset += len(raw)
-        header = {
-            "version": FORMAT_VERSION,
-            "n": self.n,
-            "num_threads": self.num_threads,
-            "label": self.label,
-            "sites": [[s.file, s.line, s.label] for s in self.sites],
-            "bug_sites": list(self.bug_site_ids),
-            "columns": columns_meta,
-        }
+        header = self._meta()
+        header["columns"] = columns_meta
+        header["digest"] = self.content_digest()
         header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
         prefix = _MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
         pad = (-(len(prefix) + len(header_bytes))) % 8
@@ -525,8 +524,10 @@ class ColumnarTrace:
         zero-copy ``memoryview`` casts into it either way, so an mmap-backed
         trace pays no decode cost for the packed data.  Raises
         :class:`~repro.common.errors.ProgramError` for a buffer that does
-        not hold every column in full, or whose columns a decode would
-        reject (see :meth:`_check_codes`).
+        not hold every column in full, whose content does not hash to the
+        header's :meth:`content_digest`, or whose columns a decode would
+        reject (see :meth:`_check_codes`).  The verified digest stays
+        memoised, so keying a tape by it costs no second hash.
         """
         view = memoryview(buf)
         if bytes(view[: len(_MAGIC)]) != _MAGIC:
@@ -552,7 +553,7 @@ class ColumnarTrace:
             Site(file=f, line=line, label=label)
             for f, line, label in header["sites"]
         )
-        self.bug_site_ids = tuple(header["bug_sites"])
+        self.bug = self._bug_from(header["bug"])
         self._buffer = buf
         n = self.n
         for name, typecode in _COLUMNS:
@@ -574,7 +575,29 @@ class ColumnarTrace:
                 )
             setattr(self, name, column)
         self._check_codes()
+        if self.content_digest() != header["digest"]:
+            raise ProgramError(
+                "columnar trace content does not match its header digest: "
+                "corrupt entry"
+            )
         return self
+
+    def _bug_from(self, data) -> InjectedBug | None:
+        """Decode a header's ``bug`` field against the loaded site table."""
+        if data is None:
+            return None
+        num_sites = len(self.sites)
+        if any(not 0 <= sid < num_sites for sid in data["sites"]):
+            raise ProgramError(f"bug site id out of range [0, {num_sites})")
+        lock_op, unlock_op = data["ops"]
+        return InjectedBug(
+            thread_id=data["thread"],
+            lock_addr=data["lock"],
+            lock_op_index=lock_op,
+            unlock_op_index=unlock_op,
+            chunk_addresses=frozenset(data["chunks"]),
+            sites=frozenset(self.sites[sid] for sid in data["sites"]),
+        )
 
     def _check_codes(self) -> None:
         """Reject kind codes and site ids a decode could not resolve.
@@ -591,8 +614,6 @@ class ColumnarTrace:
             raise ProgramError(
                 f"site id out of range [-1, {num_sites}) in the site_id column"
             )
-        if any(not 0 <= sid < num_sites for sid in self.bug_site_ids):
-            raise ProgramError(f"bug site id out of range [0, {num_sites})")
 
 
 def columns_of(trace_or_columns) -> ColumnarTrace:

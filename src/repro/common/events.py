@@ -173,11 +173,47 @@ class TraceEvent:
         return f"[{self.seq}] t{self.thread_id}: {body}"
 
 
+@dataclass(frozen=True)
+class InjectedBug:
+    """Ground truth about one injected data race (Section 4 protocol).
+
+    One dynamic lock acquire and its matching release were omitted from
+    ``thread_id``'s stream.  The accesses formerly inside that critical
+    section are recorded both by address range (``chunk_addresses``: the 4 B
+    chunks they touch) and by source site, so the harness can score a
+    detector's reports against either.
+    """
+
+    thread_id: int
+    lock_addr: int
+    lock_op_index: int
+    unlock_op_index: int
+    chunk_addresses: frozenset[int]
+    sites: frozenset[Site]
+
+    def matches_report(self, addr: int, size: int, site: Site | None) -> bool:
+        """True if a race report at (addr, site) corresponds to this bug.
+
+        A report matches if its address overlaps any de-protected 4 B chunk,
+        or its site is one of the de-protected accesses (covers detectors
+        that report the *partner* access of the race at the same site).
+        """
+        first = addr & ~3
+        last = (addr + max(size, 1) - 1) & ~3
+        chunk = first
+        while chunk <= last:
+            if chunk in self.chunk_addresses:
+                return True
+            chunk += 4
+        return site is not None and site in self.sites
+
+
 class Trace:
     """A fully interleaved execution: the input every detector consumes.
 
-    The trace also records which synthetic *bug* (if any) was injected into
-    the run, so the harness can score detector output against ground truth.
+    The trace also carries the synthetic *bug* (if any) injected into the
+    run, so the harness can score detector output against ground truth
+    without the program that produced it.
 
     A trace is backed by its event list, by its packed columnar encoding
     (``columns=``, a :class:`~repro.common.coltrace.ColumnarTrace`), or by
@@ -190,7 +226,7 @@ class Trace:
         self,
         events: list[TraceEvent] | None = None,
         num_threads: int = 0,
-        injected_bug_sites: frozenset[Site] = frozenset(),
+        injected_bug: InjectedBug | None = None,
         label: str = "",
         *,
         columns=None,
@@ -202,8 +238,14 @@ class Trace:
         self._events = events
         self._columnar = columns
         self.num_threads = num_threads
-        self.injected_bug_sites = injected_bug_sites
+        self.injected_bug = injected_bug
         self.label = label
+
+    @property
+    def injected_bug_sites(self) -> frozenset[Site]:
+        """The de-protected sites of the injected bug (empty for a clean run)."""
+        bug = self.injected_bug
+        return bug.sites if bug is not None else frozenset()
 
     @property
     def events(self) -> list[TraceEvent]:

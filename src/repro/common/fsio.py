@@ -5,8 +5,9 @@ benchmark results, metrics exports — goes through the same protocol: write
 the full payload to a process-private temporary file in the destination
 directory, then :func:`os.replace` it over the final name.  ``os.replace``
 is atomic on POSIX (and on Windows within one volume), so a reader never
-observes a truncated file and a killed writer leaves at worst an orphaned
-``*.tmp`` alongside the previous complete version.
+observes a truncated file.  A write or rename that raises unlinks its
+``*.tmp`` and re-raises, leaving the previous complete version untouched;
+only a writer killed outright leaves an orphaned ``*.tmp`` behind.
 
 The temporary name carries the writer's pid, so concurrent processes racing
 to produce the same artifact never interleave writes into one temp file;
@@ -24,21 +25,27 @@ def _tmp_path(path: Path) -> Path:
     return path.with_name(f"{path.name}.{os.getpid()}.tmp")
 
 
-def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> Path:
-    """Write ``text`` to ``path`` atomically; returns the final path."""
+def _write_then_replace(path: str | Path, write) -> Path:
+    """Run ``write(tmp)`` and rename ``tmp`` over ``path``, failing closed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = _tmp_path(path)
-    tmp.write_text(text, encoding=encoding)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> Path:
+    """Write ``text`` to ``path`` atomically; returns the final path."""
+    return _write_then_replace(
+        path, lambda tmp: tmp.write_text(text, encoding=encoding)
+    )
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> Path:
     """Write ``payload`` to ``path`` atomically; returns the final path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _tmp_path(path)
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-    return path
+    return _write_then_replace(path, lambda tmp: tmp.write_bytes(payload))

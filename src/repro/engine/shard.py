@@ -195,7 +195,7 @@ def build_shard(
     shard.num_threads = cols.num_threads
     shard.label = cols.label
     shard.sites = cols.sites
-    shard.bug_site_ids = cols.bug_site_ids
+    shard.bug = cols.bug
     for name, typecode in _COLUMNS:
         column = getattr(cols, name)
         setattr(shard, name, array(typecode, map(column.__getitem__, keep)))

@@ -39,6 +39,7 @@ Tape layout (all dense, ``n`` = number of trace events):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import time
@@ -61,7 +62,7 @@ from repro.sim.machine import Machine
 
 #: On-disk tape format magic + version (bump on any layout change).
 _TAPE_MAGIC = b"RPRTAPE1"
-TAPE_FORMAT_VERSION = 1
+TAPE_FORMAT_VERSION = 2
 
 #: (attribute, array typecode) of every packed tape array, in
 #: serialisation order.
@@ -76,6 +77,16 @@ _TAPE_ARRAYS = (
     ("sharer_line", "q"),
     ("sharer_flag", "B"),
 )
+
+
+def _tape_digest(header: dict, payload) -> str:
+    """blake2b of a tape header (sans digest) and its payload buffers."""
+    h = hashlib.blake2b(
+        json.dumps(header, separators=(",", ":")).encode("utf-8"), digest_size=16
+    )
+    for part in payload:
+        h.update(part)
+    return h.hexdigest()
 
 
 def machine_signature(machine_config: MachineConfig) -> str:
@@ -335,6 +346,7 @@ class MachineTape:
             "bus_stats": dict(self.bus_stats),
             "arrays": arrays_meta,
         }
+        header["digest"] = _tape_digest(header, payload_parts)
         header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
         prefix = _TAPE_MAGIC + struct.pack(
             "<II", TAPE_FORMAT_VERSION, len(header_bytes)
@@ -349,7 +361,11 @@ class MachineTape:
         """Deserialise from :meth:`to_bytes` output.
 
         ``buf`` may be ``bytes`` or an ``mmap.mmap``; arrays become
-        zero-copy ``memoryview`` casts into it either way.
+        zero-copy ``memoryview`` casts into it either way.  Raises
+        :class:`~repro.common.errors.ProgramError` for a buffer that does
+        not hold every array in full, whose arrays disagree on the event
+        count or the hook and sharer totals, or whose header and payload
+        do not hash to the header's digest.
         """
         view = memoryview(buf)
         if bytes(view[: len(_TAPE_MAGIC)]) != _TAPE_MAGIC:
@@ -381,8 +397,38 @@ class MachineTape:
                     f"{code!r} != {typecode!r}"
                 )
             start = payload_start + offset
+            if start + nbytes > len(view):
+                raise ProgramError(
+                    f"tape array {name!r} runs past the end of the buffer "
+                    f"({start + nbytes} > {len(view)} bytes): truncated entry"
+                )
             setattr(self, name, view[start : start + nbytes].cast(typecode))
+        self._check_counts()
+        digest = header.pop("digest", None)
+        if digest != _tape_digest(header, [view[payload_start:]]):
+            raise ProgramError(
+                "machine tape content does not match its header digest: "
+                "corrupt entry"
+            )
         return self
+
+    def _check_counts(self) -> None:
+        """Reject arrays whose item counts disagree with one another."""
+
+        def expect(name: str, count: int) -> None:
+            if len(getattr(self, name)) != count:
+                raise ProgramError(
+                    f"tape array {name!r} holds {len(getattr(self, name))} "
+                    f"items, expected {count}"
+                )
+
+        n = len(self.pig)
+        expect("hook_off", n + 1)
+        expect("sharer_off", n + 1)
+        for name in ("hook_code", "hook_line", "hook_core", "hook_aux"):
+            expect(name, self.hook_off[n])
+        for name in ("sharer_line", "sharer_flag"):
+            expect(name, self.sharer_off[n])
 
     def close(self) -> None:
         """Release mmap-backed resources deterministically (idempotent)."""

@@ -7,10 +7,10 @@ directory (``results/cache`` by default):
 * interleaved traces (``traces/trace_*.cols``, plus legacy ``.pkl``);
 * recorded machine tapes (``tapes/tape_*.tape``).
 
-All are self-invalidating — keys fold in format versions and program
-digests, so stale entries simply stop being hit — which means nothing ever
-deletes them and a long-lived checkout accumulates dead weight without
-bound.  :func:`gc_cache` prunes by age and/or total size and reports what
+All are self-invalidating — keys fold in the digest of the source code
+that produced each entry, so stale entries simply stop being hit after
+any edit to that code — which means nothing ever deletes them and a
+long-lived checkout accumulates dead weight without bound.  :func:`gc_cache` prunes by age and/or total size and reports what
 it reclaimed; with no bounds given it just takes inventory.
 """
 

@@ -206,11 +206,6 @@ def make_detector(
     )
 
 
-#: Bumped whenever detector semantics or cost models change, so disk-cached
-#: verdicts from older code self-invalidate.
-MODEL_VERSION = 2
-
-
 def config_signature(
     config: DetectorConfig | str, **overrides: object
 ) -> str:
@@ -218,11 +213,13 @@ def config_signature(
 
     Signatures are intentionally unchanged from the loose-kwargs era: a
     :class:`DetectorConfig` produces exactly the signature its equivalent
-    ``key, **overrides`` call always did, so existing disk caches stay
-    valid.
+    ``key, **overrides`` call always did.
     """
     cfg = DetectorConfig.coerce(config, **overrides)
-    parts = [cfg.key, f"v{MODEL_VERSION}"]
+    # "v2" is a frozen literal of the signature format, no longer bumped:
+    # verdict-cache keys hash the package source instead (see
+    # repro.harness.tracecache.VERDICT_SOURCES).
+    parts = [cfg.key, "v2"]
     knobs = cfg.overrides()
     for name in sorted(knobs):
         parts.append(f"{name}={knobs[name]}")

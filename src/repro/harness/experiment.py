@@ -25,13 +25,14 @@ Three caches keep the sweeps cheap:
 * traces are memoised in memory per (app, run) as packed columns — when a
   cache directory is configured, persisted to and mmap-loaded from a
   process-safe on-disk :class:`~repro.harness.tracecache.TraceCache` so
-  workers don't re-interleave the same run.  Beside each trace the runner
-  keeps one :class:`RunRecord` (program digest and injected bug); the
-  program itself and the interleaved event objects are released before
-  the detectors walk the columns;
-* detector verdicts are cached on disk (JSON, keyed by a configuration
-  signature) with atomic write-then-rename, because the sensitivity sweeps
-  of Section 5.2 revisit the same runs under many detector configurations;
+  workers don't re-interleave the same run.  A trace carries its run's
+  injected bug, so a cached trace is scored without building the program:
+  :meth:`ExperimentRunner.program_for` runs only on a trace-cache miss;
+* detector verdicts are cached on disk (JSON, keyed by the trace key, a
+  configuration signature and the source digest of the whole package)
+  with atomic write-then-rename, because the sensitivity sweeps of Section
+  5.2 revisit the same runs under many detector configurations.  A hit
+  needs neither a program nor a trace;
 * verdicts are additionally memoised in memory, which is how parallel
   prefetch results reach the serial table-assembly path byte-for-byte
   unchanged.
@@ -43,14 +44,19 @@ import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.events import Trace
 from repro.common.fsio import atomic_write_text
 from repro.common.rng import derive_seed
 from repro.engine import EngineSession
 from repro.harness.detectors import DetectorConfig, config_signature
-from repro.harness.tracecache import TapeCache, TraceCache
+from repro.harness.tracecache import (
+    VERDICT_SOURCES,
+    TapeCache,
+    TraceCache,
+    source_digest,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.reporting import DetectionResult
 from repro.threads.program import InjectedBug, ParallelProgram
@@ -96,34 +102,6 @@ class RunOutcome:
         data = asdict(self)
         data["overhead_fraction"] = self.overhead_fraction
         return data
-
-
-class RunRecord(NamedTuple):
-    """What the runner keeps of one (app, run) program once its trace exists."""
-
-    #: :func:`program_digest` of the program: keys the trace and verdict caches.
-    digest: int
-    #: The injected bug the run is scored against (``None`` for a clean run).
-    bug: InjectedBug | None
-
-
-def program_digest(program: ParallelProgram) -> int:
-    """A stable digest of a program's content.
-
-    Folding this into the cache keys makes cached traces and verdicts
-    self-invalidate whenever a workload generator (or the injection
-    protocol) changes.
-    """
-    parts: list[object] = [program.name]
-    for thread in program.threads:
-        parts.append(thread.thread_id)
-        parts.append(len(thread.ops))
-        # Sample ops densely enough to catch any generator change
-        # without hashing hundreds of thousands of objects.
-        parts.extend(
-            (op.kind.value, op.addr, op.size, op.cycles) for op in thread.ops[::7]
-        )
-    return derive_seed(*parts)
 
 
 def score_detection(result: DetectionResult, bug: InjectedBug | None) -> bool:
@@ -215,47 +193,34 @@ class ExperimentRunner:
         if trace_memo_limit is not None and trace_memo_limit < 1:
             trace_memo_limit = 1
         self.trace_memo_limit = trace_memo_limit
-        #: The program last built for a :class:`RunRecord`, as ((app, run),
-        #: program), kept so a trace-cache miss can interleave it without a
-        #: second build; released once a trace is loaded or built (or a
-        #: scoring call returns).
-        self._held_program: tuple[tuple[str, int], ParallelProgram] | None = None
         self._traces: OrderedDict[tuple[str, int], Trace] = OrderedDict()
-        self._records: dict[tuple[str, int], RunRecord] = {}
         self._outcomes: dict[tuple[str, int, str], RunOutcome] = {}
 
     # ------------------------------------------------------------ traces
 
     def program_for(self, app: str, run: int) -> ParallelProgram:
-        """The (possibly bug-injected) program of one run.
+        """Build the (possibly bug-injected) program of one run.
 
-        Built on demand: the runner keeps a program only until the run's
-        trace is loaded or built, so a later call builds it again.  For
-        the injected bug alone, :meth:`injected_bug` answers from the
-        run's record without a build.
+        The one place the runner builds a program: it runs only when the
+        run's trace is neither memoised nor in the trace cache, keeps
+        nothing, and counts each build as ``harness.programs_built``.
         """
-        held = self._held_program
-        if held is not None and held[0] == (app, run):
-            return held[1]
+        self.metrics.add("harness.programs_built")
         program = build_workload(app, seed=self.workload_seed)
-        if run != CLEAN_RUN:
-            program = inject_bug(program, seed=(self.workload_seed, run))
+        bug_seed = self._bug_seed(run)
+        if bug_seed is not None:
+            program = inject_bug(program, seed=bug_seed)
         return program
 
     def injected_bug(self, app: str, run: int) -> InjectedBug | None:
-        """The bug injected into one run (``None`` for :data:`CLEAN_RUN`)."""
-        return self._record(app, run).bug
+        """The bug injected into one run (``None`` for :data:`CLEAN_RUN`).
 
-    def _record(self, app: str, run: int) -> RunRecord:
-        """The run's digest and bug, building its program the first time."""
-        key = (app, run)
-        record = self._records.get(key)
-        if record is None:
-            program = self.program_for(app, run)
-            record = RunRecord(program_digest(program), program.injected_bug)
-            self._records[key] = record
-            self._held_program = (key, program)
-        return record
+        Read from the run's trace, which carries it through the trace cache.
+        """
+        return self.trace_for(app, run).injected_bug
+
+    def _bug_seed(self, run: int) -> tuple[object, int] | None:
+        return None if run == CLEAN_RUN else (self.workload_seed, run)
 
     def trace_for(self, app: str, run: int) -> Trace:
         """The interleaved trace of one run (memoised, disk-cached).
@@ -287,41 +252,37 @@ class ExperimentRunner:
         Either way the result is backed by packed columns only: the
         program and the interleaved event objects are released here.
         """
-        cache_key = self._trace_cache_key(app, run)
-        trace = self.trace_cache.load(app, run, *cache_key)
+        key = self._trace_key(app, run)
+        trace = self.trace_cache.load(app, run, *key)
         if trace is not None:
-            self._held_program = None
             self.metrics.add("harness.trace_cache_hits")
             return trace
         program = self.program_for(app, run)
-        self._held_program = None
-        seed = schedule_seed_for(app, self.workload_seed, run)
-        scheduler = RandomScheduler(
-            seed=seed, min_burst=SCHEDULE_MIN_BURST, max_burst=SCHEDULE_MAX_BURST
-        )
+        _, _, seed, min_burst, max_burst = key
+        scheduler = RandomScheduler(seed=seed, min_burst=min_burst, max_burst=max_burst)
         with self.metrics.time("harness.interleave"):
             trace = interleave(program, scheduler).trace
         self.metrics.add("harness.traces_built")
-        self.trace_cache.store(trace, app, run, *cache_key)
+        self.trace_cache.store(trace, app, run, *key)
         return trace.columns().to_trace()
 
-    def _trace_cache_key(self, app: str, run: int) -> tuple[object, ...]:
-        """Everything beyond (app, run) that determines the interleaving."""
+    def _trace_key(self, app: str, run: int) -> tuple[object, ...]:
+        """Every value beyond (app, run) that the interleaving depends on.
+
+        The workload, bug-injection and schedule seeds and the burst
+        bounds; the trace cache adds the digest of the producer sources.
+        """
         return (
             self.workload_seed,
-            self._record(app, run).digest,
+            self._bug_seed(run),
+            schedule_seed_for(app, self.workload_seed, run),
             SCHEDULE_MIN_BURST,
             SCHEDULE_MAX_BURST,
         )
 
     def drop_trace(self, app: str, run: int) -> None:
-        """Release a memoised trace (the sweeps manage memory explicitly).
-
-        The run's :class:`RunRecord` stays: it is two small values, and it
-        spares a program build when the trace is reloaded.
-        """
+        """Release a memoised trace (the sweeps manage memory explicitly)."""
         self._traces.pop((app, run), None)
-        self._held_program = None
 
     # ----------------------------------------------------------- scoring
 
@@ -381,7 +342,7 @@ class ExperimentRunner:
                 session.add_config(cfg)
             with self.metrics.time("harness.detect"):
                 results = session.run()
-            bug = self.injected_bug(app, run)
+            bug = trace.injected_bug
             for (index, cfg, signature), result in zip(pending, results):
                 self.metrics.add("harness.cells_evaluated")
                 outcome = RunOutcome(
@@ -397,8 +358,6 @@ class ExperimentRunner:
                 self._cache_put(outcome, signature)
                 self._outcomes[(app, run, signature)] = outcome
                 outcomes[index] = outcome
-        # A program built only for the verdict-cache key goes now.
-        self._held_program = None
         # Duplicate configurations in one batch resolve from the memo.
         return [
             outcomes[index]
@@ -442,8 +401,6 @@ class ExperimentRunner:
         before closing.
         """
         self._traces.clear()
-        self._held_program = None
-        self._records.clear()
         self._outcomes.clear()
         self.trace_cache.close()
         self.tape_cache.close()
@@ -500,9 +457,13 @@ class ExperimentRunner:
     def _cache_path(self, app: str, run: int, signature: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        digest = self._record(app, run).digest
-        stem = f"{app}_{run}_{derive_seed(signature, self.workload_seed, digest):016x}"
-        return self.cache_dir / f"{stem}.json"
+        digest = derive_seed(
+            "verdict",
+            signature,
+            *self._trace_key(app, run),
+            source_digest(*VERDICT_SOURCES),
+        )
+        return self.cache_dir / f"{app}_{run}_{digest:016x}.json"
 
     def _cache_get(self, app: str, run: int, signature: str) -> RunOutcome | None:
         path = self._cache_path(app, run, signature)

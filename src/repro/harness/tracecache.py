@@ -1,4 +1,4 @@
-"""Process-safe on-disk cache of interleaved traces.
+"""Process-safe on-disk caches of interleaved traces and machine tapes.
 
 Interleaving is the second-most expensive phase of a grid cell (after
 detection), and the Section 5.2 sweeps revisit the same (app, run)
@@ -7,37 +7,41 @@ traces in memory; worker processes of the parallel engine cannot share that
 dict, so this module persists traces to disk where every worker — and every
 later invocation — can reuse them.
 
-Entries are the *columnar* binary encoding
+One rule keys every on-disk cache (traces and tapes here, verdicts in
+:mod:`repro.harness.experiment`): the entry's coordinates plus
+:func:`source_digest` of the source bytes of the code that produces the
+entry.  Each cache names the packages it hashes (:data:`TRACE_SOURCES`,
+:data:`TAPE_SOURCES`, :data:`VERDICT_SOURCES`), so editing any of them
+moves every key they feed and stale entries simply stop being hit; nothing
+is bumped by hand.
+
+Trace entries are the *columnar* binary encoding
 (:meth:`~repro.common.coltrace.ColumnarTrace.to_bytes` — layout in
-``docs/trace_format.md``) keyed by a content hash of (app, run, workload
-seed, scheduler parameters, program digest, format version).  Folding the
-*program digest* into the key makes entries self-invalidate whenever a
-workload generator or the injection protocol changes, exactly like the
-verdict cache.
-
-Loads ``mmap`` the entry and cast the columns zero-copy out of the mapped
-buffer: the packed arrays a batch-path engine session consumes come
-straight off the page cache, and the loaded trace is backed by them
+``docs/trace_format.md``), injected bug included, so a hit needs no
+program.  Loads ``mmap`` the entry and cast the columns zero-copy out of
+the mapped buffer: the packed arrays a batch-path engine session consumes
+come straight off the page cache, and the loaded trace is backed by them
 (``Trace.columns()`` returns the mapped encoding without re-packing; event
-objects are decoded only if a caller reads ``trace.events``).  The load
-checks what a decode would have caught, on the columns themselves: every
-column holds exactly ``n`` items, every kind code is known and every site
-id indexes the site table.
+objects are decoded only if a caller reads ``trace.events``).
 
-Writes use the write-then-:func:`os.replace` protocol (atomic on POSIX),
-so concurrent workers racing to store the same trace are harmless: both
-produce identical bytes and the rename is atomic, so readers only ever see
-complete entries.  Loads tolerate truncated, corrupt, or stale files by
-treating them as misses.  Pre-columnar caches (version 2 pickles and
-older) are invalidated by the version bump — their keys no longer hash
-equal, and :meth:`clear` sweeps both generations of files.
+Both entry kinds fail closed on content: a load checks the header's
+content digest against the bytes it mapped, plus what a decode would have
+caught (every array in full and consistently sized, every kind code known,
+every site id inside the site table).  Writes use the
+write-then-:func:`os.replace` protocol (atomic on POSIX), so concurrent
+workers racing to store the same entry are harmless: both produce
+identical bytes and the rename is atomic, so readers only ever see
+complete entries.  A truncated, corrupt or stale entry is unlinked and
+treated as a miss.
 """
 
 from __future__ import annotations
 
+import hashlib
 import mmap
 import struct
 import weakref
+from functools import lru_cache
 from pathlib import Path
 
 from repro.common.coltrace import ColumnarTrace
@@ -46,14 +50,49 @@ from repro.common.events import Trace
 from repro.common.fsio import atomic_write_bytes
 from repro.common.rng import derive_seed
 
-#: Bumped whenever the trace layout or the interleaving semantics change,
-#: so stale entries from older code self-invalidate.  2 -> 3: entries
-#: switched from pickled Trace objects to the columnar binary encoding.
-TRACE_CACHE_VERSION = 3
+#: Packages whose source produces a trace: the workload generators and bug
+#: injection, the interleaving runtime and schedulers, and the columnar
+#: encoding.  ``tests/harness/test_cache_keys.py`` checks that this covers
+#: the import closure of every producer module.
+TRACE_SOURCES = (
+    "repro.common",
+    "repro.fuzz.generator",
+    "repro.threads",
+    "repro.workloads",
+)
 
-#: Bumped whenever the tape layout or the simulator's recorded behaviour
-#: changes, so stale tape entries self-invalidate.
-TAPE_CACHE_VERSION = 1
+#: Packages whose source produces a machine tape: the simulator, the tape
+#: recorder, and what they import.
+TAPE_SOURCES = ("repro.common", "repro.engine", "repro.obs", "repro.sim")
+
+#: A verdict depends on every detector kernel as well as on the trace and
+#: the tape, so its key hashes the whole package.
+VERDICT_SOURCES = ("repro",)
+
+#: Root of the ``repro`` package, where :func:`source_digest` reads.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@lru_cache(maxsize=None)
+def source_digest(*packages: str) -> str:
+    """A hex digest of the source bytes of the named packages or modules.
+
+    Each dotted name (``"repro.sim"``, ``"repro.fuzz.generator"``) is a
+    package, hashed over every ``.py`` file below it, or a single module.
+    Files are hashed in sorted order with their relative paths, once per
+    process.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    for name in packages:
+        base = _PACKAGE_ROOT.joinpath(*name.split(".")[1:])
+        if base.is_dir():
+            files = sorted(base.rglob("*.py"))
+        else:
+            files = [base.with_suffix(".py")]
+        for path in files:
+            h.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode("utf-8"))
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class TraceCache:
@@ -82,7 +121,9 @@ class TraceCache:
         """The entry path for one (app, run) execution under ``key_parts``."""
         if self.directory is None:
             return None
-        digest = derive_seed("trace", app, run, TRACE_CACHE_VERSION, *key_parts)
+        digest = derive_seed(
+            "trace", app, run, *key_parts, source_digest(*TRACE_SOURCES)
+        )
         return self.directory / f"trace_{app}_{run}_{digest:016x}.cols"
 
     def load(self, app: str, run: int, *key_parts: object) -> Trace | None:
@@ -92,8 +133,9 @@ class TraceCache:
         event at load, so ``trace.columns()`` is free and the batch engine
         path reads the packed arrays straight from the mapping.  Its
         ``events`` decode on first access, which must come before
-        :meth:`close`.  An entry that is truncated, or holds an unknown
-        kind code or an out-of-range site id, is unlinked and missed.
+        :meth:`close`.  An entry that is truncated, does not match
+        its content digest, or holds an unknown kind code or an
+        out-of-range site id, is unlinked and missed.
         """
         path = self.path_for(app, run, *key_parts)
         if path is None:
@@ -116,7 +158,7 @@ class TraceCache:
             IndexError,
             struct.error,
         ):
-            # Truncated or written by incompatible code: drop and rebuild.
+            # Truncated, corrupt or written by incompatible code: drop it.
             path.unlink(missing_ok=True)
             self.misses += 1
             return None
@@ -162,9 +204,10 @@ class TapeCache:
     The persistent sibling of the in-memory tape memo
     (``ColumnarTrace._tapes``): entries are
     :meth:`~repro.engine.tape.MachineTape.to_bytes` blobs keyed by
-    (columns content digest, machine-config signature, format version), so
-    a (trace, machine config) pair is simulated **once ever** — every later
-    process and session mmap-loads the recording with zero decode cost.
+    (columns content digest, machine-config signature, format version,
+    :data:`TAPE_SOURCES` digest), so a (trace, machine config) pair is
+    simulated **once** per simulator source — every later process and
+    session mmap-loads the recording with zero decode cost.
 
     A ``directory`` of ``None`` disables the cache (misses + no-op stores),
     keeping call sites branch-free.
@@ -192,15 +235,19 @@ class TapeCache:
 
         digest = derive_seed(
             "tape",
-            TAPE_CACHE_VERSION,
             TAPE_FORMAT_VERSION,
             cols.content_digest(),
             machine_signature(machine_config),
+            source_digest(*TAPE_SOURCES),
         )
         return self.directory / f"tape_{digest:016x}.tape"
 
     def load(self, cols, machine_config):
-        """The cached tape, or ``None`` on a miss (or unreadable entry)."""
+        """The cached tape, or ``None`` on a miss.
+
+        An entry that is truncated, inconsistent, or does not match its
+        header digest is unlinked and missed.
+        """
         path = self.path_for(cols, machine_config)
         if path is None:
             return None
@@ -222,7 +269,7 @@ class TapeCache:
             IndexError,
             struct.error,
         ):
-            # Truncated or written by incompatible code: drop and rebuild.
+            # Truncated, corrupt or written by incompatible code: drop it.
             path.unlink(missing_ok=True)
             self.misses += 1
             return None

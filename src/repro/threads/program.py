@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.addresses import AddressSpace
 from repro.common.errors import ProgramError
-from repro.common.events import Op, OpKind, Site
+from repro.common.events import InjectedBug, Op, OpKind, Site
 
 
 @dataclass
@@ -108,7 +108,7 @@ class ParallelProgram:
     threads: list[ThreadProgram]
     lock_addresses: tuple[int, ...] = ()
     regions: tuple[AddressSpace, ...] = ()
-    injected_bug: "InjectedBug | None" = None
+    injected_bug: InjectedBug | None = None
     benign_racy_sites: frozenset[Site] = frozenset()
 
     def __post_init__(self) -> None:
@@ -138,42 +138,7 @@ class ParallelProgram:
         }
 
     def with_injected_bug(
-        self, threads: list[ThreadProgram], bug: "InjectedBug"
+        self, threads: list[ThreadProgram], bug: InjectedBug
     ) -> "ParallelProgram":
         """A copy of this program with mutated threads and bug ground truth."""
         return replace(self, threads=threads, injected_bug=bug)
-
-
-@dataclass(frozen=True)
-class InjectedBug:
-    """Ground truth about one injected data race (Section 4 protocol).
-
-    One dynamic lock acquire and its matching release were omitted from
-    ``thread_id``'s stream.  The accesses formerly inside that critical
-    section are recorded both by address range (``chunk_addresses``: the 4 B
-    chunks they touch) and by source site, so the harness can score a
-    detector's reports against either.
-    """
-
-    thread_id: int
-    lock_addr: int
-    lock_op_index: int
-    unlock_op_index: int
-    chunk_addresses: frozenset[int]
-    sites: frozenset[Site]
-
-    def matches_report(self, addr: int, size: int, site: Site | None) -> bool:
-        """True if a race report at (addr, site) corresponds to this bug.
-
-        A report matches if its address overlaps any de-protected 4 B chunk,
-        or its site is one of the de-protected accesses (covers detectors
-        that report the *partner* access of the race at the same site).
-        """
-        first = addr & ~3
-        last = (addr + max(size, 1) - 1) & ~3
-        chunk = first
-        while chunk <= last:
-            if chunk in self.chunk_addresses:
-                return True
-            chunk += 4
-        return site is not None and site in self.sites

@@ -84,9 +84,11 @@ def interleave(
     locks = LockTable()
     barriers = BarrierTable()
     waiters: dict[int, set[int]] = {}  # lock addr -> threads parked on it
-    trace = Trace(num_threads=program.num_threads, label=program.name)
-    if program.injected_bug is not None:
-        trace.injected_bug_sites = program.injected_bug.sites
+    trace = Trace(
+        num_threads=program.num_threads,
+        injected_bug=program.injected_bug,
+        label=program.name,
+    )
     result = InterleaveResult(trace=trace)
 
     total_ops = program.total_ops()

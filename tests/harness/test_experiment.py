@@ -187,8 +187,17 @@ def held_programs(runner) -> list:
     return found
 
 
+def programs_built(runner) -> int:
+    """How many programs the runner has built (its ``programs_built`` counter)."""
+    return runner.metrics.snapshot().get("harness.programs_built", 0)
+
+
 class TestColumnMemo:
-    """The runner memo holds columns plus one small record per run."""
+    """The runner memo holds columns and verdicts, never a program.
+
+    A program is built only on a trace-cache miss: once per cold (app, run),
+    never for a warm cell or a verdict-cache hit.
+    """
 
     CONFIGS = ("hard-default", "hb-ideal")
 
@@ -204,6 +213,7 @@ class TestColumnMemo:
         cache_dir = tmp_path_factory.mktemp("warm")
         with self.warm_runner(cache_dir) as cold:
             cold.run_detectors("raytrace", 0, self.CONFIGS)
+            assert programs_built(cold) == 1
         return cache_dir
 
     def test_warm_cell_decodes_nothing_and_holds_no_program(self, cache_dir):
@@ -213,6 +223,7 @@ class TestColumnMemo:
             trace = runner.trace_for("raytrace", 0)
             assert trace._events is None
             assert held_programs(runner) == []
+            assert programs_built(runner) == 0
             assert outcomes[0].detected
 
     def test_cold_cell_holds_columns_not_events(self):
@@ -220,6 +231,16 @@ class TestColumnMemo:
         runner.run_detectors("raytrace", CLEAN_RUN, ["hb-ideal"])
         assert runner.trace_for("raytrace", CLEAN_RUN)._events is None
         assert held_programs(runner) == []
+        assert programs_built(runner) == 1
+
+    def test_one_program_per_cold_run(self):
+        runner = ExperimentRunner()
+        runner.run_detectors("raytrace", CLEAN_RUN, ["hb-ideal"])
+        runner.run_detectors("raytrace", CLEAN_RUN, ["hard-ideal"])
+        assert runner.injected_bug("raytrace", CLEAN_RUN) is None
+        assert programs_built(runner) == 1
+        runner.run_detectors("raytrace", 0, ["hb-ideal"])
+        assert programs_built(runner) == 2
 
     def test_verdict_cache_hits_release_the_program(self, tmp_path):
         ExperimentRunner(cache_dir=tmp_path).run_detector(
@@ -228,6 +249,9 @@ class TestColumnMemo:
         runner = ExperimentRunner(cache_dir=tmp_path)
         runner.run_detector("raytrace", CLEAN_RUN, "hb-ideal")
         assert runner.metrics.snapshot()["harness.verdict_cache_hits"] == 1
+        # A hit needs neither a program nor a trace.
+        assert programs_built(runner) == 0
+        assert not runner._traces
         assert held_programs(runner) == []
 
     @pytest.mark.parametrize("run", [CLEAN_RUN, 0, 1, 2, 3, 4])
@@ -255,11 +279,11 @@ class TestColumnMemo:
     def test_close_clears_every_per_run_memo(self, cache_dir):
         runner = self.warm_runner(cache_dir)
         runner.run_detectors("raytrace", 0, self.CONFIGS)
-        runner.injected_bug("raytrace", CLEAN_RUN)  # record only, no trace
-        assert runner._traces and runner._records and runner._outcomes
-        assert held_programs(runner)  # the clean run's, built for its record
+        runner.injected_bug("raytrace", CLEAN_RUN)  # a second trace, no verdict
+        assert len(runner._traces) == 2 and runner._outcomes
+        assert held_programs(runner) == []
         runner.close()
-        memos = ("_traces", "_records", "_outcomes")
+        memos = ("_traces", "_outcomes")
         assert {name: len(getattr(runner, name)) for name in memos} == dict.fromkeys(
             memos, 0
         )

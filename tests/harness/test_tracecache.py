@@ -3,11 +3,13 @@
 A load decodes no event: the returned trace answers ``len()``, its
 metadata and ``columns()`` from the mmap-ed columns.  What the old eager
 decode used to catch — a truncated entry, an unknown kind code, a site id
-past the site table — the load now checks on the packed columns, and each
-such entry must be a miss whose file is unlinked.
+past the site table — the load now checks on the packed columns, and a
+content digest in the header catches any other damage.  Each such entry,
+trace or tape, must be a miss whose file is unlinked.
 """
 
 import json
+import shutil
 import struct
 
 import pytest
@@ -160,4 +162,90 @@ class TestFromBytesChecks:
         start, _ = column_span(bytes(raw), "site_id")
         struct.pack_into("<i", raw, start, -2)
         with pytest.raises(ProgramError, match="site id"):
+            ColumnarTrace.from_bytes(bytes(raw))
+
+
+#: Damage done to one cache entry: cut bytes off its end, or flip one
+#: payload byte in the middle of the file (past every header check).
+DAMAGES = {
+    "cut8": lambda raw: raw[:-8],
+    "cut64": lambda raw: raw[:-64],
+    "cut4096": lambda raw: raw[:-4096],
+    "flip": lambda raw: raw[: len(raw) // 2]
+    + bytes([raw[len(raw) // 2] ^ 0x10])
+    + raw[len(raw) // 2 + 1 :],
+}
+
+
+class TestDamagedEntriesFailClosed:
+    """A damaged ``.cols`` or ``.tape`` entry is a miss, unlinked and rebuilt.
+
+    The runner scores the cell exactly as it did from the intact caches,
+    and the rebuilt entry is byte-identical to the one that was damaged.
+    """
+
+    CELL = ("barnes", 0)
+    CONFIGS = ("hard-default",)
+
+    @staticmethod
+    def runner(cache_dir):
+        from repro.harness.experiment import ExperimentRunner
+
+        return ExperimentRunner(
+            trace_cache_dir=cache_dir / "traces", tape_cache_dir=cache_dir / "tapes"
+        )
+
+    @pytest.fixture(scope="class")
+    def filled(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("fill")
+        with self.runner(cache_dir) as cold:
+            reference = cold.run_detectors(*self.CELL, self.CONFIGS)
+        return cache_dir, reference
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    @pytest.mark.parametrize("kind", ["traces", "tapes"])
+    def test_damaged_entry_is_rebuilt(
+        self, filled, tmp_path, monkeypatch, kind, damage
+    ):
+        import repro.harness.tracecache as tracecache
+
+        source, reference = filled
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(source, cache_dir)
+        (entry,) = (cache_dir / kind).iterdir()
+        original = entry.read_bytes()
+        entry.write_bytes(DAMAGES[damage](original))
+        # Record, for every store, whether the old entry was still there.
+        stores = []
+        real_write = tracecache.atomic_write_bytes
+
+        def recording_write(path, payload):
+            stores.append((path, path.exists()))
+            return real_write(path, payload)
+
+        monkeypatch.setattr(tracecache, "atomic_write_bytes", recording_write)
+        with self.runner(cache_dir) as runner:
+            outcomes = runner.run_detectors(*self.CELL, self.CONFIGS)
+            cache = runner.trace_cache if kind == "traces" else runner.tape_cache
+            assert (cache.hits, cache.misses) == (0, 1)
+        assert outcomes == reference
+        assert stores == [(entry, False)]  # unlinked before it was rebuilt
+        assert entry.read_bytes() == original
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_tape_is_rejected_on_load(self, filled, damage):
+        from repro.engine.tape import MachineTape
+
+        source, _ = filled
+        (entry,) = (source / "tapes").iterdir()
+        damaged = DAMAGES[damage](entry.read_bytes())
+        match = "digest" if damage == "flip" else "past the end"
+        with pytest.raises(ProgramError, match=match):
+            MachineTape.from_bytes(damaged)
+
+    def test_flipped_column_byte_fails_only_the_digest(self, trace):
+        raw = bytearray(trace.columns().to_bytes())
+        start, _ = column_span(bytes(raw), "addr")
+        raw[start + 8 * (len(trace) // 2)] ^= 0x10
+        with pytest.raises(ProgramError, match="digest"):
             ColumnarTrace.from_bytes(bytes(raw))

@@ -40,6 +40,7 @@ def assert_same_trace(rebuilt, trace) -> None:
     assert rebuilt.num_threads == trace.num_threads
     assert rebuilt.label == trace.label
     assert rebuilt.injected_bug_sites == trace.injected_bug_sites
+    assert rebuilt.injected_bug == trace.injected_bug
     assert rebuilt.events == trace.events
 
 

@@ -3,16 +3,34 @@
 import pytest
 
 from repro.common.errors import ProgramError
-from repro.common.events import Site, Trace, barrier, compute, lock, read, unlock, write
+from repro.common.events import (
+    InjectedBug,
+    Site,
+    Trace,
+    barrier,
+    compute,
+    lock,
+    read,
+    unlock,
+    write,
+)
 from repro.threads.tracefile import load_trace, save_trace
 from repro.reporting import run_core
 
 S = Site("t.c", 3, "x")
+BUG = InjectedBug(
+    thread_id=0,
+    lock_addr=0x200,
+    lock_op_index=2,
+    unlock_op_index=5,
+    chunk_addresses=frozenset({0x100, 0x104}),
+    sites=frozenset({S}),
+)
 
 
 def sample_trace() -> Trace:
     trace = Trace(num_threads=3, label="sample")
-    trace.injected_bug_sites = frozenset({S})
+    trace.injected_bug = BUG
     trace.append(0, write(0x100, S, size=8))
     trace.append(1, read(0x104, S))
     trace.append(0, lock(0x200, S))
@@ -41,6 +59,7 @@ class TestRoundTrip:
         assert loaded.num_threads == 3
         assert loaded.label == "sample"
         assert loaded.injected_bug_sites == frozenset({S})
+        assert loaded.injected_bug == BUG
 
     def test_detector_verdicts_identical(self, tmp_path):
         """The acid test: a reloaded trace gives identical reports."""
