@@ -7,10 +7,10 @@ say none of ours should: each is O(1) or O(T * S) per access in the
 thread count T and the locksets per thread S, neither of which grows with
 the trace length.  This check builds raytrace at 1x, 2x and 4x of its
 repetition counts (the shape parameters stay put), times every batch key's
-``begin_batch``/``step_batch``/``finish_batch`` over each trace with the
-machine tape already recorded, and fails when a key's 4x rate is below
-half its 1x rate.  The best of ``REPEATS`` passes is kept, so a noisy host
-has to slow every pass to fail the check.
+walk over each trace through ``walk_batch_core`` (the loop the engine
+runs) with the machine tape already recorded, and fails when a key's 4x
+rate is below half its 1x rate.  The best of ``REPEATS`` passes is kept,
+so a noisy host has to slow every pass to fail the check.
 
 Outside tier-1 (``benchmarks/`` is not collected by default)::
 
@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 
+from repro.engine.session import walk_batch_core
 from repro.engine.tape import MachineTape
 from repro.harness.detectors import make_detector
 from repro.threads.runtime import interleave
@@ -75,12 +77,10 @@ def kernel_rate(key: str, cols) -> float:
     for _ in range(REPEATS):
         core = make_detector(key).core()
         machine_config = getattr(core, "machine_config", None)
-        tape = MachineTape.for_columns(cols, machine_config) if machine_config else None
+        if machine_config is not None:
+            MachineTape.for_columns(cols, machine_config)  # memoised: untimed
         t0 = time.perf_counter()
-        core.begin_batch(cols, tape)
-        for run in cols.sync_runs():
-            core.step_batch(cols, run.lo, run.hi)
-        core.finish_batch()
+        walk_batch_core(core, cols, partial(MachineTape.for_columns, cols))
         best = min(best, time.perf_counter() - t0)
     return cols.n / best
 

@@ -18,21 +18,26 @@ on ``obs`` only through the emitter.
 
 When no emitter or metrics collection is active, cores that advertise the
 batch protocol (``begin_batch``/``step_batch``/``finish_batch``) are driven
-through the *vectorized* walk instead: whole sync runs of the columnar trace
-(:meth:`~repro.common.events.Trace.columns`) in one call each, with the
-simulated machine's data-path prerecorded once per
-(columns, machine config) by :class:`~repro.engine.tape.MachineTape`.
-Results remain bit-for-bit identical to the scalar walk; ``path="scalar"``
-forces the per-event reference oracle and ``path="batch"`` asserts the
-vectorized path is actually taken.
+through the *vectorized* walk instead, one kernel at a time: each core runs
+its whole life over the columnar trace
+(:meth:`~repro.common.events.Trace.columns`) — ``begin_batch``, **one**
+``step_batch`` over every event, ``finish_batch`` — with the cyclic garbage
+collector paused, and is freed before the next core begins
+(:func:`walk_batch_core`).  The simulated machine's data-path is
+prerecorded once per (columns, machine config) by
+:class:`~repro.engine.tape.MachineTape`.  Results remain bit-for-bit
+identical to the scalar walk; ``path="scalar"`` forces the per-event
+reference oracle and ``path="batch"`` asserts the vectorized path is
+actually taken.
 
 A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
 (``obs.telemetry``) never changes the path choice.  On the batch walk it
-times each core's ``step_batch`` calls exactly (two ``perf_counter`` calls
-per core per sync run) and frames the columnar pack, each tape fetch,
-``begin_batch`` and ``finish_batch``; on the sharded path it frames the
-parent's side; on the scalar walk it times each solo core's loop and each
-shared-machine group's walk as a whole.
+times each core's single ``step_batch`` call exactly (two ``perf_counter``
+calls per core) and frames the columnar pack, each tape fetch,
+``begin_batch``, ``finish_batch`` and the ``release`` of the core's state;
+on the sharded path it frames the parent's side; on the scalar walk it
+times each solo core's loop and each shared-machine group's walk as a
+whole.
 
 ``path="sharded"`` goes one step further: the trace is partitioned by
 address (:mod:`repro.engine.shard`) and each shard's batch walk runs in a
@@ -50,6 +55,7 @@ from contextlib import nullcontext
 
 from repro.common.errors import ReproError
 from repro.common.events import OpKind, Trace
+from repro.common.gcpause import gc_paused
 from repro.engine.machineshare import MachineGroup
 
 
@@ -178,14 +184,18 @@ class EngineSession:
     def run(self) -> list:
         """Walk the trace once per replay context; results in add order.
 
-        Cores that share a machine must consume events in lockstep with the
-        shared replay, so each :class:`MachineGroup` is driven by one
-        interleaved walk.  Independent cores — trace-only detectors and
-        machine-backed cores with a unique machine configuration — have no
-        cross-core state, so they run in their own tight loops instead,
-        which avoids the per-event dispatch overhead entirely.  Either way
-        every core sees the exact event sequence ``Detector.run`` would
-        feed it, so results are bit-for-bit identical.
+        Batch cores share no state, so the vectorized walk runs them one
+        at a time, in add order: each consumes the whole trace in one
+        ``step_batch`` call and is released before the next begins, so at
+        most one kernel's state is alive.  On the scalar walk, cores that
+        share a machine must consume events in lockstep with the shared
+        replay, so each :class:`MachineGroup` is driven by one interleaved
+        walk; independent cores — trace-only detectors and machine-backed
+        cores with a unique machine configuration — run in their own tight
+        loops instead.  Either way every core sees the exact event
+        sequence ``Detector.run`` would feed it, so results are
+        bit-for-bit identical.  Results are kept by position: a released
+        core's ``id`` may be reused by the next one.
         """
         if self._ran:
             raise EngineError("EngineSession is single-use; build a new one")
@@ -261,23 +271,24 @@ class EngineSession:
                     "engine path 'batch' requires step_batch support, "
                     f"which these cores lack: {', '.join(laggards)}"
                 )
-        batch_cores = (
-            [core for core in self._cores if hasattr(core, "begin_batch")]
-            if batch_allowed
-            else []
-        )
-        batch_ids = {id(core) for core in batch_cores}
-        scalar_cores = [c for c in self._cores if id(c) not in batch_ids]
+        # Positions, not cores: the batch walk frees each core it finishes.
+        cores = self._cores
+        capable = [batch_allowed and hasattr(core, "begin_batch") for core in cores]
+        batch = [i for i, ok in enumerate(capable) if ok]
+        scalar = [i for i, ok in enumerate(capable) if not ok]
+        scalar_cores = [cores[i] for i in scalar]
         if not scalar_cores:
             self.path_taken = "batch"
         else:
-            self.path_taken = "batch+scalar" if batch_cores else "scalar"
+            self.path_taken = "batch+scalar" if batch else "scalar"
             if self.path == "auto" and batch_allowed:
                 self.fallback = "no batch kernel: " + ", ".join(
                     core.name for core in scalar_cores
                 )
 
-        results = self._walk_batch(batch_cores, recorder) if batch_cores else {}
+        results: list = [None] * len(cores)
+        if batch:
+            self._walk_batch(batch, results, recorder)
 
         groups: dict = {}
         for core in scalar_cores:
@@ -325,10 +336,9 @@ class EngineSession:
             if recorder is not None:
                 wall = perf() - t0
                 recorder.record_core_walk(core.name, len(self.trace), wall)
-        return [
-            results[id(core)] if id(core) in results else core.finish()
-            for core in self._cores
-        ]
+        for index, core in zip(scalar, scalar_cores):
+            results[index] = core.finish()
+        return results
 
     def _run_sharded(self, recorder) -> list:
         # The sharded walk: shard.run_sharded rebuilds each config's core
@@ -349,15 +359,15 @@ class EngineSession:
                 recorder=recorder,
             )
 
-    def _walk_batch(self, cores: list, recorder) -> dict:
-        # The vectorized walk: cores consume whole sync runs of the columnar
-        # trace in one ``step_batch`` call each.  Machine-backed cores get a
-        # MachineTape — the recorded data-path of (columns, machine config),
-        # memoised on the columns so repeated sessions replay nothing (and
+    def _walk_batch(self, positions: list, results: list, recorder) -> None:
+        # The kernel-major walk: the cores at ``positions`` run one at a
+        # time, in add order, each through walk_batch_core, and each one's
+        # result lands at its position.  The session hands over its only
+        # reference (_take), so a finished kernel's state is freed before
+        # the next core allocates.  Machine-backed cores get a MachineTape —
+        # the recorded data-path of (columns, machine config), memoised on
+        # the columns so later cores and sessions replay nothing (and
         # persisted via the tape cache so later *processes* replay nothing).
-        # Sync runs split only at barriers, so timing each step_batch call
-        # is exact and cheap enough to do always; a recorder gets the times.
-        # Returns each core's finish_batch result, keyed by id(core).
         from repro.engine.tape import MachineTape
 
         walk = recorder.walk if recorder is not None else nullcontext
@@ -365,32 +375,22 @@ class EngineSession:
         with walk():
             with frame("pack"):
                 cols = self.columns()
-            for core in cores:
-                machine_config = getattr(core, "machine_config", None)
-                tape = (
-                    MachineTape.for_columns(
-                        cols, machine_config, self.tape_cache, recorder
-                    )
-                    if machine_config is not None
-                    else None
+
+            def tape_for(machine_config):
+                return MachineTape.for_columns(
+                    cols, machine_config, self.tape_cache, recorder
                 )
-                with frame("begin_batch"):
-                    core.begin_batch(cols, tape)
-            perf = time.perf_counter
-            steps = [core.step_batch for core in cores]
-            spent = [0.0] * len(steps)
-            for run in cols.sync_runs():
-                lo = run.lo
-                hi = run.hi
-                for index, step in enumerate(steps):
-                    t0 = perf()
-                    step(cols, lo, hi)
-                    spent[index] += perf() - t0
-            if recorder is not None:
-                for core, wall in zip(cores, spent):
-                    recorder.record_core_walk(core.name, cols.n, wall)
-            with frame("finish_batch"):
-                return {id(core): core.finish_batch() for core in cores}
+
+            for index in positions:
+                results[index] = walk_batch_core(
+                    self._take(index), cols, tape_for, recorder
+                )
+
+    def _take(self, index: int):
+        # Hand the session's reference to one core over to the caller.
+        core = self._cores[index]
+        self._cores[index] = None
+        return core
 
     def _walk_group(self, group: MachineGroup) -> None:
         # COMPUTE events touch only the shared machine's cycle ledger (the
@@ -431,6 +431,44 @@ class EngineSession:
             events = len(self.trace)
             for core, wall in zip(self._cores, spent):
                 recorder.record_core_walk(core.name, events, wall)
+
+
+def walk_batch_core(core, cols, tape_for, recorder=None):
+    """Run one batch core's whole life over ``cols``; returns its result.
+
+    A machine-backed core first gets its tape from ``tape_for(machine
+    config)`` (a callback, so a caller can build or take the core inside
+    the call and keep no reference of its own).  Then ``begin_batch``, **one** ``step_batch`` over every
+    event (the kernels handle BARRIER inline) and ``finish_batch`` run
+    inside one :func:`~repro.common.gcpause.gc_paused` scope.  The kernels
+    build no reference cycles (``tests/engine/test_gc_pause.py``), so the
+    pause defers no garbage; it only spares the collector from traversing
+    the kernel's live state again and again.  The core is dropped before
+    the pause ends: a caller that passes its last reference gets the
+    kernel's state freed right there, before collection is back on and
+    before the next core allocates.
+
+    A flight ``recorder`` gets the ``begin_batch``, ``finish_batch`` and
+    ``release`` frames and the core's exact step time.
+    """
+    machine_config = getattr(core, "machine_config", None)
+    tape = tape_for(machine_config) if machine_config is not None else None
+    frame = recorder.frame if recorder is not None else nullcontext
+    perf = time.perf_counter
+    with gc_paused():
+        with frame("begin_batch"):
+            core.begin_batch(cols, tape)
+        t0 = perf()
+        core.step_batch(cols, 0, cols.n)
+        wall = perf() - t0
+        with frame("finish_batch"):
+            result = core.finish_batch()
+        name = core.name
+        with frame("release"):
+            del core
+    if recorder is not None:
+        recorder.record_core_walk(name, cols.n, wall)
+    return result
 
 
 def detect_with_engine(

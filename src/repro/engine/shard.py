@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro.common.coltrace import _COLUMNS, KIND_COMPUTE, ColumnarTrace
 from repro.common.stats import StatCounters
-from repro.engine.session import EngineError
+from repro.engine.session import EngineError, walk_batch_core
 from repro.engine.tape import MachineTape
 from repro.reporting import DetectionResult, RaceReportLog
 
@@ -302,33 +302,29 @@ def _detect_shard(
         cols, unit_shift, overrides, num_shards, shard_id, sync_only=sync_only
     )
     shard_tapes: dict = {}
+
+    def tape_for(machine_config):
+        tape = shard_tapes.get(machine_config)
+        if tape is None:
+            if sync_only:
+                # No memory events -> no owned lines -> empty hook
+                # stream; the zero tape is the exact slice.
+                tape = MachineTape.empty(shard.n, machine_config)
+            else:
+                tape = build_shard_tape(
+                    tapes[machine_config],
+                    keep,
+                    unit_shift,
+                    overrides,
+                    num_shards,
+                    shard_id,
+                )
+            shard_tapes[machine_config] = tape
+        return tape
+
     outcomes: list[tuple] = []
     for config in configs:
-        core = make_detector(config).core()
-        machine_config = getattr(core, "machine_config", None)
-        if machine_config is not None:
-            tape = shard_tapes.get(machine_config)
-            if tape is None:
-                if sync_only:
-                    # No memory events -> no owned lines -> empty hook
-                    # stream; the zero tape is the exact slice.
-                    tape = MachineTape.empty(shard.n, machine_config)
-                else:
-                    tape = build_shard_tape(
-                        tapes[machine_config],
-                        keep,
-                        unit_shift,
-                        overrides,
-                        num_shards,
-                        shard_id,
-                    )
-                shard_tapes[machine_config] = tape
-            core.begin_batch(shard, tape)
-        else:
-            core.begin_batch(shard, None)
-        for run in shard.sync_runs():
-            core.step_batch(shard, run.lo, run.hi)
-        result = core.finish_batch()
+        result = walk_batch_core(make_detector(config).core(), shard, tape_for)
         reports = [
             (
                 keep[r.seq],

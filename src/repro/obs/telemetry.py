@@ -4,13 +4,14 @@ A :class:`FlightRecorder` answers "where does engine time actually go" on
 the walk that actually runs: it rides the batch and sharded walks without
 changing the path choice.  It records:
 
-* **per-core step time** — exact (each ``step_batch`` call is timed; sync
-  runs split only at barriers, so that is a few calls per core), with
-  events/sec and mean step latency derived from it;
+* **per-core step time** — exact (each core makes one ``step_batch`` call
+  over the whole trace, and that call is timed), with events/sec and mean
+  step latency derived from it;
 * **walk frames** — ``engine;walk`` and one leaf per layer (columnar
   ``pack``, ``tape.record``/``tape.memo``/``tape.load``, ``begin_batch``,
-  ``core.<name>``, ``finish_batch``; ``baseline``/``fan_out``/``merge`` on
-  the sharded path), plus the share of the walk the leaves attribute;
+  ``core.<name>``, ``finish_batch``, ``release`` of a finished core's
+  state; ``baseline``/``fan_out``/``merge`` on the sharded path), plus the
+  share of the walk the leaves attribute;
 * **lane dedup hit ratio** — scalar walk only: machine accesses a shared
   :class:`~repro.engine.machineshare.MachineGroup` replay performed once
   instead of once per member;
@@ -22,7 +23,11 @@ changing the path choice.  It records:
   power the collapsed-stack (flamegraph-compatible) dump;
 * **garbage collection** — while a walk runs, a :data:`gc.callbacks` hook
   counts the collector's runs per generation and times each pause, and
-  ``derived.gc_pause_frac`` gives the pauses' share of the walk.
+  ``derived.gc_pause_frac`` gives the pauses' share of the walk.  The
+  batch walk pauses the collector around each kernel
+  (:func:`~repro.common.gcpause.gc_paused`), so there these counters see
+  only the collections outside kernel walks: the pack, tape fetches, and
+  the first allocations after a pause ends.
 
 The recorder rides the :class:`~repro.obs.Observability` bundle as its
 ``telemetry`` attribute.  Recorders merge associatively (:meth:`merge`),

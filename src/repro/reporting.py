@@ -186,12 +186,15 @@ class DetectorCore(Protocol):
 
     A core may additionally advertise the optional *batch* protocol —
     ``begin_batch(cols, tape)`` / ``step_batch(cols, lo, hi)`` /
-    ``finish_batch()`` — consuming sync runs of a
+    ``finish_batch()`` — consuming ``[lo, hi)`` event ranges of a
     :class:`~repro.common.coltrace.ColumnarTrace` (plus, for machine-backed
     cores, a prerecorded :class:`~repro.engine.tape.MachineTape`) instead of
     per-event dispatch.  The engine session uses it whenever no per-event
     observability is active; results must be bit-for-bit identical to the
-    scalar walk, which remains the reference oracle.
+    scalar walk, which remains the reference oracle.  The engine passes the
+    whole trace in one ``step_batch`` call, so a kernel handles barriers
+    inline, and it runs each kernel with the cyclic garbage collector
+    paused, so a kernel must build no reference cycles.
 
     ``machine_config`` is the :class:`~repro.common.config.MachineConfig`
     the core replays the data path through, or ``None`` for trace-only

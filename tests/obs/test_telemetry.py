@@ -182,7 +182,8 @@ class TestGcCensus:
             counters.get(f"telemetry.gc.gen{gen}", 0) for gen in range(3)
         )
         snap = recorder.snapshot()
-        walk_s = snap["frames"]["engine;walk"]
+        # The exact walk time: the snapshot's frames are rounded to 1 us.
+        walk_s = recorder.frames[("engine", "walk")]
         assert snap["derived"]["gc_pause_frac"] == round(pause.total_s / walk_s, 4)
         assert 0.0 < snap["derived"]["gc_pause_frac"] <= 1.0
 
@@ -395,7 +396,9 @@ class TestBatchWalk:
         keys = ("hard-default", "software", "hb-ideal")
         _, _, recorder = run_recorded(fresh, keys, tape_cache=cache)
         frames = {";".join(path) for path in recorder.frames}
-        for leaf in ("pack", "begin_batch", "finish_batch", "tape.record", "tape.memo"):
+        for leaf in (
+            "pack", "begin_batch", "finish_batch", "release", "tape.record", "tape.memo"
+        ):
             assert f"engine;walk;{leaf}" in frames
         # A new columnar view of the same trace loads the stored tape.
         _, _, reload = run_recorded(small_trace(), keys, tape_cache=cache)
