@@ -9,8 +9,12 @@ the trace length.  This check builds raytrace at 1x, 2x and 4x of its
 repetition counts (the shape parameters stay put), times every batch key's
 walk over each trace through ``walk_batch_core`` (the loop the engine
 runs) with the machine tape already recorded, and fails when a key's 4x
-rate is below half its 1x rate.  The best of ``REPEATS`` passes is kept,
-so a noisy host has to slow every pass to fail the check.
+rate is below half its 1x rate.  The machine tape's recorder
+(``MachineTape``, i.e. ``Machine.record``) is held to the same bound on the
+default machine: its per-access cost must not grow with the trace either,
+as it would with a cache set that is never pruned.  The best of
+``REPEATS`` passes is kept, so a noisy host has to slow every pass to fail
+the check.
 
 Outside tier-1 (``benchmarks/`` is not collected by default)::
 
@@ -25,6 +29,7 @@ from functools import partial
 
 import pytest
 
+from repro.common.config import MachineConfig
 from repro.engine.session import walk_batch_core
 from repro.engine.tape import MachineTape
 from repro.harness.detectors import make_detector
@@ -85,14 +90,33 @@ def kernel_rate(key: str, cols) -> float:
     return cols.n / best
 
 
-@pytest.mark.parametrize("key", BATCH_KEYS)
-def test_rate_holds_as_the_trace_grows(key, columns):
-    rates = {scale: kernel_rate(key, cols) for scale, cols in columns.items()}
+def record_rate(cols) -> float:
+    """Best-of-``REPEATS`` events/s of recording ``cols``'s default tape."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        MachineTape(cols, MachineConfig())
+        best = min(best, time.perf_counter() - t0)
+    return cols.n / best
+
+
+def check_rates(name: str, rates: dict, columns) -> None:
     print(
-        f"\n{key}: "
+        f"\n{name}: "
         + ", ".join(
             f"{scale}x {columns[scale].n} events {rate:,.0f}/s"
             for scale, rate in rates.items()
         )
     )
     assert rates[SCALES[-1]] >= MIN_RATE_RATIO * rates[SCALES[0]], rates
+
+
+@pytest.mark.parametrize("key", BATCH_KEYS)
+def test_rate_holds_as_the_trace_grows(key, columns):
+    rates = {scale: kernel_rate(key, cols) for scale, cols in columns.items()}
+    check_rates(key, rates, columns)
+
+
+def test_tape_recording_rate_holds_as_the_trace_grows(columns):
+    rates = {scale: record_rate(cols) for scale, cols in columns.items()}
+    check_rates("tape record", rates, columns)

@@ -43,11 +43,8 @@ from repro.core.lstate import NO_OWNER, transition
 from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
 from repro.sim.coherence import SourceKind
-from repro.sim.machine import Machine
+from repro.sim.machine import LOCK_WORD_BYTES, Machine
 from repro.sim.metadata import CacheMetadataStore
-
-#: Size in bytes of a lock word (its acquire/release bus traffic).
-LOCK_WORD_BYTES = 4
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ same *canonical* access sequence (see
 behaviour — fills and their sources, writebacks, evictions, invalidations,
 L2 displacements, per-access piggyback opportunities, post-access sharer
 flags, total data-path cycles and counters — is a pure function of the
-trace.  :class:`MachineTape` records that behaviour once, by replaying the
-trace through a real :class:`~repro.sim.machine.Machine` with a recording
-listener attached, into flat packed arrays the vectorized batch kernels
-(``DetectorCore.step_batch``) consume without touching the simulator again.
+trace.  :class:`MachineTape` records that behaviour once, by walking the
+trace through a real :class:`~repro.sim.machine.Machine`'s columnar kernel
+(:meth:`~repro.sim.machine.Machine.record`, the batch counterpart of the
+per-event ``Machine.access``), into flat packed arrays the vectorized
+batch kernels (``DetectorCore.step_batch``) consume without touching the
+simulator again.
 
 This is :class:`~repro.engine.machineshare.MachineGroup` taken to its
 logical end: the group deduplicates the replay *across cores within one
@@ -24,7 +26,9 @@ Tape layout (all dense, ``n`` = number of trace events):
 
 * ``hook_off['q', n+1]`` — per-event spans into the hook stream;
 * ``hook_code['B']``/``hook_line['q']``/``hook_core['i']``/``hook_aux['i']``
-  — one record per coherence-listener callback, in callback order.
+  — one record per callback a coherence listener would receive, in
+  callback order, coded by the ``HOOK_*`` opcodes of
+  :mod:`repro.sim.coherence` (re-exported here).
   ``hook_aux`` carries the supplying core for cache-to-cache fills and the
   dirty flag for L1 evictions;
 * ``pig['B', n]`` — per-event metadata-piggyback opportunity count
@@ -45,18 +49,17 @@ import struct
 import time
 from array import array
 
-from repro.common.coltrace import (
-    KIND_BARRIER,
-    KIND_COMPUTE,
-    ColumnarTrace,
-)
+from repro.common.coltrace import ColumnarTrace
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
-from repro.sim.coherence import (
-    L2_SOURCE,
-    MEMORY_SOURCE,
-    FillSource,
-    MachineListener,
+from repro.sim.coherence import (  # noqa: F401  (re-exported hook opcodes)
+    HOOK_FILL_CORE,
+    HOOK_FILL_L2,
+    HOOK_FILL_MEM,
+    HOOK_INVALIDATE,
+    HOOK_L1_EVICT,
+    HOOK_L2_EVICT,
+    HOOK_WRITEBACK,
 )
 from repro.sim.machine import Machine
 
@@ -98,64 +101,6 @@ def machine_signature(machine_config: MachineConfig) -> str:
     """
     return repr(machine_config)
 
-#: Size in bytes of a lock word (mirrors repro.core.detector.LOCK_WORD_BYTES;
-#: redefined here to keep the tape importable without the detector stack).
-_LOCK_WORD_BYTES = 4
-
-#: Hook stream opcodes.
-HOOK_FILL_MEM = 0
-HOOK_FILL_L2 = 1
-HOOK_FILL_CORE = 2
-HOOK_WRITEBACK = 3
-HOOK_L1_EVICT = 4
-HOOK_INVALIDATE = 5
-HOOK_L2_EVICT = 6
-
-
-class _Recorder(MachineListener):
-    """Appends every coherence callback to one flat hook list.
-
-    Each callback is one ``list.extend`` of its (code, line, core, aux)
-    record; :meth:`columns` splits the list into the four packed arrays
-    once the walk is over.
-    """
-
-    __slots__ = ("hooks", "_extend")
-
-    def __init__(self):
-        self.hooks: list[int] = []
-        self._extend = self.hooks.extend
-
-    def on_fill(self, core: int, line_addr: int, source: FillSource) -> None:
-        if source is MEMORY_SOURCE:
-            self._extend((HOOK_FILL_MEM, line_addr, core, 0))
-        elif source is L2_SOURCE:
-            self._extend((HOOK_FILL_L2, line_addr, core, 0))
-        else:
-            self._extend((HOOK_FILL_CORE, line_addr, core, source.core))
-
-    def on_writeback(self, core: int, line_addr: int) -> None:
-        self._extend((HOOK_WRITEBACK, line_addr, core, 0))
-
-    def on_l1_evict(self, core: int, line_addr: int, dirty: bool) -> None:
-        self._extend((HOOK_L1_EVICT, line_addr, core, 1 if dirty else 0))
-
-    def on_invalidate(self, core: int, line_addr: int) -> None:
-        self._extend((HOOK_INVALIDATE, line_addr, core, 0))
-
-    def on_l2_evict(self, line_addr: int) -> None:
-        self._extend((HOOK_L2_EVICT, line_addr, -1, 0))
-
-    def columns(self) -> tuple[array, array, array, array]:
-        """The hook stream as packed (code, line, core, aux) arrays."""
-        hooks = self.hooks
-        return (
-            array("B", hooks[0::4]),
-            array("q", hooks[1::4]),
-            array("i", hooks[2::4]),
-            array("i", hooks[3::4]),
-        )
-
 
 class MachineTape:
     """The recorded data-path of one columnar trace on one machine config."""
@@ -181,77 +126,18 @@ class MachineTape:
     def __init__(self, cols: ColumnarTrace, machine_config: MachineConfig):
         self.machine_config = machine_config
         self._buffer = None
-        n = cols.n
         machine = Machine(machine_config)
-        recorder = _Recorder()
-        machine.add_listener(recorder)
-        hooks = recorder.hooks
-
-        hook_off = array("q", bytes(8 * (n + 1)))
-        pig = array("B", bytes(n))
-        sharer_off = array("q", bytes(8 * (n + 1)))
-        sharer_line = array("q")
-        sharer_flag = array("B")
-        append_line = sharer_line.append
-        append_flag = sharer_flag.append
-
-        access = machine.access
-        charge = machine.charge
-        has_other_sharers = machine.has_other_sharers
-        core_for_thread = machine.core_for_thread
-        n_sharers = 0
-
-        kinds = cols.kind
-        tids = cols.tid
-        addrs = cols.addr
-        sizes = cols.size
-        cycles_col = cols.cycles
-        for i in range(n):
-            hook_off[i] = len(hooks) >> 2
-            sharer_off[i] = n_sharers
-            kind = kinds[i]
-            if kind <= 1:  # READ / WRITE
-                core = core_for_thread(tids[i])
-                lines = access(core, addrs[i], sizes[i], kind == 1).lines
-                count = 0
-                for line_result in lines:
-                    source = line_result.fill_source
-                    if source is not None and source is not MEMORY_SOURCE:
-                        count += 1
-                    victim = line_result.l1_victim
-                    if victim is not None and victim.dirty:
-                        count += 1
-                    # Sharer flags are read once the whole access is done.
-                    line_addr = line_result.line_addr
-                    append_line(line_addr)
-                    shared = has_other_sharers(line_addr, excluding=core)
-                    append_flag(1 if shared else 0)
-                pig[i] = count
-                n_sharers += len(lines)
-            elif kind == KIND_COMPUTE:
-                charge(cycles_col[i], "compute")
-            elif kind != KIND_BARRIER:  # LOCK / UNLOCK
-                access(core_for_thread(tids[i]), addrs[i], _LOCK_WORD_BYTES, True)
-        hook_off[n] = len(hooks) >> 2
-        sharer_off[n] = n_sharers
-        # The scalar walk places a thread at its first event of any kind;
-        # place the threads whose events never reach the data path (only
-        # barriers or compute) so ``machine.threads.placed`` agrees.
-        for tid in sorted(set(tids)):
-            core_for_thread(tid)
-
-        machine.remove_listener(recorder)
-        self.hook_off = hook_off
         (
+            self.hook_off,
             self.hook_code,
             self.hook_line,
             self.hook_core,
             self.hook_aux,
-        ) = recorder.columns()
-        self.pig = pig
-        self.sharer_off = sharer_off
-        self.sharer_line = sharer_line
-        self.sharer_flag = sharer_flag
+            self.pig,
+            self.sharer_off,
+            self.sharer_line,
+            self.sharer_flag,
+        ) = machine.record(cols)
         self.machine_cycles = machine.cycles
         self.machine_stats = machine.stats.snapshot()
         self.bus_stats = machine.bus.stats.snapshot()

@@ -93,8 +93,8 @@ class Bus:
         """Total bus cycles consumed so far."""
         return self._cycles
 
-    def _spend(self, cycles: int, kind: str) -> int:
-        """Book one ``kind`` transaction of ``cycles``.
+    def _spend(self, cycles: int, kind: str, times: int = 1) -> int:
+        """Book ``times`` ``kind`` transactions of ``cycles`` each.
 
         ``cycles`` is always a :class:`BusConfig` timing (validated positive
         by its ``__post_init__``), so the counters skip
@@ -106,10 +106,10 @@ class Bus:
                 f"bus.cycles.{kind}",
                 f"bus.transactions.{kind}",
             )
-        self._cycles += cycles
+        self._cycles += cycles * times
         counts = self._counts
-        counts[keys[0]] += cycles
-        counts[keys[1]] += 1
+        counts[keys[0]] += cycles * times
+        counts[keys[1]] += times
         return cycles
 
     # ------------------------------------------------------------ data moves
@@ -124,6 +124,38 @@ class Bus:
         """Charge an address-only transaction (upgrade, invalidation)."""
         return self._spend(self.config.cycles_per_transaction, kind)
 
+    def book(
+        self,
+        line_size: int,
+        line_transfers: dict[str, int],
+        address_only: dict[str, int],
+        home_lookups: int = 0,
+        invalidation_rounds: int = 0,
+        invalidation_messages: int = 0,
+        owner_forwards: int = 0,
+    ) -> None:
+        """Book counted transactions at once, exactly as one call each would.
+
+        ``line_transfers`` and ``address_only`` map a kind to the number
+        of :meth:`line_transfer` / :meth:`address_only` calls; the other
+        arguments count scale-hook calls (:meth:`sharer_invalidations`
+        rounds with a non-zero count, and the messages they carry).  A
+        kind counted zero times leaves no counter behind, as no call would.
+        The machine's recording kernel sums its transactions in locals and
+        books them here once per recording.
+        """
+        transfer_cycles = self.config.line_transfer_cycles(line_size)
+        moved = 0
+        for kind, times in line_transfers.items():
+            if times:
+                moved += times
+                self._spend(transfer_cycles, kind, times)
+        if moved:
+            self._counts["bus.bytes.data"] += line_size * moved
+        for kind, times in address_only.items():
+            if times:
+                self._spend(self.config.cycles_per_transaction, kind, times)
+
     # ------------------------------------------------------------ scale hooks
     #
     # The machine calls these at every coherence decision point.  A snoopy
@@ -131,6 +163,10 @@ class Bus:
     # phase for free — so they charge nothing here; the directory fabric
     # overrides them with home-node indirection, owner forwarding and
     # exact-sharer invalidation messages.
+
+    #: Cycles of one home lookup, one sharer-invalidation round and one
+    #: owner forward, in that order.
+    scale_cycles: tuple[int, int, int] = (0, 0, 0)
 
     def home_lookup(self, kind: str) -> int:
         """Locate the line's coherence state (no-op under snooping)."""

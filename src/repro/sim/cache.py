@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator
 
 from repro.common.config import CacheConfig
@@ -39,13 +38,12 @@ class CacheLine:
     """One resident cache line.
 
     ``tag`` is the full line base address (we do not split tag/index bits —
-    the base address is unambiguous).  ``lru_tick`` orders lines within a set
-    for LRU replacement.
+    the base address is unambiguous).  Recency is not stored on the line:
+    its position in the set's dict is (see :class:`Cache`).
     """
 
     tag: int
     state: MESI
-    lru_tick: int
 
     @property
     def dirty(self) -> bool:
@@ -64,11 +62,14 @@ class Victim:
     dirty: bool
 
 
-_LRU_TICK = attrgetter("lru_tick")
-
-
 class Cache:
     """A set-associative cache of :class:`CacheLine` with true-LRU eviction.
+
+    Each set is a dict kept in recency order: a fill inserts at the end, a
+    hit deletes and re-inserts the line, so the least recently used line
+    is always the set's first entry.  The machine's columnar recording
+    kernel (:meth:`~repro.sim.machine.Machine.record`) edits the same
+    dicts the same way, so both paths share one replacement order.
 
     Every method takes any byte address and masks it to its line; masking
     an already line-aligned address is a no-op, so the machine passes its
@@ -88,7 +89,6 @@ class Cache:
         self._sets: list[dict[int, CacheLine]] = [
             {} for _ in range(config.num_sets)
         ]
-        self._tick = 0
         self._emitter = emitter if emitter is not None else NULL_EMITTER
         # Hot-path constants (profiled: recomputing them per lookup is the
         # single largest cost of a simulation pass).
@@ -115,13 +115,13 @@ class Cache:
     def access(self, addr: int) -> CacheLine | None:
         """Lookup that also refreshes LRU recency on a hit."""
         line_addr = addr & self._line_mask
-        line = self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
-            line_addr
-        )
+        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+        line = cache_set.get(line_addr)
         if line is None or line.state is MESI.INVALID:
             return None
-        self._tick += 1
-        line.lru_tick = self._tick
+        # Move to the most recent end of the set.
+        del cache_set[line_addr]
+        cache_set[line_addr] = line
         return line
 
     def contains(self, addr: int) -> bool:
@@ -140,7 +140,7 @@ class Cache:
         cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         if line_addr in cache_set or len(cache_set) < self._ways:
             return None
-        victim = min(cache_set.values(), key=_LRU_TICK)
+        victim = next(iter(cache_set.values()))  # least recently used
         return Victim(victim.tag, victim.state is MESI.MODIFIED)
 
     def fill(self, line_addr: int, state: MESI) -> Victim | None:
@@ -168,8 +168,7 @@ class Cache:
                     line=victim.line_addr,
                     dirty=victim.dirty,
                 )
-        self._tick += 1
-        cache_set[line_addr] = CacheLine(line_addr, state, self._tick)
+        cache_set[line_addr] = CacheLine(line_addr, state)
         return victim
 
     # ------------------------------------------------------- state management

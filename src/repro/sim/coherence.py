@@ -150,6 +150,18 @@ class EvictionRecord:
         self.by_line[line_addr] = self.by_line.get(line_addr, 0) + 1
 
 
+#: Opcodes of a machine tape's hook stream: one per listener callback
+#: kind, recorded by :meth:`~repro.sim.machine.Machine.record` in the
+#: order the callbacks would fire.
+HOOK_FILL_MEM = 0
+HOOK_FILL_L2 = 1
+HOOK_FILL_CORE = 2
+HOOK_WRITEBACK = 3
+HOOK_L1_EVICT = 4
+HOOK_INVALIDATE = 5
+HOOK_L2_EVICT = 6
+
+
 class MachineListener:
     """Observer of coherence events; all hooks are no-ops by default.
 

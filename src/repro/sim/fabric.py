@@ -92,11 +92,19 @@ class DirectoryFabric(Bus):
         super().__init__(config, emitter=emitter)
         self.directory = directory
         self.meta_model = directory_meta_model(config, directory)
+        self.scale_cycles = (
+            directory.hop_cycles + directory.lookup_cycles,
+            2 * directory.hop_cycles,
+            directory.hop_cycles,
+        )
 
-    def _control(self, cycles: int, kind: str, messages: int) -> int:
+    def _control(
+        self, cycles: int, kind: str, messages: int, times: int = 1
+    ) -> int:
+        """Book ``times`` control exchanges of ``cycles`` and ``messages`` total."""
         cycle_key, message_key = _CONTROL_KEYS[kind]
-        self._cycles += cycles
-        self.stats.add(cycle_key, cycles)
+        self._cycles += cycles * times
+        self.stats.add(cycle_key, cycles * times)
         self.stats.add(message_key, messages)
         self.stats.add(
             "dir.bytes.control", messages * self.directory.control_bytes
@@ -110,8 +118,7 @@ class DirectoryFabric(Bus):
         home node (one hop, one directory-state read) and receives a grant
         or forwarding decision (one message back).
         """
-        d = self.directory
-        return self._control(d.hop_cycles + d.lookup_cycles, "home_lookup", 2)
+        return self._control(self.scale_cycles[0], "home_lookup", 2)
 
     def sharer_invalidations(self, count: int) -> int:
         """Multicast invalidations to the exact sharer list, gather acks.
@@ -123,13 +130,35 @@ class DirectoryFabric(Bus):
         """
         if count <= 0:
             return 0
-        return self._control(
-            2 * self.directory.hop_cycles, "invalidations", 2 * count
-        )
+        return self._control(self.scale_cycles[1], "invalidations", 2 * count)
 
     def owner_forward(self) -> int:
         """Home node forwards the request to the dirty/exclusive owner."""
-        return self._control(self.directory.hop_cycles, "owner_forward", 1)
+        return self._control(self.scale_cycles[2], "owner_forward", 1)
+
+    def book(
+        self,
+        line_size: int,
+        line_transfers: dict[str, int],
+        address_only: dict[str, int],
+        home_lookups: int = 0,
+        invalidation_rounds: int = 0,
+        invalidation_messages: int = 0,
+        owner_forwards: int = 0,
+    ) -> None:
+        super().book(line_size, line_transfers, address_only)
+        home, invalidate, forward = self.scale_cycles
+        if home_lookups:
+            self._control(home, "home_lookup", 2 * home_lookups, home_lookups)
+        if invalidation_rounds:
+            self._control(
+                invalidate,
+                "invalidations",
+                2 * invalidation_messages,
+                invalidation_rounds,
+            )
+        if owner_forwards:
+            self._control(forward, "owner_forward", owner_forwards, owner_forwards)
 
 
 def make_fabric(

@@ -9,7 +9,10 @@ paper's snoopy broadcast bus by default, or the Section 3.4 directory
 at any power-of-two core count.  It also
 notifies registered :class:`~repro.sim.coherence.MachineListener` objects of
 every metadata-relevant event: fills (with their data source), writebacks,
-evictions, invalidations, and L2 displacements.
+evictions, invalidations, and L2 displacements.  :meth:`Machine.access` is
+the per-event path; :meth:`Machine.record` walks a whole columnar trace
+through the same state and returns the event stream as a machine tape's
+packed arrays instead of calling listeners.
 
 Invariants maintained (checked in tests and by :meth:`check_invariants`):
 
@@ -21,13 +24,23 @@ Invariants maintained (checked in tests and by :meth:`check_invariants`):
 
 from __future__ import annotations
 
+from array import array
+
 from repro.common.addresses import spanned_lines
+from repro.common.coltrace import KIND_COMPUTE, KIND_UNLOCK, ColumnarTrace
 from repro.common.config import MachineConfig
-from repro.common.errors import CoherenceError, SimulationError
+from repro.common.errors import CoherenceError, ConfigError, SimulationError
 from repro.common.stats import StatCounters
 from repro.sim.cache import MESI, Cache, CacheLine, Victim
 from repro.sim.fabric import make_fabric
 from repro.sim.coherence import (
+    HOOK_FILL_CORE,
+    HOOK_FILL_L2,
+    HOOK_FILL_MEM,
+    HOOK_INVALIDATE,
+    HOOK_L1_EVICT,
+    HOOK_L2_EVICT,
+    HOOK_WRITEBACK,
     L2_SOURCE,
     MEMORY_SOURCE,
     AccessResult,
@@ -43,6 +56,10 @@ _SHARED = MESI.SHARED
 _INVALID = MESI.INVALID
 _OWNER_STATES = (_MODIFIED, _EXCLUSIVE)
 
+#: Size in bytes of a lock word: each lock and unlock writes one (its
+#: acquire/release bus traffic).
+LOCK_WORD_BYTES = 4
+
 #: Pre-built stat names for the per-access counters (hot path).
 _ACCESS_STAT = {
     (level, is_write): f"access.{level}_{'w' if is_write else 'r'}"
@@ -54,14 +71,14 @@ _ACCESS_STAT = {
 class Machine:
     """A functional model of the paper's CMP memory system (4..N cores).
 
-    The access path is the cost of every tape recording and every scalar
-    walk, so it avoids per-access allocation and helper calls where it
-    can: fill sources are built once per machine, listener callbacks are
-    bound once per (un)registration, counters whose increments are
-    literal constants bump the live counter directly, and the
-    ``_holders`` map answers every "who else holds this line" question —
-    the E-vs-S fill state, the ``shared_after`` flag and L2
-    back-invalidation — without building a sorted list or scanning the
+    The access path is the cost of every scalar walk (tape recording has
+    its own columnar kernel, :meth:`record`), so it avoids per-access
+    allocation and helper calls where it can: fill sources are built once
+    per machine, listener callbacks are bound once per (un)registration,
+    counters whose increments are literal constants bump the live counter
+    directly, and the ``_holders`` map answers every "who else holds this
+    line" question — the E-vs-S fill state, the ``shared_after`` flag and
+    L2 back-invalidation — without building a sorted list or scanning the
     L1s.
     """
 
@@ -381,6 +398,381 @@ class Machine:
             l2_victim_line,
             shared_after,
             cycles,
+        )
+
+    # ------------------------------------------------------- columnar kernel
+
+    def record(self, cols: ColumnarTrace) -> tuple[array, ...]:
+        """Walk ``cols``'s data-path events through this machine: a tape.
+
+        The batch counterpart of :meth:`access`, as ``step_batch`` is of a
+        detector's ``step``: every READ/WRITE and every lock word a
+        LOCK/UNLOCK writes goes through the same L1s, L2, holders map and
+        counters, with the same MESI decisions, LRU order and error
+        checks, but as one loop body per line instead of a call chain, a
+        result record and a listener callback per event.  COMPUTE events
+        charge their cycles; every thread is placed as the scalar walk
+        places it.
+
+        Returns the nine packed arrays of a
+        :class:`~repro.engine.tape.MachineTape`, in its serialisation
+        order: ``hook_off``, ``hook_code``, ``hook_line``, ``hook_core``,
+        ``hook_aux`` (one record per callback a listener would have
+        received, in callback order), ``pig`` (per data event, non-memory
+        fills plus dirty L1 victims), and ``sharer_off``, ``sharer_line``,
+        ``sharer_flag`` (per line a data event touched, whether another
+        core held it once the whole access was done).
+
+        Counters are summed in locals and booked once at the end, with
+        exactly the keys the scalar path would have created: a counter
+        appears iff its event happened at least once, even when its value
+        is 0 (a zero-cycle COMPUTE still creates ``cycles.compute``).
+
+        Raises :class:`SimulationError` when a listener is registered or a
+        trace emitter is active: this kernel makes none of their
+        callbacks, so such a machine must be driven per event through
+        :meth:`access`.
+        """
+        if self._listeners:
+            raise SimulationError(
+                "Machine.record makes no listener callbacks, but "
+                f"{len(self._listeners)} listener(s) are registered; drive "
+                "the scalar Machine.access path per event instead"
+            )
+        if self._emitter_on:
+            raise SimulationError(
+                "Machine.record emits no trace events, but this machine's "
+                "trace emitter is active; drive the scalar Machine.access "
+                "path per event instead"
+            )
+        n = cols.n
+        kinds = cols.kind
+        tids = cols.tid
+        addrs = cols.addr
+        sizes = cols.size
+        cycles_col = cols.cycles
+
+        hooks: list[int] = []
+        extend = hooks.extend
+        hook_off = array("q", bytes(8 * (n + 1)))
+        pig = array("B", bytes(n))
+        sharer_off = array("q", bytes(8 * (n + 1)))
+        sharer_line = array("q")
+        sharer_flag = array("B")
+        append_line = sharer_line.append
+        append_flag = sharer_flag.append
+        n_sharers = 0
+
+        l1_sets = [l1._sets for l1 in self.l1s]
+        l2_sets = self.l2._sets
+        holders = self._holders
+        by_line = self.evictions.by_line
+        line_size = self._line_size
+        line_mask = self._line_mask
+        shift = self.l2._line_shift
+        l1_set_mask = self.l1s[0]._set_mask
+        l1_ways = self.l1s[0]._ways
+        l2_set_mask = self.l2._set_mask
+        l2_ways = self.l2._ways
+
+        # Occurrence counts; every cycle and counter total is a fixed
+        # multiple of one of them (see the booking after the loop).
+        hits = hits_w = 0  # L1 hits
+        upgrades = upgrade_rounds = upgrade_msgs = 0  # S->M on a write hit
+        c2c = c2c_w = c2c_dirty = 0  # fills from an M/E owner's L1
+        l2_shared = l2_shared_w = l2_shared_msgs = 0  # L2 supply, S copies
+        l2_hits = l2_hits_w = 0  # L2 supply, no L1 copy
+        mem = mem_w = 0  # memory fills
+        l1_victims = writebacks = 0
+        l2_victims = l2_dirty_victims = back_rounds = back_msgs = 0
+        accesses = access_writes = 0
+        computes = compute_cycles = 0
+
+        # Place every thread up front, as the scalar walk places each at
+        # its first event of any kind (the placement counters do not
+        # depend on the order).
+        placed = {tid: self.core_for_thread(tid) for tid in sorted(set(tids))}
+
+        for i, kind, tid, addr in zip(range(n), kinds, tids, addrs):
+            hook_off[i] = len(hooks) >> 2
+            sharer_off[i] = n_sharers
+            if kind > KIND_UNLOCK:  # BARRIER / COMPUTE
+                if kind == KIND_COMPUTE:
+                    cycles = cycles_col[i]
+                    if cycles < 0:
+                        raise SimulationError(f"negative cycle charge: {cycles}")
+                    computes += 1
+                    compute_cycles += cycles
+                continue
+            core = placed[tid]
+            core_sets = l1_sets[core]
+            # Lock and unlock events write their lock word.
+            size = sizes[i] if kind <= 1 else LOCK_WORD_BYTES
+            is_write = kind != 0
+            if size <= 0:
+                raise ConfigError(f"access size must be positive, got {size}")
+            first = line_addr = addr & line_mask
+            last = (addr + size - 1) & line_mask
+            accesses += 1
+            if is_write:
+                access_writes += 1
+            count = 0
+            while True:  # one pass per spanned line
+                si = (line_addr >> shift) & l1_set_mask
+                cset = core_sets[si]
+                line = cset.get(line_addr)
+                if line is not None:
+                    # ---- L1 hit: refresh recency; a write may upgrade.
+                    del cset[line_addr]
+                    cset[line_addr] = line
+                    hits += 1
+                    if is_write:
+                        hits_w += 1
+                        state = line.state
+                        if state is _SHARED:
+                            upgrades += 1
+                            sharers = holders.get(line_addr)
+                            if sharers is not None and (
+                                len(sharers) > 1 or core not in sharers
+                            ):
+                                upgrade_rounds += 1
+                                for other in sorted(sharers):
+                                    if other == core:
+                                        continue
+                                    if l1_sets[other][si].pop(line_addr, None) is None:
+                                        # raises: state change on an absent line
+                                        self.l1s[other].set_state(line_addr, _INVALID)
+                                    sharers.discard(other)
+                                    upgrade_msgs += 1
+                                    extend((HOOK_INVALIDATE, line_addr, other, 0))
+                                if not sharers:
+                                    del holders[line_addr]
+                            line.state = _MODIFIED
+                        elif state is _EXCLUSIVE:
+                            line.state = _MODIFIED
+                else:
+                    # ---- L1 miss.  1. Make room: the LRU way leaves first.
+                    if len(cset) >= l1_ways:
+                        for victim in cset:
+                            break
+                        victim_line = cset.pop(victim)
+                        victim_holders = holders.get(victim)
+                        if victim_holders is not None:
+                            victim_holders.discard(core)
+                            if not victim_holders:
+                                del holders[victim]
+                        l1_victims += 1
+                        if victim_line.state is _MODIFIED:
+                            writebacks += 1
+                            l2_line = l2_sets[(victim >> shift) & l2_set_mask].get(victim)
+                            if l2_line is None:
+                                self._set_l2_dirty(victim)  # raises: inclusion
+                            l2_line.state = _MODIFIED
+                            extend((
+                                HOOK_WRITEBACK, victim, core, 0,
+                                HOOK_L1_EVICT, victim, core, 1,
+                            ))
+                            count += 1
+                        else:
+                            extend((HOOK_L1_EVICT, victim, core, 0))
+                    # 2. Locate the line and take it from its supplier.
+                    sharers = holders.get(line_addr)
+                    if sharers:
+                        owner = -1
+                        for other in sharers:
+                            other_line = l1_sets[other][si].get(line_addr)
+                            if other_line is not None and other_line.state in _OWNER_STATES:
+                                if owner >= 0:
+                                    self._owner_among(sorted(sharers), line_addr)
+                                owner = other
+                                owner_line = other_line
+                        count += 1
+                        if owner >= 0:
+                            c2c += 1
+                            if owner_line.state is _MODIFIED:
+                                c2c_dirty += 1
+                                writebacks += 1
+                                l2_line = l2_sets[(line_addr >> shift) & l2_set_mask].get(
+                                    line_addr
+                                )
+                                if l2_line is None:
+                                    self._set_l2_dirty(line_addr)  # raises
+                                l2_line.state = _MODIFIED
+                                extend((HOOK_WRITEBACK, line_addr, owner, 0))
+                            if is_write:
+                                c2c_w += 1
+                                del l1_sets[owner][si][line_addr]
+                                sharers.discard(owner)
+                                sharers.add(core)
+                                state = _MODIFIED
+                                extend((
+                                    HOOK_FILL_CORE, line_addr, core, owner,
+                                    HOOK_INVALIDATE, line_addr, owner, 0,
+                                ))
+                            else:
+                                owner_line.state = _SHARED
+                                sharers.add(core)
+                                state = _SHARED
+                                extend((HOOK_FILL_CORE, line_addr, core, owner))
+                        else:
+                            # Shared copies only: the inclusive L2 supplies.
+                            l2_shared += 1
+                            extend((HOOK_FILL_L2, line_addr, core, 0))
+                            if is_write:
+                                l2_shared_w += 1
+                                for other in sorted(sharers):
+                                    if l1_sets[other][si].pop(line_addr, None) is None:
+                                        # raises: state change on an absent line
+                                        self.l1s[other].set_state(line_addr, _INVALID)
+                                    l2_shared_msgs += 1
+                                    extend((HOOK_INVALIDATE, line_addr, other, 0))
+                                sharers.clear()
+                                state = _MODIFIED
+                            else:
+                                state = _SHARED
+                            sharers.add(core)
+                    else:
+                        l2_set = l2_sets[(line_addr >> shift) & l2_set_mask]
+                        l2_line = l2_set.get(line_addr)
+                        if l2_line is not None:
+                            del l2_set[line_addr]
+                            l2_set[line_addr] = l2_line
+                            l2_hits += 1
+                            if is_write:
+                                l2_hits_w += 1
+                            count += 1
+                        else:
+                            mem += 1
+                            if is_write:
+                                mem_w += 1
+                            if len(l2_set) >= l2_ways:
+                                # L2 displacement: back-invalidate every L1
+                                # copy of the victim (inclusion), in core order.
+                                for victim in l2_set:
+                                    break
+                                victim_dirty = l2_set.pop(victim).state is _MODIFIED
+                                victim_holders = holders.pop(victim, None)
+                                if victim_holders:
+                                    vsi = (victim >> shift) & l1_set_mask
+                                    for other in sorted(victim_holders):
+                                        other_line = l1_sets[other][vsi].pop(victim, None)
+                                        if other_line is None:
+                                            raise CoherenceError(
+                                                f"holders map names core {other} for "
+                                                f"0x{victim:x} but its L1 has no copy"
+                                            )
+                                        if other_line.state is _MODIFIED:
+                                            victim_dirty = True
+                                            writebacks += 1
+                                        back_msgs += 1
+                                        extend((HOOK_INVALIDATE, victim, other, 0))
+                                    back_rounds += 1
+                                if victim_dirty:
+                                    l2_dirty_victims += 1
+                                l2_victims += 1
+                                by_line[victim] = by_line.get(victim, 0) + 1
+                                extend((HOOK_L2_EVICT, victim, -1, 0))
+                            l2_set[line_addr] = CacheLine(line_addr, _EXCLUSIVE)
+                        holders[line_addr] = {core}
+                        if l2_line is not None:
+                            extend((HOOK_FILL_L2, line_addr, core, 0))
+                        else:
+                            extend((HOOK_FILL_MEM, line_addr, core, 0))
+                        state = _MODIFIED if is_write else _EXCLUSIVE
+                    # 3. Install in the requester's L1.
+                    cset[line_addr] = CacheLine(line_addr, state)
+                if line_addr == last:
+                    break
+                line_addr += line_size
+            if kind <= 1:
+                # Sharer flags are read once the whole access is done.
+                pig[i] = count
+                line_addr = first
+                while True:
+                    sharers = holders.get(line_addr)
+                    append_line(line_addr)
+                    append_flag(
+                        1
+                        if sharers is not None
+                        and (len(sharers) > 1 or core not in sharers)
+                        else 0
+                    )
+                    n_sharers += 1
+                    if line_addr == last:
+                        break
+                    line_addr += line_size
+        hook_off[n] = len(hooks) >> 2
+        sharer_off[n] = n_sharers
+
+        # ---- Book the totals, creating exactly the scalar path's keys.
+        counts = self._counts
+        l2_fills = l2_shared + l2_hits
+        for level, total, writes in (
+            ("l1", hits, hits_w),
+            ("c2c", c2c, c2c_w),
+            ("l2", l2_fills, l2_shared_w + l2_hits_w),
+            ("memory", mem, mem_w),
+        ):
+            if writes:
+                counts[_ACCESS_STAT[level, True]] += writes
+            if total > writes:
+                counts[_ACCESS_STAT[level, False]] += total - writes
+        misses = c2c + l2_fills + mem
+        if hits or misses:
+            home, invalidate, forward = self.bus.scale_cycles
+            transfer = self.config.bus.line_transfer_cycles(line_size)
+            access_cycles = (
+                self._l1_latency * (hits + misses)
+                + home * (misses + upgrades)
+                + self.config.bus.cycles_per_transaction * upgrades
+                + invalidate * (upgrade_rounds + c2c_w + l2_shared_w)
+                + (forward + transfer) * c2c
+                + transfer * c2c_dirty
+                + (self._l2_latency + transfer) * l2_fills
+                + (self._l2_latency + self._memory_latency + transfer) * mem
+            )
+            self._cycles += access_cycles
+            counts["cycles.access"] += access_cycles
+        if accesses:
+            counts["access.total"] += accesses
+        if access_writes:
+            counts["access.writes"] += access_writes
+        if accesses > access_writes:
+            counts["access.reads"] += accesses - access_writes
+        if computes:
+            self.charge(compute_cycles, "compute")
+        self.bus.book(
+            line_size,
+            {
+                "writeback": writebacks,
+                "c2c": c2c,
+                "l2_fill": l2_fills,
+                "mem_fill": mem,
+                "mem_writeback": l2_dirty_victims,
+            },
+            {"upgrade": upgrades},
+            home_lookups=misses + upgrades,
+            invalidation_rounds=upgrade_rounds + c2c_w + l2_shared_w + back_rounds,
+            invalidation_messages=upgrade_msgs + c2c_w + l2_shared_msgs + back_msgs,
+            owner_forwards=c2c,
+        )
+        ev = self.evictions
+        ev.l1_evictions += l1_victims
+        ev.l1_writebacks += writebacks
+        ev.invalidations += upgrade_msgs + c2c_w + l2_shared_msgs
+        ev.back_invalidations += back_msgs
+        ev.l2_evictions += l2_victims
+        ev.l2_writebacks_to_memory += l2_dirty_victims
+        return (
+            hook_off,
+            array("B", hooks[0::4]),
+            array("q", hooks[1::4]),
+            array("i", hooks[2::4]),
+            array("i", hooks[3::4]),
+            pig,
+            sharer_off,
+            sharer_line,
+            sharer_flag,
         )
 
     # ------------------------------------------------------- eviction helpers
