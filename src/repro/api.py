@@ -18,8 +18,8 @@ Four entry points cover the toolkit:
 * :func:`detect` — run one detector over a trace you already have;
   returns a :class:`~repro.reporting.DetectionResult`.
 * :func:`detect_many` — run several detector configurations over one
-  trace in a single engine pass (one trace walk, shared machine replay
-  for compatible configurations, bit-for-bit identical results).
+  trace in a single engine session (one machine tape per machine
+  configuration on the batch walk, bit-for-bit identical results).
 * :func:`run_fuzz` — differential fuzzing: generated programs through the
   whole detector suite, every divergence classified against the paper's
   approximation taxonomy; returns a
@@ -171,7 +171,7 @@ def detect_many(
     configuration's incremental core; with ``engine_path="auto"`` cores
     that support it consume the columnar encoding through the vectorized
     batch kernels (sharing one prerecorded machine tape), and the rest
-    share one simulated machine replay per machine configuration.  Each
+    step event by event, each through its own simulated machine.  Each
     returned :class:`DetectionResult` is bit-for-bit identical to the
     corresponding standalone :func:`detect` call — the detectors still
     observe the *identical execution*, exactly as the paper's methodology

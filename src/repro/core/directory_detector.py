@@ -25,7 +25,7 @@ from repro.core.detector import LOCK_WORD_BYTES, HardCosts
 from repro.core.lockregister import LockRegister
 from repro.core.lstate import transition
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.directory import Directory
 from repro.sim.machine import Machine
 
@@ -51,14 +51,6 @@ class DirectoryHardDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return DirectoryHardCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Replay ``trace``; candidate sets live in the home directory.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms,
-        refinements and barrier resets are reported when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class DirectoryHardCore:
     """Mutable state of one directory-HARD pass over one trace."""
@@ -68,17 +60,13 @@ class DirectoryHardCore:
         self.name = detector.name
         self.machine_config = detector.machine_config
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state (``machine`` may be a shared engine lane)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state and a fresh machine."""
         detector = self.d
         self.obs = obs
         self._observe = obs is not None and obs.active
         self._tracing = obs is not None and obs.emitter.enabled
-        self.machine = (
-            machine
-            if machine is not None
-            else Machine(detector.machine_config, obs=obs)
-        )
+        self.machine = Machine(detector.machine_config, obs=obs)
         self.mapper = BloomMapper(detector.config.bloom)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)

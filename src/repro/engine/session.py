@@ -3,18 +3,10 @@
 The paper evaluates every detector configuration over the *identical*
 execution (Section 5.1).  :class:`EngineSession` turns that methodology into
 the execution strategy: the interleaved trace is walked **once**, each event
-dispatched to every registered :class:`~repro.reporting.DetectorCore`, and
-machine-backed cores with equal :class:`~repro.common.config.MachineConfig`s
-share one cache/coherence replay via
-:class:`~repro.engine.machineshare.MachineGroup`.  Results are bit-for-bit
-identical to running each detector's legacy ``run(trace)`` alone — pinned by
-``tests/engine/test_equivalence.py``.
-
-Machine sharing is disabled while an obs *emitter* is enabled: the simulator
-emits cache events (``l2.displacement``, ``cache.evict``…) through the
-machine, and sharing would conflate which detector's replay produced them.
-Metrics-only observability is share-safe — the machine's behaviour depends
-on ``obs`` only through the emitter.
+dispatched to every registered :class:`~repro.reporting.DetectorCore`.  On
+the scalar walk every machine-backed core simulates its own
+:class:`~repro.sim.machine.Machine`, exactly as
+:func:`~repro.reporting.run_core` does.
 
 When no emitter or metrics collection is active, cores that advertise the
 batch protocol (``begin_batch``/``step_batch``/``finish_batch``) are driven
@@ -36,8 +28,7 @@ times each core's single ``step_batch`` call exactly (two ``perf_counter``
 calls per core) and frames the columnar pack, each tape fetch,
 ``begin_batch``, ``finish_batch`` and the ``release`` of the core's state;
 on the sharded path it frames the parent's side; on the scalar walk it
-times each solo core's loop and each shared-machine group's walk as a
-whole.
+times each core's loop as a whole.
 
 ``path="sharded"`` goes one step further: the trace is partitioned by
 address (:mod:`repro.engine.shard`) and each shard's batch walk runs in a
@@ -54,9 +45,8 @@ import time
 from contextlib import nullcontext
 
 from repro.common.errors import ReproError
-from repro.common.events import OpKind, Trace
+from repro.common.events import Trace
 from repro.common.gcpause import gc_paused
-from repro.engine.machineshare import MachineGroup
 
 
 class EngineError(ReproError):
@@ -187,13 +177,10 @@ class EngineSession:
         Batch cores share no state, so the vectorized walk runs them one
         at a time, in add order: each consumes the whole trace in one
         ``step_batch`` call and is released before the next begins, so at
-        most one kernel's state is alive.  On the scalar walk, cores that
-        share a machine must consume events in lockstep with the shared
-        replay, so each :class:`MachineGroup` is driven by one interleaved
-        walk; independent cores — trace-only detectors and machine-backed
-        cores with a unique machine configuration — run in their own tight
-        loops instead.  Either way every core sees the exact event
-        sequence ``Detector.run`` would feed it, so results are
+        most one kernel's state is alive.  On the scalar walk each core
+        runs its own tight loop over the whole trace, with its own machine.
+        Either way every core sees the exact event sequence
+        :func:`~repro.reporting.run_core` would feed it, so results are
         bit-for-bit identical.  Results are kept by position: a released
         core's ``id`` may be reused by the next one.
         """
@@ -276,57 +263,26 @@ class EngineSession:
         capable = [batch_allowed and hasattr(core, "begin_batch") for core in cores]
         batch = [i for i, ok in enumerate(capable) if ok]
         scalar = [i for i, ok in enumerate(capable) if not ok]
-        scalar_cores = [cores[i] for i in scalar]
-        if not scalar_cores:
+        if not scalar:
             self.path_taken = "batch"
         else:
             self.path_taken = "batch+scalar" if batch else "scalar"
             if self.path == "auto" and batch_allowed:
                 self.fallback = "no batch kernel: " + ", ".join(
-                    core.name for core in scalar_cores
+                    cores[i].name for i in scalar
                 )
 
         results: list = [None] * len(cores)
         if batch:
             self._walk_batch(batch, results, recorder)
 
-        groups: dict = {}
-        for core in scalar_cores:
-            machine_config = getattr(core, "machine_config", None)
-            if machine_config is None:
-                continue
-            group = groups.get(machine_config)
-            if group is None:
-                groups[machine_config] = group = MachineGroup(machine_config)
-            group.members.append(core)
-
-        # Under a flight recorder each scalar loop is one timed walk: a
-        # solo core under its own name, a shared-machine group under its
-        # members' names joined by "+".
+        # The scalar walk: each core runs alone, with its own machine, and
+        # is released once finished, like a batch kernel.  Under a flight
+        # recorder each core's loop is one timed walk.
         perf = time.perf_counter
         walk = recorder.walk if recorder is not None else nullcontext
-        solo: list = []
-        for core in scalar_cores:
-            machine_config = getattr(core, "machine_config", None)
-            group = groups.get(machine_config) if machine_config is not None else None
-            if group is not None and len(group.members) > 1:
-                core.begin(self.trace, obs=obs, machine=group.lane())
-            else:
-                solo.append(core)
-        for group in groups.values():
-            if len(group.members) > 1:
-                t0 = perf()
-                with walk():
-                    self._walk_group(group)
-                if recorder is not None:
-                    wall = perf() - t0
-                    stepped = sum(
-                        1 for e in self.trace if e.op.kind is not OpKind.COMPUTE
-                    )
-                    name = "+".join(core.name for core in group.members)
-                    recorder.record_core_walk(name, stepped, wall)
-                    recorder.record_group(len(group.members), group.accesses)
-        for core in solo:
+        for index in scalar:
+            core = self._take(index)
             core.begin(self.trace, obs=obs)
             step = core.step
             t0 = perf()
@@ -336,8 +292,8 @@ class EngineSession:
             if recorder is not None:
                 wall = perf() - t0
                 recorder.record_core_walk(core.name, len(self.trace), wall)
-        for index, core in zip(scalar, scalar_cores):
             results[index] = core.finish()
+            del core, step
         return results
 
     def _run_sharded(self, recorder) -> list:
@@ -392,26 +348,10 @@ class EngineSession:
         self._cores[index] = None
         return core
 
-    def _walk_group(self, group: MachineGroup) -> None:
-        # COMPUTE events touch only the shared machine's cycle ledger (the
-        # group charges it once; lane charges of "compute" are no-ops), and
-        # BARRIER events touch no machine state at all — so the member
-        # dispatch can skip nothing: members still need BARRIER (resets) but
-        # not COMPUTE.
-        feed = group.feed
-        steps = [core.step for core in group.members]
-        COMPUTE = OpKind.COMPUTE
-        for event in self.trace:
-            feed(event)
-            if event.op.kind is not COMPUTE:
-                for step in steps:
-                    step(event)
-
     def _walk_traced(self, recorder=None) -> None:
-        # Emitter active: every core replays its own machine (no sharing),
-        # and the walk emits one span per core with its cumulative step time.
-        # Per-core timing is exact here too, so a flight recorder (if any)
-        # gets each core's summed step time.
+        # Emitter active: the walk emits one span per core with its
+        # cumulative step time.  Per-core timing is exact here too, so a
+        # flight recorder (if any) gets each core's summed step time.
         emitter = self.obs.emitter
         steps = [core.step for core in self._cores]
         spent = [0.0] * len(steps)

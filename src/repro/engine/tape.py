@@ -15,12 +15,11 @@ per-event ``Machine.access``), into flat packed arrays the vectorized
 batch kernels (``DetectorCore.step_batch``) consume without touching the
 simulator again.
 
-This is :class:`~repro.engine.machineshare.MachineGroup` taken to its
-logical end: the group deduplicates the replay *across cores within one
-walk*; the tape deduplicates it *across walks* — a second
-:class:`~repro.engine.EngineSession` over the same trace (a benchmark
-round, a fuzz-oracle ablation, an experiment-runner memo hit) replays
-nothing at all.
+The tape deduplicates the replay *across cores* — every batch kernel with
+an equal machine configuration reads the same tape — and *across walks*: a
+second :class:`~repro.engine.EngineSession` over the same trace (a
+benchmark round, a fuzz-oracle ablation, an experiment-runner memo hit)
+replays nothing at all.
 
 Tape layout (all dense, ``n`` = number of trace events):
 

@@ -425,9 +425,9 @@ def evaluate_trace(
             for e in recorder.by_type("cache.evict")
             if e["cache"] != "L2" and not e["dirty"]
         }
-        # One ablation session: a single trace walk for all three re-runs,
-        # with the big-L2 and both-relaxations variants (identical machine
-        # configurations) sharing one machine replay.
+        # One ablation session for all three re-runs; on the batch walk the
+        # big-L2 and both-relaxations variants (identical machine
+        # configurations) share one machine tape.
         ablations = EngineSession(trace, path=path)
         ablations.add_config(
             hard_cfg.with_overrides(vector_bits=config.wide_vector_bits)

@@ -304,12 +304,12 @@ class ExperimentRunner:
         """Score many detector configurations against one run's trace.
 
         Every configuration not already memoised or disk-cached is evaluated
-        in a single :class:`~repro.engine.EngineSession` pass over the trace:
-        the trace is walked once and compatible configurations share one
-        simulated machine replay (or, on the batch path, one prerecorded
-        machine tape over the columnar encoding — :attr:`engine_path`
-        selects the walk), while each outcome stays bit-for-bit what a
-        standalone :meth:`run_detector` call would have produced.
+        in a single :class:`~repro.engine.EngineSession` over the trace: on
+        the batch path, configurations with equal machines share one
+        prerecorded machine tape over the columnar encoding
+        (:attr:`engine_path` selects the walk), while each outcome stays
+        bit-for-bit what a standalone :meth:`run_detector` call would have
+        produced.
 
         Returns one :class:`RunOutcome` per entry of ``configs``, in order.
         """

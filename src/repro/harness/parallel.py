@@ -6,7 +6,7 @@ stochastic choice inside a cell derives from
 :func:`~repro.common.rng.derive_seed` on the cell coordinates, so a cell's
 outcome is a pure function of its coordinates.  That makes the grid
 embarrassingly parallel: this module chunks it, ships the chunks to a
-``multiprocessing`` pool, and merges the results.
+process pool, and merges the results.
 
 Design:
 
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.common.errors import HarnessError
 from repro.harness.detectors import DetectorConfig, config_signature
 from repro.harness.experiment import RunOutcome
 from repro.obs.metrics import MetricsRegistry
@@ -147,11 +148,17 @@ def fan_out(
     process through the identical code path a pool worker would take:
     ``initializer(*initargs)`` once, then ``worker`` per task, then
     ``serial_cleanup`` (pool workers are simply discarded instead).  With
-    more jobs, tasks fan out over a ``multiprocessing`` pool.
+    more jobs, tasks fan out over a
+    :class:`~concurrent.futures.ProcessPoolExecutor`.
 
     Results are returned in **completion order** — callers that need
     determinism must sort by a key of the task itself, the same way
     :func:`run_grid` sorts outcomes into canonical grid order.
+
+    Fails closed: a worker process that dies (killed, ``os._exit``, a
+    crashing initializer) breaks the pool, and the fan-out raises
+    :class:`~repro.common.errors.HarnessError` instead of waiting forever
+    for the lost task.  A worker's own exception propagates unchanged.
     """
     jobs = max(1, int(jobs))
     workers = min(jobs, len(tasks)) if tasks else 0
@@ -166,12 +173,28 @@ def fan_out(
             if serial_cleanup is not None:
                 serial_cleanup()
         return results
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
+    # Imported here: the serial branch (every single-process run) never
+    # loads the executor's modules.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(),
+        initializer=initializer,
+        initargs=initargs,
     ) as pool:
-        for result in pool.imap_unordered(worker, tasks):
-            results.append(result)
+        futures = [pool.submit(worker, task) for task in tasks]
+        try:
+            for future in as_completed(futures):
+                results.append(future.result())
+        except BrokenProcessPool as exc:
+            raise HarnessError(
+                "a worker process died before finishing its task; rerun "
+                "with -j 1 to see the worker's own error"
+            ) from exc
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
     return results
 
 

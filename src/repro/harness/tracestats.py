@@ -117,8 +117,8 @@ class TraceStatsCore:
     def __init__(self, line_size: int = 32):
         self.line_size = line_size
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self.stats = TraceStats(threads=trace.num_threads)
         self._line_readers: dict[int, set[int]] = {}
         self._line_writers: dict[int, set[int]] = {}

@@ -25,7 +25,7 @@ from repro.core.detector import LOCK_WORD_BYTES
 from repro.hb.meta import HBChunkMeta, HBLineMeta, check_epochs
 from repro.hb.vectorclock import SyncClocks
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.machine import Machine
 from repro.sim.metadata import SharedMetadataStore
 
@@ -52,14 +52,6 @@ class HappensBeforeDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return HappensBeforeCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Replay ``trace`` through a fresh machine with HB metadata attached.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms and
-        history-update metrics are recorded when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class HappensBeforeCore:
     """Mutable state of one cache-resident happens-before pass."""
@@ -69,17 +61,13 @@ class HappensBeforeCore:
         self.name = detector.name
         self.machine_config = detector.machine_config
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state (``machine`` may be a shared engine lane)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state and a fresh machine."""
         detector = self.d
         self.obs = obs
         self._observe = obs is not None and obs.active
         self._tracing = obs is not None and obs.emitter.enabled
-        self.machine = (
-            machine
-            if machine is not None
-            else Machine(detector.machine_config, obs=obs)
-        )
+        self.machine = Machine(detector.machine_config, obs=obs)
         self.clocks = SyncClocks(trace.num_threads)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)

@@ -31,7 +31,7 @@ from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.hb.vectorclock import SyncClocks
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 
 #: Shared "no conflicts" result for the race-free hot path.
 _NO_CONFLICTS: list[str] = []
@@ -64,14 +64,6 @@ class FastTrackDetector:
     def core(self) -> "FastTrackCore":
         """A fresh incremental core for one pass (the engine entry point)."""
         return FastTrackCore(self)
-
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Consume the trace; report every access pair unordered in it.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms are
-        recorded and emitted when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
 
 
 class FastTrackCore:
@@ -143,8 +135,8 @@ class FastTrackCore:
 
     # ---------------------------------------------------------- scalar path
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self.obs = obs
         self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)

@@ -44,7 +44,7 @@ from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.hybrids.clocks import WeakClocks
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 
 #: Shared "no conflicts" result for the race-free hot path.
 _NO_CONFLICTS: list[str] = []
@@ -103,14 +103,6 @@ class MultiLockHBDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return MultiLockHBCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Consume the trace; report lock-disjoint epoch-concurrent pairs.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms are
-        recorded and emitted when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class MultiLockHBCore:
     """Mutable state of one MultiLock-HB pass (trace-only)."""
@@ -159,8 +151,8 @@ class MultiLockHBCore:
 
     # ---------------------------------------------------------- scalar path
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self.obs = obs
         self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)

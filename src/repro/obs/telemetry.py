@@ -12,9 +12,6 @@ changing the path choice.  It records:
   ``core.<name>``, ``finish_batch``, ``release`` of a finished core's
   state; ``baseline``/``fan_out``/``merge`` on the sharded path), plus the
   share of the walk the leaves attribute;
-* **lane dedup hit ratio** — scalar walk only: machine accesses a shared
-  :class:`~repro.engine.machineshare.MachineGroup` replay performed once
-  instead of once per member;
 * **sync-point density** — locks/unlocks/barriers per 1k trace events,
   from a strided census of the trace (stride
   :attr:`~FlightRecorder.census_stride`, so the census touches ~1.5% of
@@ -46,7 +43,7 @@ from repro.common.fsio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 
 #: Bumped on any backwards-incompatible change to :meth:`FlightRecorder.snapshot`.
-TELEMETRY_SCHEMA_VERSION = 2
+TELEMETRY_SCHEMA_VERSION = 3
 
 #: The op-kind census reads one trace event in this many.
 DEFAULT_CENSUS_STRIDE = 64
@@ -242,21 +239,6 @@ class FlightRecorder:
         self.registry.timer("telemetry.engine.walk").observe(wall_s)
         self.record_frame(_WALK_FRAME, wall_s)
 
-    def record_group(self, members: int, shared_accesses: int) -> None:
-        """Record one shared-machine group's deduplication win.
-
-        ``shared_accesses`` machine accesses were performed once on the
-        shared replay; without sharing, each of the other ``members - 1``
-        lanes would have replayed them too.
-        """
-        if members < 1:
-            raise ValueError(f"a machine group has at least one member: {members}")
-        registry = self.registry
-        registry.add("telemetry.lane.groups")
-        registry.add("telemetry.lane.members", members)
-        registry.add("telemetry.lane.shared_accesses", shared_accesses)
-        registry.add("telemetry.lane.dedup_hits", shared_accesses * (members - 1))
-
     # ------------------------------------------------------------- merge
 
     def merge(self, other: "FlightRecorder") -> None:
@@ -276,17 +258,12 @@ class FlightRecorder:
         """The recorder's state as one JSON-serialisable dict.
 
         Raw counters plus the derived quantities: per-core events/sec and
-        step time, the lane dedup hit ratio, sync-point density per 1k
-        events, the share of walk time the walk's leaf frames attribute,
+        step time, sync-point density per 1k events, the share of walk time the walk's leaf frames attribute,
         the share the collector's pauses took, and the frame table.
         """
         counters = self.registry.snapshot()
         events = counters.get("telemetry.trace.events", 0)
         sync = counters.get("telemetry.trace.sync_points", 0)
-        members = counters.get("telemetry.lane.members", 0)
-        dedup_hits = counters.get("telemetry.lane.dedup_hits", 0)
-        shared = counters.get("telemetry.lane.shared_accesses", 0)
-        would_be = shared + dedup_hits
         walk_s = self.frames.get(_WALK_FRAME, 0.0)
         attributed_s = sum(
             seconds
@@ -313,14 +290,6 @@ class FlightRecorder:
                 "sync_density_per_1k": round(1000.0 * sync / events, 3)
                 if events
                 else 0.0,
-                "lane_dedup_hit_ratio": round(dedup_hits / would_be, 4)
-                if would_be
-                else 0.0,
-                "lane_mean_group_size": round(
-                    members / counters.get("telemetry.lane.groups", 1), 2
-                )
-                if members
-                else 0.0,
                 "walk_attributed_frac": round(attributed_s / walk_s, 4)
                 if walk_s
                 else 0.0,
@@ -345,7 +314,6 @@ class FlightRecorder:
         derived = snap["derived"]
         lines.append(
             f"  sync density: {derived['sync_density_per_1k']}/1k events, "
-            f"lane dedup hit ratio: {derived['lane_dedup_hit_ratio']}, "
             f"walk attributed: {derived['walk_attributed_frac']:.1%}, "
             f"gc pauses: {derived['gc_pause_frac']:.1%}"
         )

@@ -12,7 +12,6 @@ alarm per static source location, no matter how many dynamic instances fire.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
@@ -160,15 +159,6 @@ class Detector(Protocol):
 
     name: str
 
-    def run(self, trace: Trace, obs: "Observability | None" = None) -> DetectionResult:
-        """Consume a full interleaved trace and return all reports.
-
-        ``obs`` is the optional observability bundle (tracing + metrics);
-        detectors must behave identically — and pay no measurable cost —
-        when it is absent or inactive.
-        """
-        ...
-
     def core(self) -> "DetectorCore":
         """A fresh incremental core for one pass over one trace."""
         ...
@@ -179,10 +169,11 @@ class DetectorCore(Protocol):
 
     A core is single-use mutable state — :meth:`begin` allocates it for one
     trace, :meth:`step` consumes one event at a time, :meth:`finish` seals
-    and returns the :class:`DetectionResult`.  ``Detector.run`` is a thin
-    shim over this contract (:func:`run_core`), and
-    :class:`repro.engine.EngineSession` drives many cores from a single
-    trace walk.
+    and returns the :class:`DetectionResult`.  :func:`run_core` drives one
+    core over a trace, and :class:`repro.engine.EngineSession` drives many
+    cores from a single trace walk.  ``obs`` is the optional observability
+    bundle (tracing + metrics); a core must behave identically — and pay no
+    measurable cost — when it is absent or inactive.
 
     A core may additionally advertise the optional *batch* protocol —
     ``begin_batch(cols, tape)`` / ``step_batch(cols, lo, hi)`` /
@@ -201,17 +192,17 @@ class DetectorCore(Protocol):
     (ideal) cores.  A machine-backed core must issue the *canonical* data
     path for every event — locks/unlocks as one 4-byte write of the lock
     word, each memory access exactly once with the op's address/size/kind,
-    compute charged once, nothing on barriers — which is the invariant that
-    lets an engine session replay one shared machine for many cores.  When
-    the session supplies ``machine``, the core must route every machine
-    interaction through it instead of building its own.
+    compute charged once, nothing on barriers.  That invariant is what lets
+    one :class:`~repro.engine.tape.MachineTape` per (trace, machine config)
+    stand in, for every batch kernel, for the machine a scalar core
+    simulates itself.
     """
 
     name: str
     machine_config: object | None
 
-    def begin(self, trace: Trace, obs: "Observability | None" = None, machine: object | None = None) -> None:
-        """Allocate the pass state for ``trace`` (and optional shared machine)."""
+    def begin(self, trace: Trace, obs: "Observability | None" = None) -> None:
+        """Allocate the pass state for ``trace`` (and the core's own machine)."""
         ...
 
     def step(self, event: object) -> None:
@@ -229,33 +220,13 @@ def run_core(
     """Drive one core over a full trace with per-event ``step`` dispatch.
 
     This is the scalar reference walk — the oracle the vectorized engine
-    path is validated against — and the implementation behind the
-    deprecated ``Detector.run`` shims.
+    path is validated against.
     """
     core.begin(trace, obs=obs)
     step = core.step
     for event in trace:
         step(event)
     return core.finish()
-
-
-def run_deprecated(
-    detector: Detector, trace: Trace, obs: "Observability | None" = None
-) -> DetectionResult:
-    """The legacy ``Detector.run(trace)`` shim: warn, then run the core.
-
-    ``Detector.run`` predates the single-pass engine; new code should call
-    :func:`repro.engine.detect_with_engine` (or :func:`repro.api.detect`),
-    which walk the trace once for any number of detectors and use the
-    vectorized batch path when available.
-    """
-    warnings.warn(
-        f"{type(detector).__name__}.run() is deprecated; use "
-        "repro.engine.detect_with_engine (or repro.api.detect) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return run_core(detector.core(), trace, obs=obs)
 
 
 # ------------------------------------------------------- hybrid comparison

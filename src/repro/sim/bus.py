@@ -20,10 +20,9 @@ the pre-fabric model.
 
 The metadata cost surface is captured by :class:`MetaCostModel`: a frozen
 bundle of per-event constants and stat-key names consumed identically by
-the scalar fabric methods, the engine's per-lane accounting
-(:class:`~repro.engine.machineshare.LaneBus`) and the vectorized batch
-reconstruction (``finish_batch``), so every engine path charges metadata
-the same way on either fabric.
+the scalar fabric methods and the vectorized batch reconstruction
+(``finish_batch``), so every engine path charges metadata the same way on
+either fabric.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ per-event reference oracle, ``"batch"`` the vectorized kernels over the
 columnar encoding, ``"auto"`` picks batch whenever every core supports it.
 These tests pin the API contract (selection, error cases, mixed sessions)
 and the core guarantee: identical verdicts, cycles, and stats either way,
-on a Table 2 cell and on every checked-in fuzz-corpus exemplar.
+on a Table 2 cell, a lock-heavy barnes trace, the sweep surface's
+non-default configurations, and every checked-in fuzz-corpus exemplar.
 """
 
 from pathlib import Path
@@ -19,7 +20,7 @@ from repro.common.events import Site, Trace, read, unlock
 from repro.engine import EngineError, EngineSession
 from repro.fuzz import load_case
 from repro.fuzz.corpus import corpus_paths
-from repro.harness.detectors import DetectorConfig, make_detector
+from repro.harness.detectors import DetectorConfig
 from repro.hybrids.multilock import MultiLockHBDetector
 from repro.obs import FlightRecorder, Observability, RecordingEmitter
 from repro.threads.runtime import interleave
@@ -41,6 +42,16 @@ BATCH_KEYS = (
     "fasttrack",
     "acculock",
     "multilock-hb",
+)
+
+#: Non-default configurations from the sweep surface: granularity, vector
+#: width, L2 size and HB update broadcasts all change behaviour, and no
+#: registry key reaches them.
+OVERRIDE_CONFIGS = (
+    DetectorConfig("hard-default", granularity=8),
+    DetectorConfig("hard-default", vector_bits=256),
+    DetectorConfig("hard-default", l2_size=4 * 1024 * 1024),
+    DetectorConfig("hb-default", broadcast_updates=True),
 )
 
 
@@ -98,11 +109,18 @@ class TestColumnarInput:
 
 
 class TestPathSelection:
-    def test_every_key_matches_scalar(self, trace):
-        for key in BATCH_KEYS:
-            a = detect(trace, key, engine_path="batch")
-            b = detect(trace, key, engine_path="scalar")
-            assert result_key(a) == result_key(b), key
+    @pytest.mark.parametrize("case", ("raytrace", "barnes", "overrides"))
+    def test_every_key_matches_scalar(self, case, trace):
+        # barnes at seed 0 is the lock-heavy counterpart of the raytrace
+        # cell; "overrides" walks the raytrace cell with OVERRIDE_CONFIGS.
+        if case == "barnes":
+            program = build_workload("barnes", seed=0)
+            trace = interleave(program, RandomScheduler(seed=0, max_burst=8)).trace
+        configs = OVERRIDE_CONFIGS if case == "overrides" else BATCH_KEYS
+        for config in configs:
+            a = detect(trace, config, engine_path="batch")
+            b = detect(trace, config, engine_path="scalar")
+            assert result_key(a) == result_key(b), config
 
     def test_unknown_path_rejected(self, trace):
         with pytest.raises(EngineError):
@@ -146,6 +164,9 @@ class TestPathSelection:
 
 
 class TestCorpusExemplars:
+    def test_corpus_is_present(self):
+        assert len(corpus_paths(CORPUS_DIR)) >= 6
+
     @pytest.mark.parametrize(
         "path", corpus_paths(CORPUS_DIR), ids=lambda p: p.stem
     )
@@ -189,18 +210,3 @@ class TestUnbalancedRelease:
         ):
             detect(trace, key, engine_path=path)
 
-
-class TestDeprecatedRunShim:
-    def test_run_warns_and_still_works(self, trace):
-        detector = make_detector("hard-default")
-        with pytest.warns(DeprecationWarning, match="detect_with_engine"):
-            legacy = detector.run(trace)
-        modern = detect(trace, "hard-default", engine_path="scalar")
-        assert result_key(legacy) == result_key(modern)
-
-    @pytest.mark.parametrize(
-        "key", ("hard-ideal", "hb-default", "hb-ideal", "software", "hybrid")
-    )
-    def test_every_detector_run_warns(self, key, trace):
-        with pytest.warns(DeprecationWarning):
-            make_detector(key).run(trace)

@@ -1,8 +1,7 @@
 """Scale-out parity: batch/scalar/legacy agreement per (fabric, cores).
 
-The engine's bit-for-bit contract (see ``test_equivalence``/
-``test_batch_path``) must survive the PR-10 machine axes: every
-(core count, coherence fabric) coordinate — and the pinned thread-mapping
+The engine's bit-for-bit contract (see ``test_batch_path``) must survive
+the scale-out machine axes: every (core count, coherence fabric) coordinate — and the pinned thread-mapping
 policy — produces identical verdicts, cycles and stat counters on the
 vectorized batch path, the scalar reference and the legacy per-detector
 walk.  Also pins the cache-key side: ``num_cores`` and ``coherence`` fold

@@ -1,9 +1,9 @@
-"""Unit tests for the engine: session mechanics, machine sharing, consumers."""
+"""Unit tests for the engine: session mechanics, tape sharing, consumers."""
 
 import pytest
 
 from repro.api import detect_many
-from repro.engine import EngineError, EngineSession, MachineGroup
+from repro.engine import EngineError, EngineSession
 from repro.harness.detectors import DetectorConfig, make_detector
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner
 from repro.harness.pipeline import run_pipeline
@@ -60,9 +60,16 @@ class TestSessionLifecycle:
 
 
 class TestMachineSharing:
+    """The tape-memo precondition: equal machine configs mean one tape.
+
+    ``MachineTape.for_columns`` memoises one tape per (columns, machine
+    config), so every batch kernel whose core reports an equal
+    ``machine_config`` reads the same recorded data path.
+    """
+
     def test_default_machine_configs_are_compatible(self):
-        # The dedup precondition: bus-based detectors at default settings
-        # describe the same machine, so one replay can feed all of them.
+        # Bus-based detectors at default settings describe the same
+        # machine, so one tape feeds all of them.
         configs = {
             make_detector(DetectorConfig(key)).core().machine_config
             for key in ("hard-default", "hb-default", "software")
@@ -70,6 +77,7 @@ class TestMachineSharing:
         assert len(configs) == 1
 
     def test_ideal_detectors_are_trace_only(self):
+        # Trace-only cores take no tape at all.
         for key in ("hard-ideal", "hb-ideal", "hybrid"):
             core = make_detector(DetectorConfig(key)).core()
             assert core.machine_config is None
@@ -77,52 +85,10 @@ class TestMachineSharing:
     def test_directory_shares_the_default_replay(self):
         # The directory variant models its protocol costs (home-node
         # messages, sharer-list updates) at the detector layer over the
-        # same cache replay, so it joins the default machine group too.
+        # same cache behaviour, so its machine config equals the default.
         bus = make_detector(DetectorConfig("hard-default")).core()
         directory = make_detector(DetectorConfig("hard-directory")).core()
         assert bus.machine_config == directory.machine_config
-
-    def test_lanes_share_one_machine(self):
-        core = make_detector(DetectorConfig("hard-default")).core()
-        group = MachineGroup(core.machine_config)
-        lane_a, lane_b = group.lane(), group.lane()
-        assert lane_a._shared is group.machine
-        assert lane_b._shared is group.machine
-
-    def test_lane_charges_stay_private(self):
-        core = make_detector(DetectorConfig("hard-default")).core()
-        group = MachineGroup(core.machine_config)
-        lane_a, lane_b = group.lane(), group.lane()
-        lane_a.charge(7, "metadata")
-        assert lane_a.cycles == group.machine.cycles + 7
-        assert lane_b.cycles == group.machine.cycles
-        assert lane_a.stats.snapshot().get("cycles.metadata") == 7
-        assert "cycles.metadata" not in lane_b.stats.snapshot()
-
-    def test_lane_compute_charge_is_a_no_op(self):
-        # The group charges compute once on the shared machine; a lane
-        # forwarding the detector's own compute charge must not double it.
-        core = make_detector(DetectorConfig("hard-default")).core()
-        group = MachineGroup(core.machine_config)
-        lane = group.lane()
-        lane.charge(100, "compute")
-        assert lane.cycles == group.machine.cycles
-
-    def test_lane_bus_metadata_is_private(self):
-        core = make_detector(DetectorConfig("hard-default")).core()
-        group = MachineGroup(core.machine_config)
-        lane_a, lane_b = group.lane(), group.lane()
-        lane_a.bus.metadata_piggyback(256)
-        lane_b.bus.metadata_broadcast(256)
-        a = lane_a.bus.stats.snapshot()
-        b = lane_b.bus.stats.snapshot()
-        # Piggybacks ride an existing transfer: bytes + cycles but no
-        # transaction.  Broadcasts are standalone: all three.
-        assert a.get("bus.bytes.metadata") == 32
-        assert "bus.transactions.metadata_broadcast" not in a
-        assert b.get("bus.transactions.metadata_broadcast") == 1
-        assert lane_a.cycles == group.machine.cycles
-        assert lane_a.bus.cycles > group.machine.bus.cycles
 
 
 class TestDetectMany:

@@ -166,7 +166,7 @@ class TestObservabilityCommands:
     def test_run_json_carries_telemetry_block(self, capsys):
         assert main(["run", "fuzz:3", "--json", "--telemetry"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["telemetry"]["schema_version"] == 2
+        assert report["telemetry"]["schema_version"] == 3
         assert "telemetry.engine.walks" in report["telemetry"]["counters"]
         assert "cache" in report
         # The flight recorder rides the batch walk it describes.

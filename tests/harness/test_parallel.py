@@ -7,10 +7,16 @@ identical derived seeds.
 """
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.rng import derive_seed
 from repro.harness.detectors import DetectorConfig, config_signature
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner, schedule_seed_for
@@ -18,6 +24,7 @@ from repro.harness.parallel import (
     GridCell,
     GridReport,
     WorkerSpec,
+    fan_out,
     plan_chunks,
     run_grid,
 )
@@ -227,3 +234,64 @@ class TestMetricsMerge:
         right.merge_registry(shard([3]))
         right.merge_registry(shard([1, 2]))
         assert left.snapshot_all() == right.snapshot_all()
+
+
+def _reject_odd(task):
+    """A fan-out worker that raises on odd tasks (a plain Python error)."""
+    if task % 2:
+        raise ValueError(f"odd task {task}")
+    return task
+
+
+#: A fan-out in which one of four tasks kills its worker process outright.
+DEAD_WORKER_PROBE = textwrap.dedent(
+    """
+    import os
+    import sys
+
+    from repro.common.errors import HarnessError
+    from repro.harness.parallel import fan_out
+
+
+    def task(n):
+        if n == 2:
+            os._exit(9)
+        return n
+
+
+    if __name__ == "__main__":
+        try:
+            fan_out([0, 1, 2, 3], task, jobs=2)
+        except HarnessError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+    """
+)
+
+
+class TestFanOutFailsClosed:
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
+        # Run in a subprocess under a timeout, so a fan-out that waits
+        # forever for the lost task fails this test instead of hanging it.
+        probe = tmp_path / "probe.py"
+        probe.write_text(DEAD_WORKER_PROBE)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        proc = subprocess.run(
+            [sys.executable, str(probe)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "a worker process died" in proc.stdout
+        assert "-j 1" in proc.stdout
+
+    def test_worker_exception_propagates_unchanged(self):
+        with pytest.raises(ValueError, match="odd task"):
+            fan_out([0, 1, 2, 3], _reject_odd, jobs=2)

@@ -120,23 +120,11 @@ class TestWalkAggregates:
         }
         assert recorder.frames[("engine", "walk", "core.hard")] == 0.1
 
-    def test_record_group_dedup_ratio(self):
-        recorder = FlightRecorder()
-        # 3 members sharing 100 accesses: 200 avoided replays of 300 total.
-        recorder.record_group(3, 100)
-        derived = recorder.snapshot()["derived"]
-        assert derived["lane_dedup_hit_ratio"] == pytest.approx(2 / 3, abs=1e-3)
-        assert derived["lane_mean_group_size"] == 3.0
-
-    def test_record_group_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FlightRecorder().record_group(0, 5)
-
     def test_snapshot_shape(self):
         recorder = FlightRecorder()
         recorder.record_walk(0.5)
         snap = recorder.snapshot()
-        assert snap["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
+        assert snap["schema_version"] == TELEMETRY_SCHEMA_VERSION == 3
         assert "sample_period" not in snap
         assert snap["counters"]["telemetry.engine.walks"] == 1
         assert "engine;walk" in snap["frames"]
@@ -237,7 +225,6 @@ class TestMerge:
         for worker in range(2):
             shard = FlightRecorder()
             shard.record_core_walk("hard", 500, 0.05)
-            shard.record_group(2, 50)
             shard.record_walk(0.25)
             shard.record_frame(("engine", "walk"), 0.25)
             shards.append(shard)
@@ -248,7 +235,6 @@ class TestMerge:
         assert snap["cores"]["hard"]["stepped"] == 1000
         assert snap["cores"]["hard"]["walks"] == 2
         assert snap["cores"]["hard"]["wall_s"] == pytest.approx(0.1)
-        assert snap["counters"]["telemetry.lane.dedup_hits"] == 100
         assert snap["counters"]["telemetry.engine.walks"] == 2
         # Frames merged without re-entering the stack accounting.
         assert merged.frames[("engine", "walk")] == pytest.approx(1.0)
@@ -286,10 +272,10 @@ class TestEngineIntegration:
                 (rep.seq, rep.thread_id, rep.addr) for rep in p.reports
             ] == [(rep.seq, rep.thread_id, rep.addr) for rep in r.reports]
 
-    def test_stepped_counts_cover_every_non_compute_event(self, trace):
-        # On the scalar walk a shared-machine group is timed as a whole,
-        # under its members' names; members skip COMPUTE events (charged
-        # once on the shared machine).
+    def test_scalar_walk_times_each_core_alone(self, trace):
+        # On the scalar walk every core runs its own loop with its own
+        # machine, even when two cores describe the same machine, and each
+        # loop is timed under the core's name over every event.
         recorder = FlightRecorder()
         session = EngineSession(
             trace, obs=Observability(telemetry=recorder), path="scalar"
@@ -297,11 +283,10 @@ class TestEngineIntegration:
         session.add_config(DetectorConfig.coerce("hard-default"))
         session.add_config(DetectorConfig.coerce("software"))
         session.run()
-        non_compute = sum(
-            1 for event in trace if event.op.kind.value != "compute"
-        )
-        assert list(recorder.cores) == ["hard-default+software"]
-        assert recorder.cores["hard-default+software"]["stepped"] == non_compute
+        assert list(recorder.cores) == ["hard-default", "software"]
+        for name in ("hard-default", "software"):
+            assert recorder.cores[name]["stepped"] == len(trace)
+            assert recorder.cores[name]["walks"] == 1
 
     def test_solo_walk_steps_every_event(self, trace):
         recorder = FlightRecorder()
@@ -314,23 +299,6 @@ class TestEngineIntegration:
         assert core["stepped"] == len(trace)
         assert core["wall_s"] > 0
         assert recorder.frames[("engine", "walk", "core.hb-ideal")] == core["wall_s"]
-
-    def test_group_dedup_recorded_for_shared_machines(self, trace):
-        # Lane counters exist only where lanes do: on the scalar walk.
-        recorder = FlightRecorder()
-        session = EngineSession(
-            trace, obs=Observability(telemetry=recorder), path="scalar"
-        )
-        # hard-default and software share one MachineConfig.
-        session.add_config(DetectorConfig.coerce("hard-default"))
-        session.add_config(DetectorConfig.coerce("software"))
-        session.run()
-        counters = recorder.registry.snapshot()
-        assert counters["telemetry.lane.groups"] == 1
-        assert counters["telemetry.lane.members"] == 2
-        assert counters["telemetry.lane.dedup_hits"] == counters[
-            "telemetry.lane.shared_accesses"
-        ]
 
     def test_traced_walk_feeds_recorder_exactly(self, trace):
         from repro.obs import RecordingEmitter
