@@ -1,12 +1,14 @@
-"""Bit-for-bit equivalence: one engine pass vs legacy per-detector replay.
+"""Bit-for-bit equivalence: one engine session vs per-detector run_core.
 
-The single-pass engine's contract is that sharing a trace walk (and, for
-compatible configurations, a machine replay) is *invisible* in the results:
-every detector produces exactly the ``DetectionResult`` its legacy
-``run(trace)`` produces alone — same dynamic reports in the same order,
-same alarm sites, same cycle accounting, same stat counters.  These tests
-pin that contract over harness workloads and over every checked-in fuzz
-corpus exemplar (the traces the differential oracle found interesting).
+The engine's contract is that walking many detectors in one session is
+*invisible* in the results: every detector produces exactly the
+``DetectionResult`` that ``run_core`` produces for its core alone — same
+dynamic reports in the same order, same alarm sites, same cycle
+accounting, same stat counters.  The session runs on ``"auto"``, so every
+batch-capable key is checked against the scalar loop here.  These tests
+pin that contract over harness workloads, over the sweep surface's
+non-default configurations, and over every checked-in fuzz corpus
+exemplar (the traces the differential oracle found interesting).
 """
 
 from pathlib import Path
