@@ -258,8 +258,9 @@ class FlightRecorder:
         """The recorder's state as one JSON-serialisable dict.
 
         Raw counters plus the derived quantities: per-core events/sec and
-        step time, sync-point density per 1k events, the share of walk time the walk's leaf frames attribute,
-        the share the collector's pauses took, and the frame table.
+        step time, sync-point density per 1k events, the share of walk
+        time the walk's leaf frames attribute, the share the collector's
+        pauses took, and the frame table.
         """
         counters = self.registry.snapshot()
         events = counters.get("telemetry.trace.events", 0)

@@ -1,10 +1,10 @@
-"""Scale-out parity: batch/scalar/legacy agreement per (fabric, cores).
+"""Scale-out parity: batch/scalar/run_core agreement per (fabric, cores).
 
 The engine's bit-for-bit contract (see ``test_batch_path``) must survive
-the scale-out machine axes: every (core count, coherence fabric) coordinate — and the pinned thread-mapping
-policy — produces identical verdicts, cycles and stat counters on the
-vectorized batch path, the scalar reference and the legacy per-detector
-walk.  Also pins the cache-key side: ``num_cores`` and ``coherence`` fold
+the scale-out machine axes: every (core count, coherence fabric)
+coordinate — and the pinned thread-mapping policy — produces identical
+verdicts, cycles and stat counters on the vectorized batch path, the
+scalar session and the per-detector ``run_core`` walk.  Also pins the cache-key side: ``num_cores`` and ``coherence`` fold
 into ``config_signature`` so pre-PR-10 disk-cached verdicts (which never
 saw these knobs) self-invalidate instead of being served for the wrong
 machine.
