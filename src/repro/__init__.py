@@ -10,9 +10,11 @@ The package implements, from scratch:
   semantics and interleaving schedulers;
 * :mod:`repro.core` — HARD itself: Bloom-filter candidate sets per cache
   line, per-core Lock/Counter registers, LState pruning, coherence
-  piggybacking and broadcast, barrier resets, plus the hybrid extension;
+  piggybacking and broadcast, barrier resets;
 * :mod:`repro.lockset` / :mod:`repro.hb` — the ideal lockset and the
   default/ideal happens-before comparison detectors;
+* :mod:`repro.hybrids` — the post-HARD lockset×happens-before family
+  (the paper's Section 7 future work);
 * :mod:`repro.workloads` — six SPLASH-2-like synthetic applications with
   the paper's random lock-omission bug injection;
 * :mod:`repro.harness` — the experiment matrix and table generators for
@@ -82,8 +84,6 @@ from repro.common.coltrace import ColumnarTrace, SyncRun
 from repro.common.events import Site, Trace
 from repro.core.bloom import BloomVector, collision_probability
 from repro.core.detector import HardDetector
-from repro.core.directory_detector import DirectoryHardDetector
-from repro.core.hybrid import HybridDetector
 from repro.core.lockregister import LockRegister
 from repro.core.lstate import LState
 from repro.hb.detector import HappensBeforeDetector
@@ -148,8 +148,6 @@ __all__ = [
     "BloomVector",
     "collision_probability",
     "HardDetector",
-    "DirectoryHardDetector",
-    "HybridDetector",
     "LockRegister",
     "LState",
     "HappensBeforeDetector",

@@ -145,11 +145,12 @@ def detect(
     ``trace`` may be a :class:`~repro.common.events.Trace` or its packed
     :class:`~repro.common.coltrace.ColumnarTrace` encoding (e.g. straight
     from an mmap-loaded cache file).  ``engine_path`` selects the walk:
-    ``"auto"`` uses the vectorized batch kernels when available,
-    ``"scalar"`` forces the per-event reference walk, ``"batch"`` asserts
-    the vectorized path is taken, and ``"sharded"`` partitions the trace
-    by address across ``jobs`` worker processes (``jobs > 1`` also lets
-    ``"auto"`` pick the sharded path on large traces).
+    ``"auto"`` uses the vectorized batch kernel unless per-event
+    observability is active, ``"scalar"`` forces the per-event reference
+    walk, ``"batch"`` asserts the vectorized path is taken, and
+    ``"sharded"`` partitions the trace by address across ``jobs`` worker
+    processes (``jobs > 1`` also lets ``"auto"`` pick the sharded path on
+    large traces).
     """
     session = EngineSession(trace, obs=obs, path=engine_path, jobs=jobs)
     session.add_config(DetectorConfig.coerce(config, **overrides))
@@ -168,10 +169,11 @@ def detect_many(
 
     The trace — either representation, as in :func:`detect` — is walked
     once by an :class:`~repro.engine.EngineSession` feeding every
-    configuration's incremental core; with ``engine_path="auto"`` cores
-    that support it consume the columnar encoding through the vectorized
-    batch kernels (sharing one prerecorded machine tape), and the rest
-    step event by event, each through its own simulated machine.  Each
+    configuration's incremental core; with ``engine_path="auto"`` every
+    core consumes the columnar encoding through its vectorized batch
+    kernel (sharing one prerecorded machine tape), and with
+    ``engine_path="scalar"`` steps event by event, each through its own
+    simulated machine.  Each
     returned :class:`DetectionResult` is bit-for-bit identical to the
     corresponding standalone :func:`detect` call — the detectors still
     observe the *identical execution*, exactly as the paper's methodology

@@ -286,6 +286,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=_resolve_jobs(args),
             obs=obs,
         )
+    except api.HarnessError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     finally:
         obs.close()
     print(result.format())

@@ -3,8 +3,6 @@
 from repro.core.bloom import BloomMapper, BloomVector, collision_probability
 from repro.core.candidate import ChunkMeta, LineMeta
 from repro.core.detector import LOCK_WORD_BYTES, HardCosts, HardDetector
-from repro.core.directory_detector import DirectoryHardDetector
-from repro.core.hybrid import HybridChunk, HybridDetector
 from repro.core.lockregister import LockRegister
 from repro.core.lstate import NO_OWNER, LState, Transition, transition
 
@@ -17,9 +15,6 @@ __all__ = [
     "LOCK_WORD_BYTES",
     "HardCosts",
     "HardDetector",
-    "DirectoryHardDetector",
-    "HybridChunk",
-    "HybridDetector",
     "LockRegister",
     "NO_OWNER",
     "LState",

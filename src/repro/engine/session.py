@@ -8,9 +8,9 @@ the scalar walk every machine-backed core simulates its own
 :class:`~repro.sim.machine.Machine`, exactly as
 :func:`~repro.reporting.run_core` does.
 
-When no emitter or metrics collection is active, cores that advertise the
-batch protocol (``begin_batch``/``step_batch``/``finish_batch``) are driven
-through the *vectorized* walk instead, one kernel at a time: each core runs
+When no emitter or metrics collection is active, every core is driven
+through its batch protocol (``begin_batch``/``step_batch``/``finish_batch``)
+on the *vectorized* walk instead, one kernel at a time: each core runs
 its whole life over the columnar trace
 (:meth:`~repro.common.events.Trace.columns`) — ``begin_batch``, **one**
 ``step_batch`` over every event, ``finish_batch`` — with the cyclic garbage
@@ -20,7 +20,8 @@ prerecorded once per (columns, machine config) by
 :class:`~repro.engine.tape.MachineTape`.  Results remain bit-for-bit
 identical to the scalar walk; ``path="scalar"`` forces the per-event
 reference oracle and ``path="batch"`` asserts the vectorized path is
-actually taken.
+actually taken.  A custom core without a batch kernel runs only on
+``path="scalar"``: a session never splits its cores between walks.
 
 A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
 (``obs.telemetry``) never changes the path choice.  On the batch walk it
@@ -112,11 +113,10 @@ class EngineSession:
         #: Op-kind census estimates of the last telemetry-recorded run.
         self._census: dict | None = None
         #: The walk :meth:`run` took — ``"batch"``, ``"scalar"``,
-        #: ``"batch+scalar"`` (cores without a batch kernel stepped
-        #: scalar), ``"sharded"`` or ``"traced"`` — set by :meth:`run`.
+        #: ``"sharded"`` or ``"traced"`` — set by :meth:`run`.
         self.path_taken: str | None = None
-        #: Why ``path="auto"`` did not take the batch walk for every core
-        #: (e.g. ``"metrics collection active"``); None when nothing fell back.
+        #: Why ``path="auto"`` did not take the batch walk (e.g.
+        #: ``"metrics collection active"``); None when nothing fell back.
         self.fallback: str | None = None
 
     @property
@@ -217,15 +217,23 @@ class EngineSession:
             return [core.finish() for core in self._cores]
 
         batch_allowed = self.path != "scalar" and obs_blocker is None
+        if self.path in ("batch", "sharded") and not batch_allowed:
+            raise EngineError(
+                f"engine path {self.path!r} is incompatible with an active "
+                "trace emitter or metrics collection"
+            )
+        if batch_allowed:
+            lacking = [c.name for c in self._cores if not hasattr(c, "begin_batch")]
+            if lacking:
+                raise EngineError(
+                    "the batch and sharded walks need begin_batch/step_batch/"
+                    f"finish_batch, which these cores lack: {', '.join(lacking)}; "
+                    'run them with path="scalar"'
+                )
         sharded_ok = batch_allowed and all(
             config is not None for config in self._configs
         )
         if self.path == "sharded":
-            if not batch_allowed:
-                raise EngineError(
-                    "engine path 'sharded' is incompatible with an active "
-                    "trace emitter or metrics collection"
-                )
             if not sharded_ok:
                 raise EngineError(
                     "engine path 'sharded' requires every core to be "
@@ -242,46 +250,18 @@ class EngineSession:
         ):
             self.path_taken = "sharded"
             return self._run_sharded(recorder)
-        if self.path == "batch":
-            if not batch_allowed:
-                raise EngineError(
-                    "engine path 'batch' is incompatible with an active "
-                    "trace emitter or metrics collection"
-                )
-            laggards = [
-                core.name
-                for core in self._cores
-                if not hasattr(core, "begin_batch")
-            ]
-            if laggards:
-                raise EngineError(
-                    "engine path 'batch' requires step_batch support, "
-                    f"which these cores lack: {', '.join(laggards)}"
-                )
-        # Positions, not cores: the batch walk frees each core it finishes.
-        cores = self._cores
-        capable = [batch_allowed and hasattr(core, "begin_batch") for core in cores]
-        batch = [i for i, ok in enumerate(capable) if ok]
-        scalar = [i for i, ok in enumerate(capable) if not ok]
-        if not scalar:
+        if batch_allowed:
             self.path_taken = "batch"
-        else:
-            self.path_taken = "batch+scalar" if batch else "scalar"
-            if self.path == "auto" and batch_allowed:
-                self.fallback = "no batch kernel: " + ", ".join(
-                    cores[i].name for i in scalar
-                )
-
-        results: list = [None] * len(cores)
-        if batch:
-            self._walk_batch(batch, results, recorder)
+            return self._walk_batch(recorder)
 
         # The scalar walk: each core runs alone, with its own machine, and
         # is released once finished, like a batch kernel.  Under a flight
         # recorder each core's loop is one timed walk.
+        self.path_taken = "scalar"
         perf = time.perf_counter
         walk = recorder.walk if recorder is not None else nullcontext
-        for index in scalar:
+        results = []
+        for index in range(len(self._cores)):
             core = self._take(index)
             core.begin(self.trace, obs=obs)
             step = core.step
@@ -292,7 +272,7 @@ class EngineSession:
             if recorder is not None:
                 wall = perf() - t0
                 recorder.record_core_walk(core.name, len(self.trace), wall)
-            results[index] = core.finish()
+            results.append(core.finish())
             del core, step
         return results
 
@@ -315,10 +295,9 @@ class EngineSession:
                 recorder=recorder,
             )
 
-    def _walk_batch(self, positions: list, results: list, recorder) -> None:
-        # The kernel-major walk: the cores at ``positions`` run one at a
-        # time, in add order, each through walk_batch_core, and each one's
-        # result lands at its position.  The session hands over its only
+    def _walk_batch(self, recorder) -> list:
+        # The kernel-major walk: every core runs alone, in add order,
+        # through walk_batch_core.  The session hands over its only
         # reference (_take), so a finished kernel's state is freed before
         # the next core allocates.  Machine-backed cores get a MachineTape —
         # the recorded data-path of (columns, machine config), memoised on
@@ -337,10 +316,10 @@ class EngineSession:
                     cols, machine_config, self.tape_cache, recorder
                 )
 
-            for index in positions:
-                results[index] = walk_batch_core(
-                    self._take(index), cols, tape_for, recorder
-                )
+            return [
+                walk_batch_core(self._take(index), cols, tape_for, recorder)
+                for index in range(len(self._cores))
+            ]
 
     def _take(self, index: int):
         # Hand the session's reference to one core over to the caller.

@@ -554,14 +554,6 @@ def run_sharded(
     if not configs:
         raise EngineError("run_sharded needs at least one detector config")
     cores = [make_detector(config).core() for config in configs]
-    laggards = [
-        core.name for core in cores if not hasattr(core, "begin_batch")
-    ]
-    if laggards:
-        raise EngineError(
-            "engine path 'sharded' requires step_batch support, "
-            f"which these cores lack: {', '.join(laggards)}"
-        )
     jobs = max(1, int(jobs))
     if shards is None:
         shards = jobs if jobs > 1 else 2

@@ -10,23 +10,26 @@ The paper compares four configurations (Table 2):
   the cache;
 * ``hb-ideal`` — happens-before at 4 B granularity with unbounded storage.
 
-The library adds three more: ``hybrid`` (lockset+HB extension),
-``hard-directory`` (the directory-based variant of Section 6) and
-``software`` (the Eraser-style software lockset with its cost model) —
-plus the post-HARD hybrid family: ``fasttrack`` (epoch-optimized exact
-happens-before), ``acculock`` (epoch + one lockset per location) and
-``multilock-hb`` (per-location reader/writer lockset sets).  The
-conformance harness (:mod:`repro.hybrids.conformance`) pins their
-lattice: fasttrack ≡ hb-ideal ⊆ acculock ⊆ multilock-hb ⊆ strict
-lockset.
+The library adds ``software`` (the Eraser-style software lockset with
+its cost model) and the post-HARD lockset×happens-before family, which
+stands in for the paper's Section 7 hybrid future work: ``fasttrack``
+(epoch-optimized exact happens-before), ``acculock`` (epoch + one
+lockset per location) and ``multilock-hb`` (per-location reader/writer
+lockset sets).  The conformance harness
+(:mod:`repro.hybrids.conformance`) pins their lattice: fasttrack ≡
+hb-ideal ⊆ acculock ⊆ multilock-hb ⊆ strict lockset.  Section 3.4's
+directory protocol is not a separate detector: ``hard-default`` runs on
+``coherence="directory"`` (:class:`~repro.sim.fabric.DirectoryFabric`),
+and the ``l2_size`` knob sweeps the L2 displacement it is exposed to.
 
 :class:`DetectorConfig` is the typed construction protocol: one frozen,
 hashable, picklable dataclass captures a detector key plus every
 sensitivity-study knob, and :func:`make_detector` /
 :func:`config_signature` accept either the dataclass or the legacy
 ``key, **overrides`` form.  Every detector built here satisfies the
-:class:`~repro.reporting.Detector` protocol —
-``run(trace, obs) -> DetectionResult``.
+:class:`~repro.reporting.Detector` protocol: ``core()`` returns a
+:class:`~repro.reporting.DetectorCore` with both the scalar ``step`` and
+the batch ``step_batch`` walk.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from dataclasses import dataclass, fields, replace
 from repro.common.config import HappensBeforeConfig, HardConfig, MachineConfig
 from repro.common.errors import HarnessError
 from repro.core.detector import HardDetector
-from repro.core.directory_detector import DirectoryHardDetector
-from repro.core.hybrid import HybridDetector
 from repro.hb.detector import HappensBeforeDetector
 from repro.hb.fasttrack import FastTrackDetector
 from repro.hb.ideal import IdealHappensBeforeDetector
@@ -56,8 +57,6 @@ HYBRID_DETECTORS = ("fasttrack", "acculock", "multilock-hb")
 #: Every key :func:`make_detector` accepts.
 DETECTOR_KEYS = (
     *PAPER_DETECTORS,
-    "hybrid",
-    "hard-directory",
     "software",
     *HYBRID_DETECTORS,
 )
@@ -149,7 +148,7 @@ def make_detector(
     """
     cfg = DetectorConfig.coerce(config, **overrides)
     key = cfg.key
-    if key in ("hard-default", "hard-directory"):
+    if key == "hard-default":
         machine = _machine_config(cfg)
         hard = HardConfig(
             barrier_reset=cfg.barrier_reset,
@@ -160,8 +159,6 @@ def make_detector(
             hard = hard.with_granularity(cfg.granularity)
         if cfg.vector_bits is not None:
             hard = hard.with_vector_bits(cfg.vector_bits)
-        if key == "hard-directory":
-            return DirectoryHardDetector(machine, hard, name=key)
         return HardDetector(machine, hard, name=key)
     if key == "hard-ideal":
         return IdealLocksetDetector(
@@ -177,8 +174,6 @@ def make_detector(
         return HappensBeforeDetector(machine, hb, name=key)
     if key == "hb-ideal":
         return IdealHappensBeforeDetector(granularity=cfg.granularity or 4, name=key)
-    if key == "hybrid":
-        return HybridDetector(granularity=cfg.granularity or 4, name=key)
     if key == "fasttrack":
         return FastTrackDetector(granularity=cfg.granularity or 4, name=key)
     if key == "acculock":

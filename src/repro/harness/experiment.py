@@ -55,6 +55,7 @@ from repro.harness.tracecache import (
     VERDICT_SOURCES,
     TapeCache,
     TraceCache,
+    ensure_cache_dir,
     source_digest,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -178,9 +179,7 @@ class ExperimentRunner:
         self.engine_jobs = max(1, int(engine_jobs))
         self.runs = runs
         self.jobs = max(1, int(jobs))
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.cache_dir = ensure_cache_dir(cache_dir)
         if trace_cache_dir is None and self.cache_dir is not None:
             trace_cache_dir = self.cache_dir / "traces"
         self.trace_cache = TraceCache(trace_cache_dir)

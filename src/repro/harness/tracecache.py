@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import hashlib
 import mmap
+import os
 import struct
 import weakref
 from functools import lru_cache
 from pathlib import Path
 
 from repro.common.coltrace import ColumnarTrace
-from repro.common.errors import ReproError
+from repro.common.errors import HarnessError, ReproError
 from repro.common.events import Trace
 from repro.common.fsio import atomic_write_bytes
 from repro.common.rng import derive_seed
@@ -95,6 +96,31 @@ def source_digest(*packages: str) -> str:
     return h.hexdigest()
 
 
+def ensure_cache_dir(directory: str | Path | None) -> Path | None:
+    """Create a cache directory (and its parents); returns it as a Path.
+
+    ``None`` (no cache) passes through.  Raises :class:`HarnessError`
+    naming the path when it cannot be used — it is a regular file, or
+    cannot be created or written — instead of letting the ``OSError`` of
+    the first write surface as a traceback.
+    """
+    if directory is None:
+        return None
+    directory = Path(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    else:
+        if os.access(directory, os.W_OK | os.X_OK):
+            return directory
+        reason = "permission denied"
+    raise HarnessError(
+        f"cache directory {str(directory)!r} is unusable ({reason}); "
+        "it must be a writable directory"
+    )
+
+
 class TraceCache:
     """A directory of columnar trace files with atomic writes.
 
@@ -103,9 +129,7 @@ class TraceCache:
     """
 
     def __init__(self, directory: str | Path | None):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = ensure_cache_dir(directory)
         self.hits = 0
         self.misses = 0
         # Weak refs to every mmap-loaded ColumnarTrace this cache produced,
@@ -214,9 +238,7 @@ class TapeCache:
     """
 
     def __init__(self, directory: str | Path | None):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = ensure_cache_dir(directory)
         self.hits = 0
         self.misses = 0
         self.stores = 0

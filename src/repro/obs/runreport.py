@@ -51,8 +51,8 @@ class RunReport:
     #: Flight-recorder snapshot (empty when telemetry was off).
     telemetry: dict = field(default_factory=dict)
     #: The detect phase's engine walk: ``requested`` path, the ``path``
-    #: that ran (batch / scalar / batch+scalar / sharded / traced) and the
-    #: ``fallback`` reason when ``auto`` did not run every core batched.
+    #: that ran (batch / scalar / sharded / traced) and the ``fallback``
+    #: reason when ``auto`` did not take the batch walk.
     engine: dict = field(default_factory=dict)
     schema_version: int = RUNREPORT_SCHEMA_VERSION
 

@@ -1,8 +1,8 @@
 """Race reports, report logs, and the detector result contract.
 
-All four detectors (HARD default/ideal, happens-before default/ideal, plus
-the hybrid extension) emit :class:`RaceReport` records into a
-:class:`RaceReportLog` and return a :class:`DetectionResult`.
+Every detector (HARD default/ideal, happens-before default/ideal, the
+software lockset and the hybrid family) emits :class:`RaceReport` records
+into a :class:`RaceReportLog` and returns a :class:`DetectionResult`.
 
 The paper counts false positives "at source code level" (Section 5.1): one
 alarm per static source location, no matter how many dynamic instances fire.
@@ -175,13 +175,14 @@ class DetectorCore(Protocol):
     bundle (tracing + metrics); a core must behave identically — and pay no
     measurable cost — when it is absent or inactive.
 
-    A core may additionally advertise the optional *batch* protocol —
-    ``begin_batch(cols, tape)`` / ``step_batch(cols, lo, hi)`` /
+    Every registered detector's core also implements the *batch* protocol
+    — ``begin_batch(cols, tape)`` / ``step_batch(cols, lo, hi)`` /
     ``finish_batch()`` — consuming ``[lo, hi)`` event ranges of a
     :class:`~repro.common.coltrace.ColumnarTrace` (plus, for machine-backed
     cores, a prerecorded :class:`~repro.engine.tape.MachineTape`) instead of
     per-event dispatch.  The engine session uses it whenever no per-event
-    observability is active; results must be bit-for-bit identical to the
+    observability is active (a custom core without it runs only on
+    ``path="scalar"``); results must be bit-for-bit identical to the
     scalar walk, which remains the reference oracle.  The engine passes the
     whole trace in one ``step_batch`` call, so a kernel handles barriers
     inline, and it runs each kernel with the cyclic garbage collector

@@ -6,6 +6,7 @@ from repro.common.config import CacheConfig, HardConfig, MachineConfig
 from repro.common.errors import DetectorError
 from repro.common.events import Site, Trace, barrier, lock, read, unlock, write
 from repro.core.detector import HardDetector
+from repro.harness.detectors import make_detector
 from repro.reporting import run_core
 
 S = [Site("t.c", i, f"s{i}") for i in range(30)]
@@ -150,6 +151,11 @@ class TestDisplacementWindow:
         # The same trace without the churn is detected.
         detected = run(warmup + racy, machine=small_machine())
         assert any(r.site == S[3] for r in detected.reports)
+        # So is the churn trace, by hard-default on an L2 that holds the
+        # churn (Section 3.4's directory keeps candidate sets the same way).
+        roomy = make_detector("hard-default", l2_size=64 * 1024)
+        recovered = run_core(roomy.core(), trace_of(events))
+        assert any(r.site == S[3] for r in recovered.reports)
 
 
 class TestLockRegisterIntegration:

@@ -2,10 +2,12 @@
 
 The engine's ``path`` knob selects the walk — ``"scalar"`` is the
 per-event reference oracle, ``"batch"`` the vectorized kernels over the
-columnar encoding, ``"auto"`` picks batch whenever every core supports it.
-These tests pin the API contract (selection, error cases, mixed sessions)
-and the core guarantee: identical verdicts, cycles, and stats either way,
-on a Table 2 cell and on every checked-in fuzz-corpus exemplar.
+columnar encoding, ``"auto"`` picks batch unless per-event observability
+is active.  Every registered key has a batch kernel; a custom core
+without one runs on ``"scalar"`` only.  These tests pin the API contract
+(selection, error cases) and the core guarantee: identical verdicts,
+cycles, and stats either way, on a Table 2 cell and on every checked-in
+fuzz-corpus exemplar.
 """
 
 from pathlib import Path
@@ -19,7 +21,7 @@ from repro.common.events import Site, Trace, read, unlock
 from repro.engine import EngineError, EngineSession
 from repro.fuzz import load_case
 from repro.fuzz.corpus import corpus_paths
-from repro.harness.detectors import DetectorConfig
+from repro.harness.detectors import DETECTOR_KEYS, DetectorConfig, make_detector
 from repro.hybrids.multilock import MultiLockHBDetector
 from repro.obs import FlightRecorder, Observability, RecordingEmitter
 from repro.threads.runtime import interleave
@@ -31,17 +33,31 @@ CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
 #: The Table 2 cell shape the smoke test replays (a seconds-scale app).
 TABLE2_DETECTORS = ("hard-default", "hb-default", "software", "hb-ideal")
 
-#: Every batch-capable detector key.
-BATCH_KEYS = (
-    "hard-default",
-    "hard-ideal",
-    "hb-default",
-    "hb-ideal",
-    "software",
-    "fasttrack",
-    "acculock",
-    "multilock-hb",
-)
+#: Every registered detector key; each has a batch kernel.
+BATCH_KEYS = DETECTOR_KEYS
+
+
+class ScalarOnlyCore:
+    """A custom core with the scalar protocol only (no ``begin_batch``).
+
+    It delegates to a registered key's core, so its scalar result is that
+    key's; ``name`` is its own so error messages can be told apart.
+    """
+
+    name = "scalar-only"
+
+    def __init__(self, key: str = "hb-ideal"):
+        self._inner = make_detector(key).core()
+        self.machine_config = self._inner.machine_config
+
+    def begin(self, trace, obs=None):
+        self._inner.begin(trace, obs=obs)
+
+    def step(self, event):
+        self._inner.step(event)
+
+    def finish(self):
+        return self._inner.finish()
 
 
 def result_key(result) -> tuple:
@@ -108,24 +124,36 @@ class TestPathSelection:
         with pytest.raises(EngineError):
             EngineSession(trace, path="vectorized")
 
+    @pytest.mark.parametrize("key", DETECTOR_KEYS)
+    def test_registered_key_has_a_batch_kernel(self, key):
+        # The batch walk takes every core or none: a registered key
+        # without the batch protocol would make every default run raise.
+        core = make_detector(key).core()
+        for method in ("begin_batch", "step_batch", "finish_batch"):
+            assert callable(getattr(core, method, None)), (key, method)
+
     def test_batch_demands_capable_cores(self, trace):
-        # hybrid has no batch kernels: path="batch" must refuse loudly...
+        # A core without a batch kernel: path="batch" refuses by name,
+        # even next to batch-capable cores...
         session = EngineSession(trace, path="batch")
-        session.add_config(DetectorConfig.coerce("hybrid"))
-        with pytest.raises(EngineError):
+        session.add_config(DetectorConfig.coerce("hard-default"))
+        session.add_core(ScalarOnlyCore())
+        with pytest.raises(EngineError, match=r'scalar-only; run them with path="scalar"'):
             session.run()
 
     def test_auto_falls_back_for_incapable_cores(self, trace):
-        # ...while "auto" silently walks them on the scalar path.
-        a = detect(trace, "hybrid")
-        b = detect(trace, "hybrid", engine_path="scalar")
-        assert result_key(a) == result_key(b)
-
-    def test_mixed_session_matches_scalar(self, trace):
-        keys = ("hard-default", "hybrid", "hb-ideal")
-        mixed = detect_many(trace, keys)
-        scalar = detect_many(trace, keys, engine_path="scalar")
-        assert [result_key(r) for r in mixed] == [result_key(r) for r in scalar]
+        # ...and so does "auto": no session splits its cores between
+        # walks.  path="scalar" runs the core, with its key's result.
+        session = EngineSession(trace)
+        session.add_core(ScalarOnlyCore())
+        with pytest.raises(EngineError, match="scalar-only"):
+            session.run()
+        session = EngineSession(trace, path="scalar")
+        session.add_core(ScalarOnlyCore())
+        [result] = session.run()
+        assert session.path_taken == "scalar"
+        assert session.fallback is None
+        assert result_key(result) == result_key(detect(trace, "hb-ideal"))
 
     def test_batch_rejects_active_observability(self, trace):
         obs = Observability(emitter=RecordingEmitter())

@@ -31,14 +31,11 @@ from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
 
-from tests.engine.test_batch_path import result_key
-
 CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
 
-#: Every registered key whose core has a batch kernel.
-REGISTERED_BATCH_KEYS = tuple(
-    key for key in DETECTOR_KEYS if hasattr(make_detector(key).core(), "begin_batch")
-)
+#: Every registered key: each has a batch kernel
+#: (``test_batch_path.py::test_registered_key_has_a_batch_kernel``).
+REGISTERED_BATCH_KEYS = DETECTOR_KEYS
 
 
 def _machine_configs(keys):
@@ -251,16 +248,3 @@ class TestRelease:
         session.run()
         # Neither the add_config core nor the first probe outlives its walk.
         assert log["alive"] == [("first", []), ("second", [])]
-
-    def test_results_follow_add_order_around_a_scalar_key(self, trace):
-        keys = ("hard-ideal", "hybrid", "software", "hb-ideal")
-        session = EngineSession(trace)
-        for key in keys:
-            session.add_config(DetectorConfig(key))
-        results = session.run()
-        assert session.path_taken == "batch+scalar"
-        assert [r.detector for r in results] == list(keys)
-        scalar = EngineSession(trace, path="scalar")
-        for key in keys:
-            scalar.add_config(DetectorConfig(key))
-        assert [result_key(r) for r in results] == [result_key(r) for r in scalar.run()]

@@ -13,6 +13,8 @@ from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
 
+from tests.engine.test_batch_path import ScalarOnlyCore
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -78,17 +80,9 @@ class TestMachineSharing:
 
     def test_ideal_detectors_are_trace_only(self):
         # Trace-only cores take no tape at all.
-        for key in ("hard-ideal", "hb-ideal", "hybrid"):
+        for key in ("hard-ideal", "hb-ideal", "fasttrack", "acculock", "multilock-hb"):
             core = make_detector(DetectorConfig(key)).core()
             assert core.machine_config is None
-
-    def test_directory_shares_the_default_replay(self):
-        # The directory variant models its protocol costs (home-node
-        # messages, sharer-list updates) at the detector layer over the
-        # same cache behaviour, so its machine config equals the default.
-        bus = make_detector(DetectorConfig("hard-default")).core()
-        directory = make_detector(DetectorConfig("hard-directory")).core()
-        assert bus.machine_config == directory.machine_config
 
 
 class TestDetectMany:
@@ -251,7 +245,17 @@ class TestPathChoice:
         )
 
     def test_scalar_only_cores_are_named(self, small):
-        assert self.run_session(small, ["hard-default", "hybrid"]) == (
-            "batch+scalar",
-            "no batch kernel: hybrid",
-        )
+        # A core without a batch kernel is named on every non-scalar path
+        # and runs, with no fallback recorded, on the scalar one.
+        for path in ("auto", "batch", "sharded"):
+            session = EngineSession(small, path=path)
+            session.add_config(DetectorConfig("hard-default"))
+            session.add_core(ScalarOnlyCore())
+            with pytest.raises(EngineError, match="lack: scalar-only"):
+                session.run()
+            assert session.path_taken is None
+        session = EngineSession(small, path="scalar")
+        session.add_config(DetectorConfig("hard-default"))
+        session.add_core(ScalarOnlyCore())
+        session.run()
+        assert (session.path_taken, session.fallback) == ("scalar", None)

@@ -29,7 +29,7 @@ from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
 
-from tests.engine.test_batch_path import BATCH_KEYS, result_key
+from tests.engine.test_batch_path import BATCH_KEYS, ScalarOnlyCore, result_key
 
 CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
 
@@ -219,9 +219,11 @@ class TestSelectionAndGating:
             session.run()
 
     def test_sharded_demands_batch_capable_cores(self, trace):
+        # The missing batch kernel is named before the add_config rule.
         session = EngineSession(trace, path="sharded")
-        session.add_config(DetectorConfig.coerce("hybrid"))
-        with pytest.raises(EngineError, match="step_batch"):
+        session.add_config(DetectorConfig.coerce("hard-default"))
+        session.add_core(ScalarOnlyCore())
+        with pytest.raises(EngineError, match=r'scalar-only; run them with path="scalar"'):
             session.run()
 
     def test_unknown_path_still_rejected(self, trace):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.events import Site
-from repro.harness.detectors import config_signature, make_detector
+from repro.harness.detectors import DETECTOR_KEYS, config_signature, make_detector
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner, score_detection
 from repro.reporting import DetectionResult, RaceReportLog
 from repro.threads.program import InjectedBug
@@ -153,7 +153,7 @@ class TestDiskCache(object):
 
 class TestMakeDetector:
     def test_all_keys_construct(self):
-        for key in ("hard-default", "hard-ideal", "hb-default", "hb-ideal", "hybrid"):
+        for key in DETECTOR_KEYS:
             detector = make_detector(key)
             assert detector.name == key
 

@@ -15,9 +15,10 @@ import struct
 import pytest
 
 from repro.common.coltrace import _MAGIC, ColumnarTrace
-from repro.common.errors import ProgramError, ReproError
+from repro.common.errors import HarnessError, ProgramError, ReproError
 from repro.common.events import Site, write
-from repro.harness.tracecache import TraceCache
+from repro.harness.experiment import ExperimentRunner
+from repro.harness.tracecache import TapeCache, TraceCache
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
@@ -189,8 +190,6 @@ class TestDamagedEntriesFailClosed:
 
     @staticmethod
     def runner(cache_dir):
-        from repro.harness.experiment import ExperimentRunner
-
         return ExperimentRunner(
             trace_cache_dir=cache_dir / "traces", tape_cache_dir=cache_dir / "tapes"
         )
@@ -249,3 +248,47 @@ class TestDamagedEntriesFailClosed:
         raw[start + 8 * (len(trace) // 2)] ^= 0x10
         with pytest.raises(ProgramError, match="digest"):
             ColumnarTrace.from_bytes(bytes(raw))
+
+
+class TestUnusableCacheDir:
+    """A cache path that cannot be a directory fails by name, not by traceback.
+
+    A regular file stands in for every unusable path: permission bits are
+    no test when the suite runs as root.
+    """
+
+    @pytest.fixture
+    def regular_file(self, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("")
+        return path
+
+    @pytest.mark.parametrize(
+        "make",
+        [TraceCache, TapeCache, lambda path: ExperimentRunner(cache_dir=path)],
+        ids=["TraceCache", "TapeCache", "ExperimentRunner"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["itself", "parent"])
+    def test_regular_file_is_named(self, regular_file, make, below):
+        path = regular_file / "traces" if below else regular_file
+        with pytest.raises(HarnessError) as caught:
+            make(path)
+        message = str(caught.value)
+        assert repr(str(path)) in message
+        assert "must be a writable directory" in message
+
+    def test_unwritable_directory_is_named(self, tmp_path, monkeypatch):
+        # Root passes every permission check, so the check's answer is faked.
+        import repro.harness.tracecache as tracecache
+
+        monkeypatch.setattr(tracecache.os, "access", lambda path, mode: False)
+        with pytest.raises(HarnessError, match="permission denied.*writable directory"):
+            TraceCache(tmp_path)
+
+    def test_exhibit_exits_with_the_message(self, regular_file, capsys):
+        from repro.cli import main
+
+        assert main(["exhibit", "table6", "--cache-dir", str(regular_file)]) == 2
+        err = capsys.readouterr().err
+        assert str(regular_file) in err
+        assert "must be a writable directory" in err

@@ -43,7 +43,7 @@ def verdicts():
             buggy, RandomScheduler(seed=run, max_burst=8)
         ).trace
         bug = buggy.injected_bug
-        for key in ("hard-ideal", "hb-ideal", "hybrid"):
+        for key in ("hard-ideal", "hb-ideal"):
             result = run_core(make_detector(key).core(), trace)
             out.setdefault(key, []).append(
                 (score_detection(result, bug), result.reports.alarm_count)
@@ -59,13 +59,6 @@ def test_happens_before_never_beats_lockset(verdicts):
     lockset_hits = sum(hit for hit, _ in verdicts["hard-ideal"])
     hb_hits = sum(hit for hit, _ in verdicts["hb-ideal"])
     assert hb_hits <= lockset_hits
-
-
-def test_hybrid_alarms_bounded_by_lockset(verdicts):
-    for (_, lockset_alarms), (_, hybrid_alarms) in zip(
-        verdicts["hard-ideal"], verdicts["hybrid"]
-    ):
-        assert hybrid_alarms <= lockset_alarms
 
 
 def test_race_free_run_alarm_profile():

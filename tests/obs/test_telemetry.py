@@ -373,13 +373,6 @@ class TestBatchWalk:
         assert ("engine", "walk", "tape.load") in reload.frames
         assert ("engine", "walk", "tape.record") not in reload.frames
 
-    def test_hybrid_still_gets_a_timed_walk(self, trace):
-        session, _, recorder = run_recorded(trace, ("hard-default", "hybrid"))
-        assert session.path_taken == "batch+scalar"
-        assert recorder.cores["hybrid"]["stepped"] == len(trace)
-        assert recorder.cores["hybrid"]["wall_s"] > 0
-        assert recorder.cores["hard-default"]["stepped"] == len(trace)
-
     def test_sharded_path_records_parent_frames(self):
         trace = small_trace()  # fresh columns: the tape is recorded here
         session, results, recorder = run_recorded(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.common.events import Site, Trace, lock, read, unlock, write
 from repro.harness.detectors import make_detector
+from repro.hybrids.conformance import site_key, strict_lockset_sites
 from repro.threads.program import ParallelProgram, ThreadProgram
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
@@ -46,7 +47,7 @@ def test_fully_locked_programs_never_alarm(pattern, seed):
     detector under any interleaving."""
     program = well_locked_program(pattern)
     trace = interleave(program, RandomScheduler(seed=seed, max_burst=4)).trace
-    for key in ("hard-ideal", "hard-default", "hb-ideal", "hb-default", "hybrid"):
+    for key in ("hard-ideal", "hard-default", "hb-ideal", "hb-default", "multilock-hb"):
         result = run_core(make_detector(key).core(), trace)
         assert result.reports.alarm_count == 0, key
 
@@ -90,7 +91,8 @@ def test_dynamic_reports_at_least_alarm_sites(pattern, seed):
 @settings(max_examples=25, deadline=None)
 @given(patterns, st.integers(min_value=0, max_value=8))
 def test_hybrid_reports_subset_of_lockset(pattern, seed):
-    """The hybrid only ever *suppresses* lockset reports, never adds."""
+    """The hybrid family only ever *prunes* the strict lockset's warnings:
+    every multilock-hb site (the family's widest) is a strict-lockset site."""
     threads = {tid: [] for tid in range(4)}
     for tid, var_index, is_write in pattern:
         addr = 0x20000 + 4 * var_index
@@ -102,6 +104,6 @@ def test_hybrid_reports_subset_of_lockset(pattern, seed):
         name="racy", threads=[ThreadProgram(t, ops) for t, ops in threads.items()]
     )
     trace = interleave(program, RandomScheduler(seed=seed, max_burst=3)).trace
-    lockset_sites = run_core(make_detector("hard-ideal").core(), trace).reports.sites()
-    hybrid_sites = run_core(make_detector("hybrid").core(), trace).reports.sites()
-    assert hybrid_sites <= lockset_sites
+    lockset_sites = strict_lockset_sites(trace).sites
+    hybrid = run_core(make_detector("multilock-hb").core(), trace)
+    assert {site_key(site) for site in hybrid.reports.sites()} <= lockset_sites
