@@ -151,8 +151,22 @@ class TestDisplacementWindow:
         # The same trace without the churn is detected.
         detected = run(warmup + racy, machine=small_machine())
         assert any(r.site == S[3] for r in detected.reports)
-        # So is the churn trace, by hard-default on an L2 that holds the
-        # churn (Section 3.4's directory keeps candidate sets the same way).
+
+    def test_immune_to_l2_displacement(self):
+        """An L2 that holds the churn keeps the candidate set, so the race
+        the tiny L2 forgets is detected (Section 3.4's directory keeps
+        candidate sets the same way)."""
+        warmup = []
+        for tid in (0, 1):
+            warmup += [
+                (tid, lock(LOCK_A, S[0])),
+                (tid, write(VAR_X, S[1])),
+                (tid, unlock(LOCK_A, S[2])),
+            ]
+        churn = [(2, write(0x40000 + 32 * i, S[6])) for i in range(600)]
+        events = warmup + churn + [(0, write(VAR_X, S[3]))]
+        forgotten = run(events, machine=small_machine())
+        assert not any(r.site == S[3] for r in forgotten.reports)
         roomy = make_detector("hard-default", l2_size=64 * 1024)
         recovered = run_core(roomy.core(), trace_of(events))
         assert any(r.site == S[3] for r in recovered.reports)
