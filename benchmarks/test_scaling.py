@@ -6,9 +6,7 @@ This exhibit replays the race-free runs on the parameterized machine
 (4/8/16/64 cores, both coherence fabrics) and records where broadcast
 control traffic crosses directory traffic as the core count grows.
 
-The narrative writeup lives in ``results/scaling.md``; detect-phase wall
-times are tracked separately by ``repro bench scaling``
-(``results/BENCH_scaling.json``).
+The narrative writeup lives in ``results/scaling.md``.
 """
 
 import pytest

@@ -24,10 +24,6 @@ Four entry points cover the toolkit:
   whole detector suite, every divergence classified against the paper's
   approximation taxonomy; returns a
   :class:`~repro.fuzz.harness.FuzzReport`.
-* :func:`run_benchmark` — one named performance benchmark (``engine``,
-  ``pipeline``) as a structured :class:`~repro.obs.perf.BenchResult`;
-  :func:`compare_bench` / :func:`load_bench` / :func:`write_bench` round
-  out the continuous performance observatory.
 
 Every grid entry point takes ``jobs``: ``1`` (the default) evaluates the
 grid serially, ``N > 1`` fans it out over worker processes via
@@ -63,22 +59,10 @@ from repro.fuzz import run_fuzz as _run_fuzz
 from repro.fuzz.oracle import DEFAULT_ORACLE
 from repro.harness.experiment import ExperimentRunner, RunOutcome
 from repro.harness.parallel import GridCell, GridReport, default_jobs, run_grid
-from repro.harness.bench import BENCHMARKS, run_benchmark
 from repro.harness.pipeline import PipelineRun, run_pipeline
 from repro.harness.sweeps import SweepCell, SweepResult
 from repro.harness.sweeps import sweep as _sweep
 from repro.obs import FlightRecorder, Observability, RunReport
-from repro.obs.perf import (
-    DEFAULT_REGRESSION_THRESHOLD,
-    BenchComparison,
-    BenchResult,
-    BenchSchemaError,
-    bench_path,
-    compare_bench,
-    load_bench,
-    validate_bench,
-    write_bench,
-)
 from repro.hybrids import (
     ConformanceReport,
     ConformanceSuiteResult,
@@ -340,22 +324,9 @@ __all__ = [
     "check_conformance",
     "run_conformance_suite",
     "hybrid_comparison",
-    "run_benchmark",
     "make_runner",
     "run_grid",
     "default_jobs",
-    # performance observatory
-    "BENCHMARKS",
-    "BenchResult",
-    "BenchComparison",
-    "BenchSchemaError",
-    "bench_path",
-    "compare_bench",
-    "load_bench",
-    "validate_bench",
-    "write_bench",
-    "DEFAULT_REGRESSION_THRESHOLD",
-    "FlightRecorder",
     # typed results
     "PipelineRun",
     "RunReport",
@@ -378,6 +349,7 @@ __all__ = [
     "OracleConfig",
     "DetectorConfig",
     "EngineSession",
+    "FlightRecorder",
     "detect_with_engine",
     "GridCell",
     "ExperimentRunner",

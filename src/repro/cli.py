@@ -15,11 +15,7 @@ Commands:
 * ``fuzz`` — differential fuzzing: N generated programs through the whole
   detector suite, every divergence classified against the approximation
   taxonomy; exits 1 if any divergence stays unexplained (writing shrunk
-  reproducers to ``--corpus``);
-* ``bench`` — the continuous performance observatory: run one named
-  benchmark, write the structured ``BENCH_<name>.json`` artifact, and with
-  ``--compare OLD.json`` exit 1 on any per-phase regression >= the
-  threshold (default 10%).
+  reproducers to ``--corpus``).
 
 Every verb accepts ``--jobs/-j N``: grid commands (``exhibit``, ``sweep``)
 fan their evaluation grid out over N worker processes with bit-for-bit
@@ -123,6 +119,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             engine_path=args.engine_path,
             **machine_overrides,
         )
+    except api.HarnessError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     finally:
         obs.close()
 
@@ -403,79 +402,6 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.load:
-        try:
-            result = api.load_bench(args.load)
-        except api.BenchSchemaError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    else:
-        if not args.name:
-            print("bench: name a benchmark or pass --load PATH", file=sys.stderr)
-            return 2
-        try:
-            result = api.run_benchmark(
-                args.name,
-                app=args.app,
-                detectors=args.detectors,
-                rounds=args.rounds,
-                workload_seed=args.seed,
-                schedule_seed=args.schedule_seed,
-                engine_path=args.engine_path,
-                engine_jobs=(
-                    _resolve_jobs(args) if getattr(args, "jobs", 1) != 1 else None
-                ),
-                log=lambda message: print(f"[bench] {message}", file=sys.stderr),
-            )
-        except api.HarnessError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if not args.no_out:
-            path = api.write_bench(result, args.out or api.bench_path(result.name))
-            print(f"[bench] wrote {path}", file=sys.stderr)
-
-    if args.json:
-        print(result.to_json(indent=2))
-    else:
-        print(f"bench {result.name}: {result.rounds} round(s)")
-        for name, entry in result.phases.items():
-            rounds = ", ".join(f"{s:.3f}" for s in entry["rounds_s"])
-            print(f"  {name:<18}{entry['min_s']:>9.3f}s  (rounds: {rounds})")
-
-    if args.compare:
-        try:
-            old = api.load_bench(args.compare)
-        except api.BenchSchemaError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        min_speedups: dict[str, float] = {}
-        for spec in args.min_speedup:
-            phase, sep, factor = spec.partition("=")
-            try:
-                if not sep or not phase:
-                    raise ValueError(spec)
-                min_speedups[phase] = float(factor)
-            except ValueError:
-                print(
-                    f"bench: bad --min-speedup {spec!r} (want PHASE=FACTOR)",
-                    file=sys.stderr,
-                )
-                return 2
-        comparison = api.compare_bench(
-            old, result, threshold=args.threshold, min_speedups=min_speedups
-        )
-        print(comparison.format())
-        if not comparison.ok:
-            if args.warn_only:
-                print(
-                    "bench compare: regressed, but --warn-only set", file=sys.stderr
-                )
-                return 0
-            return 1
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.harness.cachegc import gc_cache, render_gc_report
 
@@ -731,90 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the machine-readable suite result instead of text",
     )
     conformance.set_defaults(func=_cmd_conformance)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run a named performance benchmark (continuous observatory)",
-        parents=[jobs_parent],
-    )
-    bench.add_argument(
-        "name",
-        nargs="?",
-        choices=api.BENCHMARKS,
-        help="benchmark to run (omit with --load)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=3, help="timing rounds (min is kept)"
-    )
-    bench.add_argument(
-        "--app",
-        type=_workload_name,
-        default=None,
-        help="workload override (benchmark default otherwise)",
-    )
-    bench.add_argument(
-        "--detectors",
-        default=None,
-        help="comma-separated detector keys (benchmark default otherwise)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="workload seed")
-    bench.add_argument("--schedule-seed", type=int, default=0)
-    bench.add_argument(
-        "--engine-path",
-        choices=("auto", "batch", "scalar", "sharded"),
-        default="auto",
-        help="engine benchmark walk: vectorized batch kernels, per-event "
-        "scalar reference, address-sharded parallel, or auto (batch when "
-        "every core supports it)",
-    )
-    bench.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="artifact path (default BENCH_<name>.json)",
-    )
-    bench.add_argument(
-        "--no-out", action="store_true", help="do not write the artifact"
-    )
-    bench.add_argument(
-        "--load",
-        metavar="PATH",
-        default=None,
-        help="load an existing artifact instead of running the benchmark",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="OLD",
-        default=None,
-        help="compare against this artifact; exit 1 on any per-phase "
-        "regression at --threshold",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=api.DEFAULT_REGRESSION_THRESHOLD,
-        help="regression threshold as a fraction (default 0.10 = 10%%)",
-    )
-    bench.add_argument(
-        "--min-speedup",
-        metavar="PHASE=FACTOR",
-        action="append",
-        default=[],
-        help="with --compare, require PHASE to be at least FACTOR times "
-        "faster than the old artifact (repeatable; e.g. detect=3.0 gates "
-        "the batch kernels against a pre-columnar baseline)",
-    )
-    bench.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (cross-machine CI trend jobs)",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="print the BenchResult JSON instead of the phase table",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     sub.add_parser(
         "collision",

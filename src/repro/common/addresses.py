@@ -60,13 +60,6 @@ def chunk_address(addr: int, granularity: int) -> int:
     return addr & ~(granularity - 1)
 
 
-def chunk_index_in_line(
-    addr: int, granularity: int, line_size: int = DEFAULT_LINE_SIZE
-) -> int:
-    """Return which chunk slot within its line the address falls into."""
-    return line_offset(addr, line_size) // granularity
-
-
 def chunks_per_line(granularity: int, line_size: int = DEFAULT_LINE_SIZE) -> int:
     """Number of metadata chunks stored per cache line."""
     if granularity > line_size:

@@ -1,7 +1,7 @@
 """Atomic file writes shared by every on-disk artifact the toolkit emits.
 
-Every durable artifact — cached verdicts, pickled traces, run reports,
-benchmark results, metrics exports — goes through the same protocol: write
+Every durable artifact — cached verdicts, packed traces and tapes, run
+reports, flamegraph dumps — goes through the same protocol: write
 the full payload to a process-private temporary file in the destination
 directory, then :func:`os.replace` it over the final name.  ``os.replace``
 is atomic on POSIX (and on Windows within one volume), so a reader never

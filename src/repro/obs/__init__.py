@@ -13,9 +13,6 @@ The observability layer threaded through the whole pipeline:
 * :class:`~repro.obs.telemetry.FlightRecorder` — engine telemetry that
   rides the batch walk (per-core step time, walk-layer frames, sync
   density, flamegraph frames);
-* :mod:`repro.obs.perf` and :mod:`repro.obs.export` — the continuous
-  performance observatory: the ``BENCH_<name>.json`` schema/writer/compare
-  and the Prometheus-text + JSON metrics exporters;
 * :class:`Observability` — the bundle detectors, the simulator and the
   runtime accept.  ``Observability()`` with no arguments is the *disabled*
   configuration: hot paths see ``active == False`` and skip all event and

@@ -6,7 +6,6 @@ from repro.common.addresses import (
     AddressSpace,
     RegionAllocator,
     chunk_address,
-    chunk_index_in_line,
     chunks_per_line,
     is_power_of_two,
     line_address,
@@ -44,12 +43,6 @@ class TestLineMath:
     def test_chunk_address(self):
         assert chunk_address(0x1235, 4) == 0x1234
         assert chunk_address(0x1235, 8) == 0x1230
-
-    def test_chunk_index_in_line(self):
-        assert chunk_index_in_line(0x1220, 4, 32) == 0
-        assert chunk_index_in_line(0x1224, 4, 32) == 1
-        assert chunk_index_in_line(0x123C, 4, 32) == 7
-        assert chunk_index_in_line(0x1230, 16, 32) == 1
 
     def test_chunks_per_line(self):
         assert chunks_per_line(4, 32) == 8

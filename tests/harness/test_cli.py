@@ -6,15 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import RUNREPORT_SCHEMA_VERSION, validate_jsonl
-from repro.obs.perf import BenchResult, write_bench
-
-
-def bench_artifact(tmp_path, filename, **phases):
-    """A small valid BENCH_*.json artifact for --load/--compare tests."""
-    result = BenchResult(name="engine", rounds=1)
-    for phase, seconds in (phases or {"detect": 1.0}).items():
-        result.add_phase(phase, [seconds])
-    return write_bench(result, tmp_path / filename)
 
 
 class TestParser:
@@ -41,17 +32,6 @@ class TestParser:
         )
         assert args.telemetry is True
         assert args.flame == "out.txt"
-
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench", "engine"])
-        assert args.name == "engine"
-        assert args.rounds == 3
-        assert args.threshold == pytest.approx(0.10)
-        assert args.warn_only is False
-
-    def test_bench_unknown_name_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "linpack"])
 
     def test_fuzz_and_sweep_accept_obs_flags(self):
         fuzz = build_parser().parse_args(
@@ -91,6 +71,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "injected bug: DETECTED" in out
         assert "alarm:" in out
+
+    def test_run_unknown_detector_is_usage_error(self, capsys):
+        assert main(["run", "raytrace", "--detector", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown detector key 'nope'" in err
+        assert "Traceback" not in err
 
 
 class TestObservabilityCommands:
@@ -237,79 +223,3 @@ class TestObservabilityCommands:
         ]
         assert names == ["sweep.cell", "sweep.cell"]
 
-
-class TestBenchCommand:
-    def test_load_prints_phase_table(self, tmp_path, capsys):
-        artifact = bench_artifact(tmp_path, "BENCH_engine.json", detect=1.5)
-        assert main(["bench", "--load", str(artifact)]) == 0
-        out = capsys.readouterr().out
-        assert "bench engine: 1 round(s)" in out
-        assert "detect" in out
-
-    def test_load_json_round_trips(self, tmp_path, capsys):
-        artifact = bench_artifact(tmp_path, "BENCH_engine.json")
-        assert main(["bench", "--load", str(artifact), "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["schema_version"] == 1
-        assert data["name"] == "engine"
-
-    def test_no_name_and_no_load_is_usage_error(self, capsys):
-        assert main(["bench"]) == 2
-        assert "name a benchmark" in capsys.readouterr().err
-
-    def test_corrupt_load_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_bad.json"
-        path.write_text("{not json")
-        assert main(["bench", "--load", str(path)]) == 2
-
-    def test_compare_regression_exits_nonzero(self, tmp_path, capsys):
-        old = bench_artifact(tmp_path, "BENCH_old.json", detect=1.0)
-        new = bench_artifact(tmp_path, "BENCH_new.json", detect=2.0)
-        code = main(["bench", "--load", str(new), "--compare", str(old)])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_compare_warn_only_downgrades_to_zero(self, tmp_path, capsys):
-        old = bench_artifact(tmp_path, "BENCH_old.json", detect=1.0)
-        new = bench_artifact(tmp_path, "BENCH_new.json", detect=2.0)
-        code = main(
-            ["bench", "--load", str(new), "--compare", str(old), "--warn-only"]
-        )
-        assert code == 0
-        assert "warn-only" in capsys.readouterr().err
-
-    def test_compare_self_is_ok(self, tmp_path, capsys):
-        artifact = bench_artifact(tmp_path, "BENCH_engine.json", detect=1.0)
-        code = main(["bench", "--load", str(artifact), "--compare", str(artifact)])
-        assert code == 0
-        assert "verdict: OK" in capsys.readouterr().out
-
-    def test_compare_threshold_flag(self, tmp_path):
-        old = bench_artifact(tmp_path, "BENCH_old.json", detect=1.0)
-        new = bench_artifact(tmp_path, "BENCH_new.json", detect=1.05)
-        args = ["bench", "--load", str(new), "--compare", str(old)]
-        assert main(args) == 0  # +5% under the default 10% bar
-        assert main(args + ["--threshold", "0.01"]) == 1
-
-    def test_bench_engine_runs_end_to_end(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_engine.json"
-        code = main(
-            [
-                "bench",
-                "engine",
-                "--app",
-                "fuzz:3",
-                "--detectors",
-                "hard-default,hb-ideal",
-                "--rounds",
-                "1",
-                "--out",
-                str(out_path),
-                "--json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["name"] == "engine"
-        assert set(data["phases"]) == {"build", "interleave", "detect"}
-        assert json.loads(out_path.read_text()) == data

@@ -348,7 +348,8 @@ class TestBatchWalk:
         ]
 
     def test_every_core_is_timed_over_the_whole_trace(self, trace):
-        _, _, recorder = run_recorded(trace, BATCH_KEYS)
+        session, _, recorder = run_recorded(trace, BATCH_KEYS)
+        assert session.path_taken == "batch"
         snap = recorder.snapshot()
         assert sorted(snap["cores"]) == sorted(BATCH_KEYS)
         for core in snap["cores"].values():
