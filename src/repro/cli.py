@@ -92,6 +92,12 @@ def _open_trace_out(path: str | None):
         return None, 2
 
 
+def _engine_line(engine: dict) -> str:
+    """``engine path: <walk>``, with the fallback reason when there is one."""
+    fallback = f" (fallback: {engine['fallback']})" if engine["fallback"] else ""
+    return f"engine path: {engine['path']}{fallback}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     emitter, status = _open_trace_out(args.trace_out)
     if status:
@@ -139,9 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     result = run.result
     print(f"trace: {len(run.trace):,} events")
-    engine = run.report.engine
-    fallback = f" (fallback: {engine['fallback']})" if engine["fallback"] else ""
-    print(f"engine path: {engine['path']}{fallback}")
+    print(_engine_line(run.report.engine))
     for res in run.results or [result]:
         print(
             f"{res.detector}: {res.reports.dynamic_count} dynamic reports, "
@@ -181,6 +185,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     result = run.result
     print(f"profile: {args.app} / {args.detector}")
+    print(_engine_line(run.report.engine))
     print(run.profiler.format())
 
     throughput = run.report.throughput

@@ -614,14 +614,3 @@ class ColumnarTrace:
             raise ProgramError(
                 f"site id out of range [-1, {num_sites}) in the site_id column"
             )
-
-
-def columns_of(trace_or_columns) -> ColumnarTrace:
-    """Coerce either representation to a :class:`ColumnarTrace`.
-
-    Accepts a :class:`ColumnarTrace` (returned as-is) or anything with a
-    ``columns()`` accessor (a :class:`~repro.common.events.Trace`).
-    """
-    if isinstance(trace_or_columns, ColumnarTrace):
-        return trace_or_columns
-    return trace_or_columns.columns()

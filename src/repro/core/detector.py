@@ -323,12 +323,16 @@ class HardCore:
     _L2 = -2  # metadata holder key of the shared L2's copy
     _VIRGIN, _EXCLUSIVE, _SHARED, _SHARED_MODIFIED = 0, 1, 2, 3
 
-    def begin_batch(self, cols, tape) -> None:
+    def begin_batch(self, cols, tape, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
         detector = self.d
         config = detector.config
         machine_config = detector.machine_config
         self._tape = tape
+        self._metrics = obs.metrics if obs is not None and obs.active else None
+        self._access_cycles = (
+            tape.access_cycles(cols) if self._metrics is not None else None
+        )
         self.mapper = BloomMapper(config.bloom)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
@@ -368,6 +372,13 @@ class HardCore:
         self._n_episodes = 0
         self._n_resets = 0
         self._n_reset_copies = 0
+        # The per-event metrics the scalar ``step`` books, counted where
+        # the kernel branches anyway: refinements by the popcount of the
+        # refined vector, reports that leave collision bits, and barrier
+        # resets by the number of copies they touched.
+        self._refined_popcounts = [0] * (config.bloom.vector_bits + 1)
+        self._n_collisions = 0
+        self._reset_touched: dict[int, int] = {}
 
     def step_batch(self, cols, lo: int, hi: int) -> None:
         """Process events ``[lo, hi)`` of ``cols`` against the tape."""
@@ -413,6 +424,9 @@ class HardCore:
         n_checks = self._n_checks
         n_broadcasts = self._n_broadcasts
         n_reports = self._n_reports
+        n_collisions = self._n_collisions
+        refined_popcounts = self._refined_popcounts
+        reset_touched = self._reset_touched
 
         h = hook_off[lo]
         for i in range(lo, hi):
@@ -484,6 +498,7 @@ class HardCore:
                         if new_bf != bf:
                             meta[slot] = new_bf
                             state_changed = True
+                            refined_popcounts[new_bf.bit_count()] += 1
                         n_candidate_updates += 1
                         if state_changed:
                             n_checks += 1
@@ -503,6 +518,8 @@ class HardCore:
                                     f"(chunk 0x{chunk_addr:x})",
                                 )
                                 n_reports += 1
+                                if new_bf:
+                                    n_collisions += 1
                     if state_changed:
                         if changed_line < 0:
                             changed_line = line_addr
@@ -565,6 +582,7 @@ class HardCore:
                                 touched += 1
                         self._n_resets += 1
                         self._n_reset_copies += touched
+                        reset_touched[touched] = reset_touched.get(touched, 0) + 1
             # kind == 5 (COMPUTE): cycles already on the tape.
 
         self._n_candidate_updates = n_candidate_updates
@@ -573,6 +591,7 @@ class HardCore:
         self._n_checks = n_checks
         self._n_broadcasts = n_broadcasts
         self._n_reports = n_reports
+        self._n_collisions = n_collisions
 
     def finish_batch(self) -> DetectionResult:
         """Assemble the result: private charges over the shared tape totals.
@@ -640,6 +659,20 @@ class HardCore:
             )
         stats._counts.update(tape.machine_stats)
         stats._counts.update(tape.bus_stats)
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.observe_counts("machine.access_cycles", self._access_cycles)
+            refinements = sum(self._refined_popcounts)
+            if refinements:
+                metrics.add("obs.lockset_refinements", refinements)
+            metrics.observe_counts(
+                "hard.candidate_popcount", dict(enumerate(self._refined_popcounts))
+            )
+            if self._n_reports:
+                metrics.add("obs.alarms", self._n_reports)
+            if self._n_collisions:
+                metrics.add("obs.bloom_collision_bits", self._n_collisions)
+            metrics.observe_counts("hard.barrier_reset_copies", self._reset_touched)
         return DetectionResult(
             detector=self.d.name,
             reports=self.log,

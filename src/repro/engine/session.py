@@ -2,26 +2,42 @@
 
 The paper evaluates every detector configuration over the *identical*
 execution (Section 5.1).  :class:`EngineSession` turns that methodology into
-the execution strategy: the interleaved trace is walked **once**, each event
-dispatched to every registered :class:`~repro.reporting.DetectorCore`.  On
-the scalar walk every machine-backed core simulates its own
-:class:`~repro.sim.machine.Machine`, exactly as
-:func:`~repro.reporting.run_core` does.
+the execution strategy: the interleaved trace is walked **once** per core,
+and every core sees the exact event sequence
+:func:`~repro.reporting.run_core` would feed it.  A session takes exactly
+one of three walks, reported as :attr:`EngineSession.path_taken`.
 
-When no emitter or metrics collection is active, every core is driven
-through its batch protocol (``begin_batch``/``step_batch``/``finish_batch``)
-on the *vectorized* walk instead, one kernel at a time: each core runs
-its whole life over the columnar trace
+``"batch"`` (what ``"auto"`` takes) drives every core through its batch
+protocol (``begin_batch``/``step_batch``/``finish_batch``), one kernel at a
+time: each core runs its whole life over the columnar trace
 (:meth:`~repro.common.events.Trace.columns`) — ``begin_batch``, **one**
 ``step_batch`` over every event, ``finish_batch`` — with the cyclic garbage
 collector paused, and is freed before the next core begins
 (:func:`walk_batch_core`).  The simulated machine's data-path is
 prerecorded once per (columns, machine config) by
-:class:`~repro.engine.tape.MachineTape`.  Results remain bit-for-bit
-identical to the scalar walk; ``path="scalar"`` forces the per-event
-reference oracle and ``path="batch"`` asserts the vectorized path is
-actually taken.  A custom core without a batch kernel runs only on
+:class:`~repro.engine.tape.MachineTape`.  Metrics collection rides this
+walk: each kernel books exactly the per-event metrics its scalar ``step``
+books, counted where it already branches and flushed in ``finish_batch``.
+
+``"sharded"`` goes one step further: the trace is partitioned by address
+(:mod:`repro.engine.shard`) and each shard's batch walk runs in a worker
+process reading the columns and tape out of shared ``mmap`` pages, with
+per-shard results merged losslessly.  Under ``"auto"`` the sharded path is
+selected when the session has worker budget (``jobs > 1``), every core was
+registered by config, the trace is large enough (``shard_threshold``
+events) for the fan-out to pay for itself, and no metrics are collected
+(shard workers keep no registry; such a run walks batch and records the
+fallback).
+
+``"scalar"`` is the per-event reference oracle: each core runs its own
+loop over the whole trace with its own
+:class:`~repro.sim.machine.Machine`.  ``path="scalar"`` forces it, and an
+active trace emitter takes it (the emitter fires per event inside the
+scalar ``step`` methods): the walk is one ``engine.walk`` span holding one
+``engine.core.<name>`` span per core, and one core's state is alive at a
+time.  A custom core without a batch kernel runs only on
 ``path="scalar"``: a session never splits its cores between walks.
+Results are bit-for-bit identical on every walk.
 
 A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
 (``obs.telemetry``) never changes the path choice.  On the batch walk it
@@ -30,14 +46,6 @@ calls per core) and frames the columnar pack, each tape fetch,
 ``begin_batch``, ``finish_batch`` and the ``release`` of the core's state;
 on the sharded path it frames the parent's side; on the scalar walk it
 times each core's loop as a whole.
-
-``path="sharded"`` goes one step further: the trace is partitioned by
-address (:mod:`repro.engine.shard`) and each shard's batch walk runs in a
-worker process reading the columns and tape out of shared ``mmap`` pages,
-with per-shard results merged losslessly.  Under ``"auto"`` the sharded
-path is selected when the session has worker budget (``jobs > 1``), every
-core was registered by config, and the trace is large enough
-(``shard_threshold`` events) for the fan-out to pay for itself.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from contextlib import nullcontext
 from repro.common.errors import ReproError
 from repro.common.events import Trace
 from repro.common.gcpause import gc_paused
+from repro.obs.trace import NULL_EMITTER
 
 
 class EngineError(ReproError):
@@ -112,11 +121,13 @@ class EngineSession:
         self._ran = False
         #: Op-kind census estimates of the last telemetry-recorded run.
         self._census: dict | None = None
-        #: The walk :meth:`run` took — ``"batch"``, ``"scalar"``,
-        #: ``"sharded"`` or ``"traced"`` — set by :meth:`run`.
+        #: The walk :meth:`run` took — ``"batch"``, ``"scalar"`` or
+        #: ``"sharded"`` — set by :meth:`run`.
         self.path_taken: str | None = None
-        #: Why ``path="auto"`` did not take the batch walk (e.g.
-        #: ``"metrics collection active"``); None when nothing fell back.
+        #: Why ``path="auto"`` did not take the walk it would have taken
+        #: without observability: ``"trace emitter active"`` (scalar, not
+        #: batch) or ``"metrics collection active"`` (batch, not sharded);
+        #: None when nothing fell back.
         self.fallback: str | None = None
 
     @property
@@ -196,32 +207,26 @@ class EngineSession:
         if recorder is not None:
             self._census = recorder.observe_trace(source)
 
-        # Batch path: emitter and metrics hooks fire per event inside scalar
-        # ``step`` implementations, so either forces the scalar walk —
-        # recorded as the fallback under "auto", an error under "batch" and
-        # "sharded".  A flight recorder rides every walk.
-        if tracing:
-            obs_blocker = "trace emitter active"
-        elif obs is not None and obs.active:
-            obs_blocker = "metrics collection active"
-        else:
-            obs_blocker = None
-        if self.path == "auto":
-            self.fallback = obs_blocker
-
-        if tracing and self.path not in ("batch", "sharded"):
-            self.path_taken = "traced"
-            for core in self._cores:
-                core.begin(self.trace, obs=obs)
-            self._walk_traced(recorder)
-            return [core.finish() for core in self._cores]
-
-        batch_allowed = self.path != "scalar" and obs_blocker is None
-        if self.path in ("batch", "sharded") and not batch_allowed:
+        # An emitter fires per event inside the scalar ``step``s, so it
+        # forces the scalar walk: the fallback under "auto", an error under
+        # "batch" and "sharded".  Metrics ride the batch kernels, but shard
+        # workers keep no registry, so a metrics run never shards.  A
+        # flight recorder rides every walk.
+        collecting = obs is not None and obs.collect_metrics
+        if tracing and self.path in ("batch", "sharded"):
             raise EngineError(
                 f"engine path {self.path!r} is incompatible with an active "
-                "trace emitter or metrics collection"
+                "trace emitter"
             )
+        if collecting and self.path == "sharded":
+            raise EngineError(
+                "engine path 'sharded' is incompatible with metrics "
+                "collection: shard workers keep no metrics registry"
+            )
+        if tracing and self.path == "auto":
+            self.fallback = "trace emitter active"
+
+        batch_allowed = self.path != "scalar" and not tracing
         if batch_allowed:
             lacking = [c.name for c in self._cores if not hasattr(c, "begin_batch")]
             if lacking:
@@ -248,32 +253,38 @@ class EngineSession:
             and self.jobs > 1
             and len(source) >= self.shard_threshold
         ):
-            self.path_taken = "sharded"
-            return self._run_sharded(recorder)
+            if not collecting:
+                self.path_taken = "sharded"
+                return self._run_sharded(recorder)
+            self.fallback = "metrics collection active"
         if batch_allowed:
             self.path_taken = "batch"
             return self._walk_batch(recorder)
 
         # The scalar walk: each core runs alone, with its own machine, and
         # is released once finished, like a batch kernel.  Under a flight
-        # recorder each core's loop is one timed walk.
+        # recorder each core's loop is one timed walk; under an emitter the
+        # walk is one ``engine.walk`` span holding one span per core.
         self.path_taken = "scalar"
         perf = time.perf_counter
         walk = recorder.walk if recorder is not None else nullcontext
+        span = obs.emitter.span if tracing else NULL_EMITTER.span
+        trace = self.trace
         results = []
-        for index in range(len(self._cores)):
-            core = self._take(index)
-            core.begin(self.trace, obs=obs)
-            step = core.step
-            t0 = perf()
-            with walk():
-                for event in self.trace:
-                    step(event)
-            if recorder is not None:
-                wall = perf() - t0
-                recorder.record_core_walk(core.name, len(self.trace), wall)
-            results.append(core.finish())
-            del core, step
+        with span("engine.walk", cores=len(self._cores)):
+            for index in range(len(self._cores)):
+                core = self._take(index)
+                core.begin(trace, obs=obs)
+                step = core.step
+                t0 = perf()
+                with span(f"engine.core.{core.name}"), walk():
+                    for event in trace:
+                        step(event)
+                if recorder is not None:
+                    wall = perf() - t0
+                    recorder.record_core_walk(core.name, len(trace), wall)
+                results.append(core.finish())
+                del core, step
         return results
 
     def _run_sharded(self, recorder) -> list:
@@ -317,7 +328,9 @@ class EngineSession:
                 )
 
             return [
-                walk_batch_core(self._take(index), cols, tape_for, recorder)
+                walk_batch_core(
+                    self._take(index), cols, tape_for, recorder, self.obs
+                )
                 for index in range(len(self._cores))
             ]
 
@@ -327,32 +340,8 @@ class EngineSession:
         self._cores[index] = None
         return core
 
-    def _walk_traced(self, recorder=None) -> None:
-        # Emitter active: the walk emits one span per core with its
-        # cumulative step time.  Per-core timing is exact here too, so a
-        # flight recorder (if any) gets each core's summed step time.
-        emitter = self.obs.emitter
-        steps = [core.step for core in self._cores]
-        spent = [0.0] * len(steps)
-        perf = time.perf_counter
-        walk = recorder.walk if recorder is not None else nullcontext
-        with walk(), emitter.span("engine.walk", cores=len(steps)):
-            for event in self.trace:
-                for index, step in enumerate(steps):
-                    t0 = perf()
-                    step(event)
-                    spent[index] += perf() - t0
-        for core, wall in zip(self._cores, spent):
-            emitter.emit(
-                "span", name=f"engine.core.{core.name}", wall_s=round(wall, 6)
-            )
-        if recorder is not None:
-            events = len(self.trace)
-            for core, wall in zip(self._cores, spent):
-                recorder.record_core_walk(core.name, events, wall)
 
-
-def walk_batch_core(core, cols, tape_for, recorder=None):
+def walk_batch_core(core, cols, tape_for, recorder=None, obs=None):
     """Run one batch core's whole life over ``cols``; returns its result.
 
     A machine-backed core first gets its tape from ``tape_for(machine
@@ -368,7 +357,9 @@ def walk_batch_core(core, cols, tape_for, recorder=None):
     before the next core allocates.
 
     A flight ``recorder`` gets the ``begin_batch``, ``finish_batch`` and
-    ``release`` frames and the core's exact step time.
+    ``release`` frames and the core's exact step time.  ``obs`` goes to
+    ``begin_batch``: with metrics collection on, the kernel books its
+    per-event metrics into ``obs.metrics`` in ``finish_batch``.
     """
     machine_config = getattr(core, "machine_config", None)
     tape = tape_for(machine_config) if machine_config is not None else None
@@ -376,7 +367,7 @@ def walk_batch_core(core, cols, tape_for, recorder=None):
     perf = time.perf_counter
     with gc_paused():
         with frame("begin_batch"):
-            core.begin_batch(cols, tape)
+            core.begin_batch(cols, tape, obs=obs)
         t0 = perf()
         core.step_batch(cols, 0, cols.n)
         wall = perf() - t0

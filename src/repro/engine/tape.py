@@ -60,7 +60,7 @@ from repro.sim.coherence import (  # noqa: F401  (re-exported hook opcodes)
     HOOK_L2_EVICT,
     HOOK_WRITEBACK,
 )
-from repro.sim.machine import Machine
+from repro.sim.machine import LOCK_WORD_BYTES, Machine
 
 #: On-disk tape format magic + version (bump on any layout change).
 _TAPE_MAGIC = b"RPRTAPE1"
@@ -118,6 +118,7 @@ class MachineTape:
         "machine_cycles",
         "machine_stats",
         "bus_stats",
+        "_access_cycles",
         "_buffer",
         "__weakref__",
     )
@@ -125,6 +126,7 @@ class MachineTape:
     def __init__(self, cols: ColumnarTrace, machine_config: MachineConfig):
         self.machine_config = machine_config
         self._buffer = None
+        self._access_cycles = None
         machine = Machine(machine_config)
         (
             self.hook_off,
@@ -186,6 +188,7 @@ class MachineTape:
         self = cls.__new__(cls)
         self.machine_config = machine_config
         self._buffer = None
+        self._access_cycles = None
         self.hook_off = array("q", bytes(8 * (n + 1)))
         self.hook_code = array("B")
         self.hook_line = array("q")
@@ -199,6 +202,33 @@ class MachineTape:
         self.machine_stats = {}
         self.bus_stats = {}
         return self
+
+    def access_cycles(self, cols: ColumnarTrace) -> dict[int, int]:
+        """Cycles of each READ/WRITE access, as a value→count histogram.
+
+        The ``machine.access_cycles`` observations a scalar machine-backed
+        core books, one per data access.  Computed on first call by driving
+        the canonical access sequence of ``cols`` (this tape's trace)
+        through the per-event :meth:`~repro.sim.machine.Machine.access`
+        oracle, then memoised on this object: it is neither serialised nor
+        part of the tape format, so a run without metrics never pays for
+        it.  COMPUTE charges are skipped: no access latency depends on them.
+        """
+        counts = self._access_cycles
+        if counts is None:
+            counts = {}
+            machine = Machine(self.machine_config)
+            core_for_thread = machine.core_for_thread
+            access = machine.access
+            for kind, tid, addr, size, _ in cols.rows():
+                core = core_for_thread(tid)
+                if kind <= 1:  # READ / WRITE
+                    cycles = access(core, addr, size, kind == 1).cycles
+                    counts[cycles] = counts.get(cycles, 0) + 1
+                elif kind <= 3:  # LOCK / UNLOCK: one write of the lock word
+                    access(core, addr, LOCK_WORD_BYTES, True)
+            self._access_cycles = counts
+        return counts
 
     # ---------------------------------------------------------- serialisation
 
@@ -271,6 +301,7 @@ class MachineTape:
         self = cls.__new__(cls)
         self.machine_config = machine_config
         self._buffer = buf
+        self._access_cycles = None
         self.machine_cycles = header["machine_cycles"]
         self.machine_stats = header["machine_stats"]
         self.bus_stats = header["bus_stats"]

@@ -8,9 +8,8 @@ under the saved seed, re-run the oracle — and asserts the classifications
 still hold and nothing has become UNEXPLAINED, so a detector change that
 alters behaviour on any previously-triaged case fails loudly.
 
-The format follows the trace-file idiom (:mod:`repro.threads.tracefile`):
-a site table of ``[file, line, label]`` triples, referenced by index from
-compact per-op rows ``[kind, addr, size, site, cycles, participants]``.
+The format is a site table of ``[file, line, label]`` triples, referenced
+by index from compact per-op rows ``[kind, addr, size, site, cycles, participants]``.
 Deterministic output (sorted keys, no timestamps) keeps corpus files
 diff-friendly under re-generation.
 """

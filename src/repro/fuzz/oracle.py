@@ -332,27 +332,18 @@ def evaluate_trace(
 
     ``engine_path`` overrides ``config.engine_path`` (``"random"`` here
     falls back to ``"auto"`` — the per-seed coin is flipped by
-    :func:`evaluate_program`, which knows the schedule seed).  On the batch
-    path the suite runs without the event recorder (the vectorized kernels
-    replay a prerecorded tape and emit no event stream); the eviction
-    evidence a missed-race case needs is then gathered lazily by one
-    scalar ``hard-default`` re-run, so verdicts stay bit-for-bit identical
+    :func:`evaluate_program`, which knows the schedule seed).  The suite
+    runs without an event recorder on every path; the eviction evidence a
+    missed-race case needs is gathered lazily by one scalar
+    ``hard-default`` re-run (``hard-default`` is the suite's only
+    machine-backed detector), so verdicts stay bit-for-bit identical
     across paths.
     """
     path = engine_path if engine_path is not None else config.engine_path
     if path == "random":
         path = "auto"
     hard_cfg = DetectorConfig(key="hard-default", l2_size=config.l2_size)
-    if path in ("batch", "sharded"):
-        # Neither batch kernels nor shard workers emit an event stream;
-        # eviction evidence is gathered lazily by a scalar re-run.
-        recorder = None
-        session = EngineSession(trace, path=path)
-    else:
-        recorder = RecordingEmitter(types={"l2.displacement", "cache.evict"})
-        session = EngineSession(
-            trace, obs=Observability(emitter=recorder), path=path
-        )
+    session = EngineSession(trace, path=path)
     session.add_config(hard_cfg)
     session.add_config(DetectorConfig(key="hard-ideal", granularity=config.granularity))
     session.add_config(DetectorConfig(key="hard-ideal", granularity=LINE_SIZE))
@@ -408,16 +399,14 @@ def evaluate_trace(
     # --- hard-default missed races (lazy ablation re-runs) ----------------
     missed = sorted(exact_sites - hard_sites, key=_site_sort_key)
     if missed:
-        if recorder is None:
-            # Batch-path case with misses to explain: replay hard-default
-            # once on the scalar path to capture the eviction evidence the
-            # tape-driven kernels don't stream.
-            recorder = RecordingEmitter(types={"l2.displacement", "cache.evict"})
-            evidence = EngineSession(
-                trace, obs=Observability(emitter=recorder), path="scalar"
-            )
-            evidence.add_config(hard_cfg)
-            evidence.run()
+        # The suite ran without an event recorder: replay hard-default
+        # once on the scalar path to capture the eviction evidence.
+        recorder = RecordingEmitter(types={"l2.displacement", "cache.evict"})
+        evidence = EngineSession(
+            trace, obs=Observability(emitter=recorder), path="scalar"
+        )
+        evidence.add_config(hard_cfg)
+        evidence.run()
         site_lines = _site_lines(trace)
         displaced = {e["line"] for e in recorder.by_type("l2.displacement")}
         clean_evicted = {

@@ -162,8 +162,8 @@ class TraceStatsCore:
     # ------------------------------------------------------------- batch path
     # Columnar kernel: same folds over the packed columns, no event objects.
 
-    def begin_batch(self, cols, tape=None) -> None:
-        """Allocate batch-pass state over a columnar trace (tape unused)."""
+    def begin_batch(self, cols, tape=None, obs=None) -> None:
+        """Allocate batch-pass state over a columnar trace (tape, obs unused)."""
         self.stats = TraceStats(threads=cols.num_threads)
         self._line_readers = {}
         self._line_writers = {}

@@ -163,10 +163,14 @@ class HappensBeforeCore:
     # objects the scalar path uses.  A filled line holds None per chunk until
     # an access first touches it: an untouched history is empty.
 
-    def begin_batch(self, cols, tape) -> None:
+    def begin_batch(self, cols, tape, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
         detector = self.d
         self._tape = tape
+        self._metrics = obs.metrics if obs is not None and obs.active else None
+        self._access_cycles = (
+            tape.access_cycles(cols) if self._metrics is not None else None
+        )
         self.clocks = SyncClocks(cols.num_threads)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
@@ -281,6 +285,11 @@ class HappensBeforeCore:
             stats.add("hb.history_updates", self._n_history_updates)
         stats._counts.update(tape.machine_stats)
         stats._counts.update(tape.bus_stats)
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.observe_counts("machine.access_cycles", self._access_cycles)
+            if self._n_reports:
+                metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(
             detector=self.d.name,
             reports=self.log,

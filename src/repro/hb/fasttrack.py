@@ -203,8 +203,9 @@ class FastTrackCore:
     # tape); the clocks and chunk histories are the same objects the scalar
     # path uses — only the event dispatch is flattened.
 
-    def begin_batch(self, cols, tape=None) -> None:
+    def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
+        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = SyncClocks(cols.num_threads)
@@ -281,4 +282,6 @@ class FastTrackCore:
             stats.add("fasttrack.history_updates", self._n_history_updates)
         if self._n_read_inflations:
             stats.add("fasttrack.read_inflations", self._n_read_inflations)
+        if self._metrics is not None and self._n_reports:
+            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

@@ -109,8 +109,9 @@ class IdealHappensBeforeCore:
     # the scalar path uses — only the event dispatch is flattened, and the
     # conflict rule reads the accessor's clock values once per access.
 
-    def begin_batch(self, cols, tape=None) -> None:
+    def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
+        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = SyncClocks(cols.num_threads)
@@ -181,4 +182,6 @@ class IdealHappensBeforeCore:
             stats.add("hb.dynamic_reports", self._n_reports)
         if self._n_history_updates:
             stats.add("hb.history_updates", self._n_history_updates)
+        if self._metrics is not None and self._n_reports:
+            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

@@ -52,7 +52,6 @@ differential suite where the PR 3 ablation machinery explains those.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -499,7 +498,7 @@ def _build_case_trace(spec: tuple) -> tuple[Trace, str]:
     return interleave(program, scheduler).trace, label
 
 
-#: Worker parameters (set once per worker by the Pool initializer).
+#: Worker parameters (set once per worker by the fan-out initializer).
 _WORKER_PARAMS: dict = {}
 
 
@@ -508,9 +507,10 @@ def _suite_init(granularity: int, check_parity: bool) -> None:
     _WORKER_PARAMS["check_parity"] = check_parity
 
 
-def _suite_case(spec: tuple) -> ConformanceReport:
+def _suite_case(task: tuple[int, tuple]) -> tuple[int, ConformanceReport]:
+    index, spec = task
     trace, label = _build_case_trace(spec)
-    return check_conformance(
+    return index, check_conformance(
         trace,
         granularity=_WORKER_PARAMS.get("granularity", 4),
         check_parity=_WORKER_PARAMS.get("check_parity", True),
@@ -559,10 +559,11 @@ def run_conformance_suite(
 ) -> ConformanceSuiteResult:
     """Run :func:`check_conformance` over workloads, fuzz programs, corpora.
 
-    ``jobs > 1`` fans the cases out over a process pool (cases are
-    independent; specs, not traces, cross the process boundary).  Results
-    are returned in spec order either way — bit-for-bit identical to a
-    serial run.
+    ``jobs > 1`` fans the cases out through
+    :func:`~repro.harness.parallel.fan_out` (cases are independent; specs,
+    not traces, cross the process boundary), which fails closed when a
+    worker dies.  Results are sorted back into spec order — bit-for-bit
+    identical to a serial run.
     """
     specs = suite_specs(
         apps=apps,
@@ -571,15 +572,15 @@ def run_conformance_suite(
         fuzz_seeds=fuzz_seeds,
         corpus_dir=corpus_dir,
     )
-    _suite_init(granularity, check_parity)
-    if jobs > 1 and len(specs) > 1:
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(
-            processes=min(jobs, len(specs)),
-            initializer=_suite_init,
-            initargs=(granularity, check_parity),
-        ) as pool:
-            reports = pool.map(_suite_case, specs)
-    else:
-        reports = [_suite_case(spec) for spec in specs]
-    return ConformanceSuiteResult(reports=list(reports))
+    # Imported here: repro.harness imports this package's detectors.
+    from repro.harness.parallel import fan_out
+
+    indexed = fan_out(
+        list(enumerate(specs)),
+        _suite_case,
+        jobs=jobs,
+        initializer=_suite_init,
+        initargs=(granularity, check_parity),
+    )
+    indexed.sort(key=lambda pair: pair[0])
+    return ConformanceSuiteResult(reports=[report for _, report in indexed])

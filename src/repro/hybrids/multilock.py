@@ -248,8 +248,9 @@ class MultiLockHBCore:
     # tape); the weak clocks are the scalar path's, the chunk histories are
     # MaskChunks keyed by the trace's held-lock bitmasks.
 
-    def begin_batch(self, cols, tape=None) -> None:
+    def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
+        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = WeakClocks(cols.num_threads)
@@ -362,4 +363,6 @@ class MultiLockHBCore:
             stats.add("multilock.dynamic_reports", self._n_reports)
         if self._n_history_updates:
             stats.add("multilock.history_updates", self._n_history_updates)
+        if self._metrics is not None and self._n_reports:
+            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

@@ -187,8 +187,9 @@ class IdealLocksetCore:
     # candidate set is an int over the trace's lock bits (``held_locks``),
     # with -1 standing for :data:`ALL_LOCKS`, so intersection is ``&``.
 
-    def begin_batch(self, cols, tape=None) -> None:
+    def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
+        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self._held = cols.held_locks()
@@ -199,6 +200,9 @@ class IdealLocksetCore:
         self._n_releases = 0
         self._n_episodes = 0
         self._n_reports = 0
+        # Refinements (a candidate set that shrank), by the refined set's
+        # size: the ``lockset.candidate_size`` observations of ``step``.
+        self._refined_sizes: dict[int, int] = {}
 
     def step_batch(self, cols, lo: int, hi: int) -> None:
         """Process events ``[lo, hi)`` of ``cols``."""
@@ -214,6 +218,7 @@ class IdealLocksetCore:
         log_add = self.log.add
         n_candidate_updates = self._n_candidate_updates
         n_reports = self._n_reports
+        refined_sizes = self._refined_sizes
 
         for i in range(lo, hi):
             kind, tid, addr, size, sid = rows[i]
@@ -234,15 +239,17 @@ class IdealLocksetCore:
                         chunk[2] = tid
                     elif state == 1 and tid == chunk[2]:
                         pass
-                    elif state != 3 and not is_write:
-                        chunk[1] = 2
-                        chunk[0] &= locks
-                        n_candidate_updates += 1
                     else:
-                        chunk[1] = 3
-                        candidate = chunk[0] = chunk[0] & locks
+                        check = state == 3 or is_write
+                        chunk[1] = 3 if check else 2
+                        candidate = chunk[0]
+                        narrowed = candidate & locks
+                        if narrowed != candidate:
+                            candidate = chunk[0] = narrowed
+                            members = narrowed.bit_count()
+                            refined_sizes[members] = refined_sizes.get(members, 0) + 1
                         n_candidate_updates += 1
-                        if not candidate:
+                        if check and not candidate:
                             log_add(
                                 seq=i,
                                 thread_id=tid,
@@ -289,4 +296,12 @@ class IdealLocksetCore:
             stats.add("lockset.dynamic_reports", self._n_reports)
         if self._n_candidate_updates:
             stats.add("lockset.candidate_updates", self._n_candidate_updates)
+        metrics = self._metrics
+        if metrics is not None:
+            refinements = sum(self._refined_sizes.values())
+            if refinements:
+                metrics.add("obs.lockset_refinements", refinements)
+            metrics.observe_counts("lockset.candidate_size", self._refined_sizes)
+            if self._n_reports:
+                metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

@@ -194,8 +194,9 @@ class SoftwareLocksetCore:
     # 0=V/1=E/2=S/3=SM.  A candidate set is an int over the trace's lock
     # bits (``held_locks``), with -1 standing for ALL_LOCKS.
 
-    def begin_batch(self, cols, tape) -> None:
+    def begin_batch(self, cols, tape, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
+        self._metrics = obs.metrics if obs is not None and obs.active else None
         detector = self.d
         self._tape = tape
         self.stats = StatCounters()
@@ -312,6 +313,8 @@ class SoftwareLocksetCore:
             extra += cycles
         stats._counts.update(tape.machine_stats)
         stats._counts.update(tape.bus_stats)
+        if self._metrics is not None and self._n_reports:
+            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(
             detector=self.d.name,
             reports=self.log,

@@ -38,15 +38,15 @@ class Histogram:
         self.max: float | None = None
         self._values: Counter = Counter()
 
-    def record(self, value: float) -> None:
-        """Add one observation."""
-        self.count += 1
-        self.total += value
+    def record(self, value: float, count: int = 1) -> None:
+        """Add ``count`` observations of ``value``."""
+        self.count += count
+        self.total += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        self._values[value] += 1
+        self._values[value] += count
 
     @property
     def mean(self) -> float:
@@ -178,6 +178,18 @@ class MetricsRegistry(StatCounters):
     def observe(self, name: str, value: float) -> None:
         """Shorthand: record ``value`` into histogram ``name``."""
         self.histogram(name).record(value)
+
+    def observe_counts(self, name: str, counts: dict) -> None:
+        """Record a value→count mapping into histogram ``name``.
+
+        The batch kernels count their per-event observations by value and
+        book them once here; the histogram ends up exactly as per-event
+        :meth:`observe` calls would leave it.  An empty mapping (or one of
+        zero counts) creates no histogram, as no :meth:`observe` call would.
+        """
+        for value, count in counts.items():
+            if count:
+                self.histogram(name).record(value, count)
 
     def histograms(self) -> Iterator[Histogram]:
         """All histograms, sorted by name."""

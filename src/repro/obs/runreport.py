@@ -51,8 +51,9 @@ class RunReport:
     #: Flight-recorder snapshot (empty when telemetry was off).
     telemetry: dict = field(default_factory=dict)
     #: The detect phase's engine walk: ``requested`` path, the ``path``
-    #: that ran (batch / scalar / sharded / traced) and the ``fallback``
-    #: reason when ``auto`` did not take the batch walk.
+    #: that ran (batch / scalar / sharded) and the ``fallback`` reason when
+    #: ``auto`` did not take the walk it would have taken without
+    #: observability.
     engine: dict = field(default_factory=dict)
     schema_version: int = RUNREPORT_SCHEMA_VERSION
 

@@ -176,14 +176,16 @@ class DetectorCore(Protocol):
     measurable cost — when it is absent or inactive.
 
     Every registered detector's core also implements the *batch* protocol
-    — ``begin_batch(cols, tape)`` / ``step_batch(cols, lo, hi)`` /
-    ``finish_batch()`` — consuming ``[lo, hi)`` event ranges of a
+    — ``begin_batch(cols, tape, obs=None)`` / ``step_batch(cols, lo, hi)``
+    / ``finish_batch()`` — consuming ``[lo, hi)`` event ranges of a
     :class:`~repro.common.coltrace.ColumnarTrace` (plus, for machine-backed
     cores, a prerecorded :class:`~repro.engine.tape.MachineTape`) instead of
-    per-event dispatch.  The engine session uses it whenever no per-event
-    observability is active (a custom core without it runs only on
+    per-event dispatch.  The engine session uses it whenever no trace
+    emitter is active (a custom core without it runs only on
     ``path="scalar"``); results must be bit-for-bit identical to the
-    scalar walk, which remains the reference oracle.  The engine passes the
+    scalar walk, which remains the reference oracle.  With metrics
+    collection on, ``finish_batch`` books into ``obs.metrics`` exactly the
+    counters and histograms the scalar ``step`` books per event.  The engine passes the
     whole trace in one ``step_batch`` call, so a kernel handles barriers
     inline, and it runs each kernel with the cyclic garbage collector
     paused, so a kernel must build no reference cycles.

@@ -9,7 +9,6 @@ from repro.threads.scheduler import (
     Scheduler,
 )
 from repro.threads.synch import BarrierTable, LockTable
-from repro.threads.tracefile import load_trace, save_trace
 
 __all__ = [
     "InjectedBug",
@@ -23,6 +22,4 @@ __all__ = [
     "Scheduler",
     "BarrierTable",
     "LockTable",
-    "load_trace",
-    "save_trace",
 ]

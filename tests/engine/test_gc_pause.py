@@ -133,7 +133,7 @@ class ProbeCore:
         self.barrier = barrier
         self.fail = fail
 
-    def begin_batch(self, cols, tape):
+    def begin_batch(self, cols, tape, obs=None):
         watched = (ref() for ref in self.log["watch"])
         alive = [core.name for core in watched if core is not None]
         self.log["alive"].append((self.name, alive))

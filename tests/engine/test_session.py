@@ -1,5 +1,8 @@
 """Unit tests for the engine: session mechanics, tape sharing, consumers."""
 
+import json
+import weakref
+
 import pytest
 
 from repro.api import detect_many
@@ -8,12 +11,41 @@ from repro.harness.detectors import DetectorConfig, make_detector
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner
 from repro.harness.pipeline import run_pipeline
 from repro.harness.tracestats import TraceStatsCore, characterize
-from repro.obs import CountingEmitter, FlightRecorder, Observability
+from repro.obs import (
+    CountingEmitter,
+    FlightRecorder,
+    JsonlEmitter,
+    Observability,
+    validate_jsonl,
+)
+from repro.reporting import DetectionResult, RaceReportLog
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
 
 from tests.engine.test_batch_path import ScalarOnlyCore
+
+
+class AliveProbeCore:
+    """A scalar core that notes, on ``begin``, which earlier probes live."""
+
+    machine_config = None
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def begin(self, trace, obs=None):
+        watched = (ref() for ref in self.log["watch"])
+        alive = [core.name for core in watched if core is not None]
+        self.log["alive"].append((self.name, alive))
+        self.log["watch"].append(weakref.ref(self))
+
+    def step(self, event):
+        pass
+
+    def finish(self):
+        return DetectionResult(self.name, RaceReportLog(self.name))
 
 
 @pytest.fixture(scope="module")
@@ -225,24 +257,67 @@ class TestPathChoice:
         )
 
     @pytest.mark.parametrize("path", ["batch", "sharded"])
-    def test_requested_fast_paths_still_refuse_metrics(self, small, path):
-        obs = Observability(collect_metrics=True, telemetry=FlightRecorder())
-        with pytest.raises(EngineError, match="metrics collection"):
+    def test_requested_fast_paths_refuse_a_trace_emitter(self, small, path):
+        obs = Observability(emitter=CountingEmitter())
+        with pytest.raises(EngineError, match="trace emitter"):
             self.run_session(small, ["hard-default"], obs=obs, path=path)
 
-    def test_metrics_fallback_is_named(self, small):
+    def test_requested_sharded_refuses_metrics(self, small):
+        obs = Observability(collect_metrics=True, telemetry=FlightRecorder())
+        with pytest.raises(EngineError, match="metrics collection"):
+            self.run_session(small, ["hard-default"], obs=obs, path="sharded")
+
+    @pytest.mark.parametrize("path", ["auto", "batch"])
+    def test_metrics_ride_the_batch_walk(self, small, path):
         obs = Observability(collect_metrics=True)
-        assert self.run_session(small, ["hard-default"], obs=obs) == (
-            "scalar",
-            "metrics collection active",
+        assert self.run_session(small, ["hard-default"], obs=obs, path=path) == (
+            "batch",
+            None,
         )
 
-    def test_trace_emitter_takes_the_traced_walk(self, small):
+    def test_metrics_fallback_is_named(self, small):
+        # Without metrics this session shards (test_sharded_path pins
+        # that); shard workers keep no metrics registry, so it walks batch.
+        obs = Observability(collect_metrics=True)
+        assert self.run_session(
+            small, ["hard-default"], obs=obs, jobs=2, shard_threshold=1
+        ) == ("batch", "metrics collection active")
+
+    def test_trace_emitter_takes_the_scalar_walk(self, small):
         obs = Observability(emitter=CountingEmitter())
         assert self.run_session(small, ["hard-default"], obs=obs) == (
-            "traced",
+            "scalar",
             "trace emitter active",
         )
+
+    def test_emitter_walk_holds_one_core_at_a_time(self, small, tmp_path):
+        # Each core is released before the next begins, and the JSONL
+        # stream (one engine.walk span around one span per core) validates.
+        path = tmp_path / "events.jsonl"
+        log = {"watch": [], "alive": []}
+        obs = Observability(emitter=JsonlEmitter.to_path(path))
+        session = EngineSession(small, obs=obs)
+        for name in ("a", "b"):
+            session.add_core(AliveProbeCore(name, log))
+        session.add_config(DetectorConfig("hard-default"))
+        session.add_core(AliveProbeCore("c", log))
+        session.run()
+        obs.close()
+        assert session.path_taken == "scalar"
+        assert log["alive"] == [("a", []), ("b", []), ("c", [])]
+        counts = validate_jsonl(path)
+        assert counts["alarm"] > 0
+        spans = [
+            json.loads(line)
+            for line in path.read_text().splitlines()
+            if '"type":"span"' in line
+        ]
+        walk = spans[-1]
+        assert (walk["name"], walk["cores"], walk["parent"]) == ("engine.walk", 4, None)
+        assert [(s["name"], s["parent"]) for s in spans[:-1]] == [
+            (f"engine.core.{name}", walk["id"])
+            for name in ("a", "b", "hard-default", "c")
+        ]
 
     def test_scalar_only_cores_are_named(self, small):
         # A core without a batch kernel is named on every non-scalar path

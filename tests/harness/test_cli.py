@@ -123,6 +123,9 @@ class TestObservabilityCommands:
         assert "lstate.transition" in out
         assert "detect throughput:" in out
         assert "overhead" in out
+        # The counting emitter puts the run on the scalar walk; the
+        # throughput line describes that walk, and the profile says so.
+        assert "engine path: scalar (fallback: trace emitter active)" in out
 
     def test_profile_defaults_to_hard_default(self):
         args = build_parser().parse_args(["profile", "barnes"])
