@@ -80,7 +80,7 @@ from repro.common.config import (
     HardConfig,
     MachineConfig,
 )
-from repro.common.coltrace import ColumnarTrace, SyncRun
+from repro.common.coltrace import ColumnarTrace
 from repro.common.events import Site, Trace
 from repro.core.bloom import BloomVector, collision_probability
 from repro.core.detector import HardDetector
@@ -144,7 +144,6 @@ __all__ = [
     "Site",
     "Trace",
     "ColumnarTrace",
-    "SyncRun",
     "BloomVector",
     "collision_probability",
     "HardDetector",

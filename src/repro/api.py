@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.common.coltrace import ColumnarTrace, SyncRun
+from repro.common.coltrace import ColumnarTrace
 from repro.common.errors import HarnessError
 from repro.common.events import Trace
 from repro.engine import EngineSession, detect_with_engine
@@ -343,7 +343,6 @@ __all__ = [
     # trace representations
     "Trace",
     "ColumnarTrace",
-    "SyncRun",
     # configuration surface
     "FuzzSpec",
     "OracleConfig",

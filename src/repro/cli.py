@@ -35,7 +35,7 @@ import sys
 from repro import api
 from repro.common.config import BloomConfig
 from repro.core.bloom import collision_probability
-from repro.obs import CountingEmitter, JsonlEmitter, Observability
+from repro.obs import JsonlEmitter, Observability
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import (
@@ -173,14 +173,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    emitter = CountingEmitter()
-    obs = Observability(emitter=emitter, collect_metrics=True)
+    # No emitter and no metrics: the profile times the walk a plain
+    # ``repro run`` takes.  Per-type event counts come from
+    # ``repro run --trace-out F --json`` (``event_counts``).
     run = api.run_pipeline(
         args.app,
         args.detector,
         workload_seed=args.seed,
         schedule_seed=args.schedule_seed,
-        obs=obs,
         jobs=_resolve_jobs(args),
     )
     result = run.result
@@ -194,11 +194,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"({throughput['trace_events']:,} events in "
         f"{throughput['detect_wall_s']:.3f}s)"
     )
-
-    if emitter.counts:
-        print(f"top {args.top} event types ({emitter.total:,} events)")
-        for etype, count in emitter.counts.most_common(args.top):
-            print(f"  {etype:<22}{count:>12,}")
 
     hotspots = sorted(result.stats.items(), key=lambda kv: -kv[1])[: args.top]
     if hotspots:
@@ -387,7 +382,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             status = "OK" if report.ok else "FAIL"
             kinds: dict[str, int] = {}
             for divergence in report.divergences:
-                kinds[divergence.kind] = kinds.get(divergence.kind, 0) + 1
+                kind = divergence.kind.value
+                kinds[kind] = kinds.get(kind, 0) + 1
             summary = ", ".join(
                 f"{kind}={count}" for kind, count in sorted(kinds.items())
             )
@@ -524,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="per-phase timing and event hotspots for one run",
+        help="per-phase timing and detector-counter hotspots for one run",
         parents=[jobs_parent],
     )
     profile.add_argument("app", type=_workload_name)
@@ -532,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0, help="workload seed")
     profile.add_argument("--schedule-seed", type=int, default=0)
     profile.add_argument(
-        "--top", type=int, default=10, help="rows in the hotspot tables"
+        "--top", type=int, default=10, help="rows in the detector-counter table"
     )
     profile.set_defaults(func=_cmd_profile)
 

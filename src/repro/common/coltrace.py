@@ -10,7 +10,7 @@ an interned site table, so that
 * batch detector kernels (``DetectorCore.step_batch``) walk plain ints,
 * the on-disk :class:`~repro.harness.tracecache.TraceCache` serialises the
   columns verbatim and reloads them via ``mmap`` with zero decode cost,
-* derived per-event data (machine tapes, sync-run segmentation, row tuples)
+* derived per-event data (machine tapes, held-lock masks, row tuples)
   is memoised on the columnar object and shared by every consumer of the
   same trace.
 
@@ -35,17 +35,6 @@ column                typecode  meaning
 Kind codes are ordered so that ``is_write == (kind == KIND_WRITE)`` and the
 memory-op test is ``kind <= KIND_WRITE``.
 
-Sync runs
----------
-
-:meth:`sync_runs` tiles ``[0, n)`` into :class:`SyncRun` segments: maximal
-runs free of *global* sync points, where a global sync point is a BARRIER
-event — the only operation whose effect crosses threads inside the lockset
-state machines (flash-reset of every cached BFVector, all-to-all vector
-clock join).  Lock/unlock events mutate only the executing thread's lock
-register, so they do not end a run; batch kernels handle them inline.  Each
-barrier event is its own single-event run with ``sync=True``.
-
 Held locks
 ----------
 
@@ -62,7 +51,6 @@ import json
 import re
 import struct
 from array import array
-from typing import Iterable, NamedTuple
 
 from repro.common.errors import DetectorError, ProgramError, ReproError
 from repro.common.events import InjectedBug, Op, OpKind, Site, Trace, TraceEvent
@@ -122,19 +110,6 @@ _MAGIC = b"RPRCOLT1"
 FORMAT_VERSION = 2
 
 
-class SyncRun(NamedTuple):
-    """One segment of the trace between global sync points.
-
-    ``[lo, hi)`` is a maximal run containing no barrier event, or — when
-    ``sync`` is True — a single barrier event.  The runs tile the whole
-    trace in order.
-    """
-
-    lo: int
-    hi: int
-    sync: bool
-
-
 class ColumnarTrace:
     """A trace as parallel packed columns with an interned site table.
 
@@ -159,7 +134,6 @@ class ColumnarTrace:
         "cycles",
         "participants",
         "is_write",
-        "_sync_runs",
         "_rows",
         "_held",
         "_tapes",
@@ -178,7 +152,6 @@ class ColumnarTrace:
         #: The injected bug of the run (``None`` for a clean run); its sites
         #: are interned in :attr:`sites`.
         self.bug: InjectedBug | None = None
-        self._sync_runs = None
         self._rows = None
         self._held = None
         #: Per-MachineConfig replay tapes, memoised by the engine.
@@ -321,29 +294,6 @@ class ColumnarTrace:
         )
 
     # ----------------------------------------------------------- derived data
-
-    def sync_runs(self) -> list[SyncRun]:
-        """Segment the trace at global sync points (memoised).
-
-        See the module docstring: barriers end runs, lock/unlock do not.
-        """
-        runs = self._sync_runs
-        if runs is None:
-            runs = []
-            data = self._kind_bytes()
-            needle = bytes((KIND_BARRIER,))
-            lo = 0
-            pos = data.find(needle)
-            while pos >= 0:
-                if pos > lo:
-                    runs.append(SyncRun(lo, pos, False))
-                runs.append(SyncRun(pos, pos + 1, True))
-                lo = pos + 1
-                pos = data.find(needle, lo)
-            if lo < self.n:
-                runs.append(SyncRun(lo, self.n, False))
-            self._sync_runs = runs
-        return runs
 
     def rows(self) -> list[tuple]:
         """Per-event ``(kind, tid, addr, size, site_id)`` tuples (memoised).

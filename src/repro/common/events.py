@@ -287,15 +287,6 @@ class Trace:
             self._columnar = columnar
         return columnar
 
-    def sync_runs(self):
-        """Trace segments between global sync points (memoised).
-
-        Returns the columnar encoding's
-        :meth:`~repro.common.coltrace.ColumnarTrace.sync_runs` — maximal
-        barrier-free runs, with each barrier a singleton ``sync`` run.
-        """
-        return self.columns().sync_runs()
-
     def memory_accesses(self) -> list[TraceEvent]:
         """All READ/WRITE events, in trace order."""
         return [ev for ev in self.events if ev.op.is_memory_access]

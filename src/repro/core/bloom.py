@@ -81,14 +81,6 @@ class BloomMapper:
         """Set intersection: bitwise AND."""
         return a & b
 
-    def part_values(self, vector: int) -> tuple[int, ...]:
-        """The value of each part, low part first (for display and tests)."""
-        cfg = self.config
-        return tuple(
-            (vector >> (p * cfg.part_bits)) & ((1 << cfg.part_bits) - 1)
-            for p in range(cfg.num_parts)
-        )
-
 
 @dataclass
 class BloomVector:

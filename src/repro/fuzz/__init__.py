@@ -9,9 +9,10 @@ eight hand-written workloads:
 * :mod:`repro.fuzz.generator` — seeded random parallel programs, composed
   from the workload pattern library; every program is a pure function of
   its seed;
-* :mod:`repro.fuzz.oracle` — runs HARD plus the ideal detectors on one
-  trace and classifies every site-level divergence as an expected
-  approximation (verified against the observability event stream) or a
+* :mod:`repro.fuzz.oracle` — runs HARD, the ideal detectors and the
+  hybrid family on one trace and classifies every site-level divergence
+  as an expected approximation (verified by ablation re-runs and the
+  machine tape; the hybrid family's gaps by the conformance judge) or a
   genuine bug;
 * :mod:`repro.fuzz.shrink` — delta-debugging minimizer that reduces a
   divergent program to a small reproducer;

@@ -1,16 +1,15 @@
 """The differential oracle: run detectors on one trace, explain divergences.
 
-One fuzz case = one interleaved trace evaluated by seven detectors:
+One fuzz case = one interleaved trace evaluated by seven detectors in one
+:class:`~repro.engine.EngineSession`:
 
 * ``hard-default`` on a deliberately small L2 (so displacement happens at
-  fuzz-program scale), with the observability stream recorded;
+  fuzz-program scale);
 * ``hard-ideal`` at 4 B granularity — the exact-lockset reference;
 * ``hard-ideal`` at line (32 B) granularity — the granularity oracle;
 * ``hb-ideal`` at 4 B granularity — the happens-before reference;
 * ``fasttrack``, ``acculock`` and ``multilock-hb`` at 4 B granularity —
-  the hybrid lockset×happens-before family, whose warning lattice
-  (fasttrack ≡ hb-ideal ⊆ acculock ⊆ multilock-hb) is asserted on every
-  case; a lattice break is an ``UNEXPLAINED`` divergence.
+  the hybrid lockset×happens-before family.
 
 Divergences are computed at the paper's alarm unit — distinct source sites
 (Section 5.1) — and every one must be *explained* by a known approximation
@@ -18,51 +17,48 @@ before the case passes.  The explanation is never taken on faith: each
 class is verified against independent evidence —
 
 ========================  ==================================================
-Kind                      Verification
+kind (direction)          verification
 ========================  ==================================================
 FALSE_SHARING             the site also alarms in the exact lockset run at
-                          *line* granularity (granularity is sufficient)
+(hard-extra)              *line* granularity (granularity is sufficient)
 BLOOM_COLLISION           a re-run with a 256-bit BFVector (same small L2)
-                          recovers the report — the collision was the cause
-L2_DISPLACEMENT           a re-run with a 4 MB L2 recovers the report, and
-                          the recorded ``l2.displacement`` events include a
-                          line the site accessed
+(hard-missed)             recovers the report — the collision was the cause
+L2_DISPLACEMENT           a re-run with a 4 MB L2 recovers the report (the
+(hard-missed)             evidence notes an L2 displacement of a line the
+                          site accessed)
 COMPOUND_LOSS             only the re-run with *both* relaxations recovers
-                          the report (each approximation alone hides it)
-METADATA_EVICTION         no re-run recovers it, but a clean L1 eviction of
-                          a line the site accessed was recorded (HARD's
-                          stale-metadata modelling approximation)
+(hard-missed)             the report (each approximation alone hides it)
+METADATA_EVICTION         no re-run recovers it, but an L1 evicted a line
+(hard-missed)             the site accessed without a writeback (HARD's
+                          stale sole-holder metadata approximation)
 ORDERED_BY_SYNC           exact lockset reports, happens-before does not:
-                          the Figure 1 algorithmic difference (lock
+(lockset-only)            the Figure 1 algorithmic difference (lock
                           discipline violated, accesses ordered anyway)
 LSTATE_FORGIVEN           happens-before reports, exact lockset does not: a
-                          4 B-granularity LState replay confirms the
-                          reported chunks never reached Shared-Modified
-                          during this site's accesses (Eraser's
-                          initialization/read-share forgiveness, Figure 2)
-HB_SCHEDULE_MISS          the hybrid (multilock-hb) reports, exact HB does
-                          not: the strict (no-forgiveness) lockset replay
-                          alarms at the site, so the lock discipline is
-                          violated but this schedule ordered the accesses —
-                          the hybrid's schedule-insensitivity at work
-LOCKSET_FALSE_POSITIVE    exact lockset reports, the hybrid does not, and a
-                          no-weak-HB re-run of multilock-hb recovers the
-                          report: a barrier episode orders the pair — the
-                          hybrid pruned a lockset false alarm
-PAIRWISE_LOCKSET          exact lockset reports, the hybrid does not, and
-                          even the no-weak-HB re-run is silent: the
-                          *accumulated* candidate set empties although no
-                          conflicting access pair is pairwise lock-disjoint
-UNEXPLAINED               anything else — a genuine bug in one detector
+(hb-only)                 4 B-granularity LState replay shows the reported
+                          chunks never reached Shared-Modified during this
+                          site's accesses, or the strict lockset warned at
+                          them (Eraser's initialization/read-share
+                          forgiveness, Figure 2)
+the judge's kinds         the hybrid family's gaps, labelled by
+(a family pair)           :func:`~repro.hybrids.conformance.judge_family`
+UNEXPLAINED               a family containment broke
+(lattice-break)
+UNEXPLAINED (any)         anything else — a genuine bug in one detector
 ========================  ==================================================
 
-The expensive ablation re-runs are lazy: they only execute when the case
-actually has missed-race divergences to explain.
+The hybrid family is judged by the one classifier the conformance harness
+uses (:func:`~repro.hybrids.conformance.judge_family`, fed this session's
+five family results), so the two harnesses cannot disagree about a gap.
+The eviction evidence comes from the machine tape of ``hard-default``'s
+machine, which the batch walk already recorded: ``HOOK_L2_EVICT`` lines
+are displacements, ``HOOK_L1_EVICT`` lines with a clear dirty flag are
+clean L1 evictions.  The ablation re-runs are lazy: they only execute when
+the case actually has missed-race divergences to explain.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.common.addresses import spanned_chunks
@@ -70,9 +66,15 @@ from repro.common.events import OpKind, Site, Trace
 from repro.common.rng import derive_seed
 from repro.core.lstate import NO_OWNER, LState, transition
 from repro.engine import EngineSession
+from repro.engine.tape import HOOK_L1_EVICT, HOOK_L2_EVICT, MachineTape
 from repro.harness.detectors import DetectorConfig
-from repro.hybrids.multilock import MultiLockHBDetector
-from repro.obs import Observability, RecordingEmitter
+from repro.hybrids.conformance import (
+    Divergence,
+    DivergenceKind,
+    judge_family,
+    site_key,
+    strict_lockset_sites,
+)
 from repro.reporting import DetectionResult
 from repro.threads.program import ParallelProgram
 from repro.threads.scheduler import RandomScheduler
@@ -81,31 +83,14 @@ from repro.threads.runtime import interleave
 #: The machine's line size (MachineConfig default; the granularity oracle).
 LINE_SIZE = 32
 
-
-class DivergenceKind(enum.Enum):
-    """Why two detectors disagreed about one source site."""
-
-    FALSE_SHARING = "false-sharing"
-    BLOOM_COLLISION = "bloom-collision"
-    L2_DISPLACEMENT = "l2-displacement"
-    COMPOUND_LOSS = "compound-loss"
-    METADATA_EVICTION = "metadata-eviction"
-    ORDERED_BY_SYNC = "ordered-by-sync"
-    LSTATE_FORGIVEN = "lstate-forgiven"
-    HB_SCHEDULE_MISS = "hb-schedule-miss"
-    LOCKSET_FALSE_POSITIVE = "lockset-false-positive"
-    PAIRWISE_LOCKSET = "pairwise-lockset"
-    UNEXPLAINED = "unexplained"
-
-
-#: Divergence directions (which detector pair, which side reported).
+#: Divergence directions (which detector pair, which side reported).  The
+#: hybrid family's gaps carry the judge's pair names
+#: (:data:`repro.hybrids.conformance.FAMILY_PAIRS`).
 HARD_EXTRA = "hard-extra"  # hard-default reports, exact lockset silent
 HARD_MISSED = "hard-missed"  # exact lockset reports, hard-default silent
 HB_ONLY = "hb-only"  # happens-before reports, exact lockset silent
 LOCKSET_ONLY = "lockset-only"  # exact lockset reports, happens-before silent
-HYBRID_EXTRA = "hybrid-extra"  # multilock-hb reports, exact HB silent
-HYBRID_MISSED = "hybrid-missed"  # exact lockset reports, multilock-hb silent
-HYBRID_CHAIN = "hybrid-chain"  # a lattice containment broke (always a bug)
+LATTICE_BREAK = "lattice-break"  # a family containment broke (always a bug)
 
 
 @dataclass(frozen=True)
@@ -138,32 +123,6 @@ class OracleConfig:
 
 
 DEFAULT_ORACLE = OracleConfig()
-
-
-@dataclass(frozen=True)
-class Divergence:
-    """One explained (or unexplained) detector disagreement."""
-
-    direction: str
-    site: Site
-    kind: DivergenceKind
-    evidence: str = ""
-
-    @property
-    def is_expected(self) -> bool:
-        """True unless this divergence indicates a genuine bug."""
-        return self.kind is not DivergenceKind.UNEXPLAINED
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "site": [self.site.file, self.site.line, self.site.label],
-            "kind": self.kind.value,
-            "evidence": self.evidence,
-        }
-
-    def sort_key(self) -> tuple:
-        return (self.direction, self.site.file, self.site.line, self.site.label)
 
 
 @dataclass
@@ -215,47 +174,38 @@ def _site_lines(trace: Trace) -> dict[Site, set[int]]:
     return lines
 
 
-def _lstate_replay(
-    trace: Trace, granularity: int
-) -> tuple[dict[Site, set[int]], dict[Site, set[int]]]:
-    """Replay the lockset over the trace, with and without LState mercy.
+def eviction_lines(tape: MachineTape) -> tuple[set[int], set[int]]:
+    """``(displaced, clean_evicted)`` line sets of one machine tape.
 
-    Returns two ``site -> chunks`` maps:
+    ``displaced`` holds every line the L2 displaced; ``clean_evicted``
+    every line an L1 evicted without a writeback — the two events HARD's
+    cache-resident metadata is lost with.
+    """
+    displaced: set[int] = set()
+    clean_evicted: set[int] = set()
+    for code, line, aux in zip(tape.hook_code, tape.hook_line, tape.hook_aux):
+        if code == HOOK_L2_EVICT:
+            displaced.add(line)
+        elif code == HOOK_L1_EVICT and not aux:
+            clean_evicted.add(line)
+    return displaced, clean_evicted
 
-    * ``checked`` — chunks at which an access *from that site* ran the real
-      algorithm's Shared-Modified race check (mirroring
-      :class:`~repro.lockset.exact.IdealLocksetDetector`, barrier reset to
-      Virgin included);
-    * ``strict_empty`` — chunks at which a *strict* lockset — one that
-      intersects the candidate set from the very first access and never
-      forgives initialization or read-sharing — would have alarmed at that
-      site (empty candidate on a chunk touched by more than one thread).
 
-    Together they separate the two faces of LState forgiveness: accesses
-    the algorithm never judged (not in ``checked``), and races it judged
-    but could not see because one side's locks were absorbed during the
-    Virgin/Exclusive window (in ``strict_empty`` yet never reported).
+def _lstate_checked(trace: Trace, granularity: int) -> dict[Site, set[int]]:
+    """The chunks at which each site's accesses ran the race check.
+
+    Replays the LState machine over the trace and records, per site, every
+    chunk at which an access *from that site* reached the Shared-Modified
+    race check — mirroring
+    :class:`~repro.lockset.exact.IdealLocksetDetector`, barrier reset to
+    Virgin included.  An HB report at chunks outside this set was never
+    judged by the lockset at all.
     """
     lstates: dict[int, tuple[LState, int]] = {}
-    strict: dict[int, tuple[set[int] | None, set[int]]] = {}
-    held: dict[int, dict[int, int]] = {}
     arrivals: dict[int, int] = {}
     checked: dict[Site, set[int]] = {}
-    strict_empty: dict[Site, set[int]] = {}
     for event in trace:
         op = event.op
-        thread_id = event.thread_id
-        if op.kind is OpKind.LOCK:
-            locks = held.setdefault(thread_id, {})
-            locks[op.addr] = locks.get(op.addr, 0) + 1
-            continue
-        if op.kind is OpKind.UNLOCK:
-            locks = held.setdefault(thread_id, {})
-            if locks.get(op.addr, 0) > 0:
-                locks[op.addr] -= 1
-                if not locks[op.addr]:
-                    del locks[op.addr]
-            continue
         if op.kind is OpKind.BARRIER:
             count = arrivals.get(op.addr, 0) + 1
             if count < op.participants:
@@ -263,26 +213,16 @@ def _lstate_replay(
                 continue
             arrivals[op.addr] = 0
             lstates.clear()
-            strict.clear()
             continue
         if not op.is_memory_access:
             continue
-        locks = held.setdefault(thread_id, {})
         for chunk_addr in spanned_chunks(op.addr, op.size, granularity):
             state, owner = lstates.get(chunk_addr, (LState.VIRGIN, NO_OWNER))
-            outcome = transition(state, owner, thread_id, op.is_write)
+            outcome = transition(state, owner, event.thread_id, op.is_write)
             lstates[chunk_addr] = (outcome.state, outcome.owner)
             if outcome.check_race and op.site is not None:
                 checked.setdefault(op.site, set()).add(chunk_addr)
-            candidate, threads = strict.get(chunk_addr, (None, set()))
-            candidate = (
-                set(locks) if candidate is None else candidate & locks.keys()
-            )
-            threads = threads | {thread_id}
-            strict[chunk_addr] = (candidate, threads)
-            if not candidate and len(threads) > 1 and op.site is not None:
-                strict_empty.setdefault(op.site, set()).add(chunk_addr)
-    return checked, strict_empty
+    return checked
 
 
 def _hb_chunks_by_site(
@@ -322,57 +262,43 @@ def evaluate_trace(
 ) -> CaseVerdict:
     """Run the detector suite over ``trace`` and classify every divergence.
 
-    The four-detector differential suite is one
-    :class:`~repro.engine.EngineSession` pass (the three reference
-    detectors are trace-only cores riding the same walk that replays
-    ``hard-default``'s machine); the lazy ablation re-runs, when a case has
-    misses to explain, are a second session sharing one big-L2 machine
-    replay between the ``big`` and ``both`` variants.  Every result is
-    bit-for-bit what a standalone run of the same configuration returns.
+    The seven-detector suite is one :class:`~repro.engine.EngineSession`
+    pass; the lazy ablation re-runs, when a case has misses to explain,
+    are a second session whose big-L2 and both-relaxations variants share
+    one machine tape; the hybrid family's five results go to
+    :func:`~repro.hybrids.conformance.judge_family`, whose only run is its
+    lazy no-weak-HB ablation.  Every result is bit-for-bit what a
+    standalone run of the same configuration returns.
 
     ``engine_path`` overrides ``config.engine_path`` (``"random"`` here
     falls back to ``"auto"`` — the per-seed coin is flipped by
-    :func:`evaluate_program`, which knows the schedule seed).  The suite
-    runs without an event recorder on every path; the eviction evidence a
-    missed-race case needs is gathered lazily by one scalar
-    ``hard-default`` re-run (``hard-default`` is the suite's only
-    machine-backed detector), so verdicts stay bit-for-bit identical
-    across paths.
+    :func:`evaluate_program`, which knows the schedule seed).  The eviction
+    evidence a missed-race case needs is read from the machine tape of
+    ``hard-default``'s machine (:func:`eviction_lines`): memoised on the
+    trace's columns, it is the tape the batch walk already recorded, and
+    the scalar and sharded walks record it once here.
     """
     path = engine_path if engine_path is not None else config.engine_path
     if path == "random":
         path = "auto"
+    granularity = config.granularity
     hard_cfg = DetectorConfig(key="hard-default", l2_size=config.l2_size)
     session = EngineSession(trace, path=path)
-    session.add_config(hard_cfg)
-    session.add_config(DetectorConfig(key="hard-ideal", granularity=config.granularity))
+    hard_machine = session.add_config(hard_cfg).machine_config
+    session.add_config(DetectorConfig(key="hard-ideal", granularity=granularity))
     session.add_config(DetectorConfig(key="hard-ideal", granularity=LINE_SIZE))
-    session.add_config(DetectorConfig(key="hb-ideal", granularity=config.granularity))
-    session.add_config(DetectorConfig(key="fasttrack", granularity=config.granularity))
-    session.add_config(DetectorConfig(key="acculock", granularity=config.granularity))
-    session.add_config(
-        DetectorConfig(key="multilock-hb", granularity=config.granularity)
-    )
+    session.add_config(DetectorConfig(key="hb-ideal", granularity=granularity))
+    session.add_config(DetectorConfig(key="fasttrack", granularity=granularity))
+    session.add_config(DetectorConfig(key="acculock", granularity=granularity))
+    session.add_config(DetectorConfig(key="multilock-hb", granularity=granularity))
     hard, exact, exact_line, hb, ft, al, ml = session.run()
 
     hard_sites = hard.alarm_sites()
     exact_sites = exact.alarm_sites()
     line_sites = exact_line.alarm_sites()
     hb_sites = hb.alarm_sites()
-    ft_sites = ft.alarm_sites()
-    al_sites = al.alarm_sites()
-    ml_sites = ml.alarm_sites()
 
     divergences: list[Divergence] = []
-
-    # The LState/strict-lockset replay feeds both the HB_ONLY and the
-    # HYBRID_EXTRA classifications; compute it at most once, on demand.
-    _lstate_cache: list[tuple[dict[Site, set[int]], dict[Site, set[int]]]] = []
-
-    def lstate_maps() -> tuple[dict[Site, set[int]], dict[Site, set[int]]]:
-        if not _lstate_cache:
-            _lstate_cache.append(_lstate_replay(trace, config.granularity))
-        return _lstate_cache[0]
 
     # --- hard-default false positives (vs the exact lockset) --------------
     for site in sorted(hard_sites - exact_sites, key=_site_sort_key):
@@ -399,21 +325,9 @@ def evaluate_trace(
     # --- hard-default missed races (lazy ablation re-runs) ----------------
     missed = sorted(exact_sites - hard_sites, key=_site_sort_key)
     if missed:
-        # The suite ran without an event recorder: replay hard-default
-        # once on the scalar path to capture the eviction evidence.
-        recorder = RecordingEmitter(types={"l2.displacement", "cache.evict"})
-        evidence = EngineSession(
-            trace, obs=Observability(emitter=recorder), path="scalar"
-        )
-        evidence.add_config(hard_cfg)
-        evidence.run()
+        tape = MachineTape.for_columns(trace.columns(), hard_machine)
+        displaced, clean_evicted = eviction_lines(tape)
         site_lines = _site_lines(trace)
-        displaced = {e["line"] for e in recorder.by_type("l2.displacement")}
-        clean_evicted = {
-            e["line"]
-            for e in recorder.by_type("cache.evict")
-            if e["cache"] != "L2" and not e["dirty"]
-        }
         # One ablation session for all three re-runs; on the batch walk the
         # big-L2 and both-relaxations variants (identical machine
         # configurations) share one machine tape.
@@ -496,10 +410,11 @@ def evaluate_trace(
                 "accesses (Figure 1)",
             )
         )
+    strict = strict_lockset_sites(trace, granularity)
     hb_extra = sorted(hb_sites - exact_sites, key=_site_sort_key)
     if hb_extra:
-        checked, strict_empty = lstate_maps()
-        hb_chunks = _hb_chunks_by_site(hb, config.granularity)
+        checked = _lstate_checked(trace, granularity)
+        hb_chunks = _hb_chunks_by_site(hb, granularity)
         for site in hb_extra:
             reported = hb_chunks.get(site, set())
             if not reported & checked.get(site, set()):
@@ -512,7 +427,7 @@ def evaluate_trace(
                         "Shared-Modified during this site's accesses",
                     )
                 )
-            elif reported & strict_empty.get(site, set()):
+            elif reported & strict.chunks.get(site_key(site), set()):
                 divergences.append(
                     Divergence(
                         HB_ONLY,
@@ -534,105 +449,23 @@ def evaluate_trace(
                     )
                 )
 
-    # --- the hybrid lattice (fasttrack ≡ hb-ideal ⊆ acculock ⊆ multilock) --
-    # Any containment break is a detector bug, never an approximation.
-    for site in sorted(ft_sites ^ hb_sites, key=_site_sort_key):
-        which = "fasttrack" if site in ft_sites else "hb-ideal"
-        divergences.append(
-            Divergence(
-                HYBRID_CHAIN,
-                site,
-                DivergenceKind.UNEXPLAINED,
-                f"fasttrack and hb-ideal must agree site-for-site; only "
-                f"{which} reports here",
-            )
-        )
-    for site in sorted(ft_sites - al_sites, key=_site_sort_key):
-        divergences.append(
-            Divergence(
-                HYBRID_CHAIN,
-                site,
-                DivergenceKind.UNEXPLAINED,
-                "fasttrack reports a site acculock misses (exact-HB ⊆ "
-                "acculock broken)",
-            )
-        )
-    for site in sorted(al_sites - ml_sites, key=_site_sort_key):
-        divergences.append(
-            Divergence(
-                HYBRID_CHAIN,
-                site,
-                DivergenceKind.UNEXPLAINED,
-                "acculock reports a site multilock-hb misses (acculock ⊆ "
-                "multilock-hb broken)",
-            )
-        )
-
-    # --- hybrid extra warnings (vs exact happens-before) ------------------
-    hybrid_extra = sorted(ml_sites - hb_sites, key=_site_sort_key)
-    if hybrid_extra:
-        _, strict_empty = lstate_maps()
-        for site in hybrid_extra:
-            if site in strict_empty:
-                divergences.append(
-                    Divergence(
-                        HYBRID_EXTRA,
-                        site,
-                        DivergenceKind.HB_SCHEDULE_MISS,
-                        "strict-lockset replay alarms here: lock discipline "
-                        "is violated, this schedule just ordered the accesses",
-                    )
-                )
-            else:
-                divergences.append(
-                    Divergence(
-                        HYBRID_EXTRA,
-                        site,
-                        DivergenceKind.UNEXPLAINED,
-                        "multilock-hb reports a site even the strict "
-                        "(no-forgiveness) lockset replay never alarms at",
-                    )
-                )
-
-    # --- hybrid missed races (vs the exact lockset, lazy ablation) --------
-    hybrid_missed = sorted(exact_sites - ml_sites, key=_site_sort_key)
-    if hybrid_missed:
-        # One no-weak-HB re-run of multilock-hb: with the epoch filter off
-        # it is a pure pairwise-lockset detector, separating "a barrier
-        # episode orders the pair" from "no access pair is pairwise
-        # lock-disjoint at all".
-        noweak_session = EngineSession(trace, path=path)
-        noweak_session.add(
-            MultiLockHBDetector(
-                granularity=config.granularity,
-                use_weak_hb=False,
-                name="multilock-noweak",
-            )
-        )
-        (noweak,) = noweak_session.run()
-        noweak_sites = noweak.alarm_sites()
-        for site in hybrid_missed:
-            if site in noweak_sites:
-                divergences.append(
-                    Divergence(
-                        HYBRID_MISSED,
-                        site,
-                        DivergenceKind.LOCKSET_FALSE_POSITIVE,
-                        "the no-weak-HB re-run recovers the report: a barrier "
-                        "episode orders the pair the exact lockset flags",
-                    )
-                )
-            else:
-                divergences.append(
-                    Divergence(
-                        HYBRID_MISSED,
-                        site,
-                        DivergenceKind.PAIRWISE_LOCKSET,
-                        "even the no-weak-HB re-run is silent: the accumulated "
-                        "candidate set empties across accesses that are never "
-                        "pairwise lock-disjoint",
-                    )
-                )
+    # --- the hybrid family (the conformance judge) ------------------------
+    lattice, family = judge_family(
+        trace,
+        ft,
+        hb,
+        al,
+        ml,
+        exact,
+        strict,
+        granularity=granularity,
+        engine_path=path,
+    )
+    divergences.extend(family)
+    divergences.extend(
+        Divergence(LATTICE_BREAK, None, DivergenceKind.UNEXPLAINED, violation)
+        for violation in lattice
+    )
 
     divergences.sort(key=Divergence.sort_key)
     return CaseVerdict(
@@ -644,9 +477,9 @@ def evaluate_trace(
             "hard-ideal": len(exact_sites),
             "hard-ideal@line": len(line_sites),
             "hb-ideal": len(hb_sites),
-            "fasttrack": len(ft_sites),
-            "acculock": len(al_sites),
-            "multilock-hb": len(ml_sites),
+            "fasttrack": len(ft.alarm_sites()),
+            "acculock": len(al.alarm_sites()),
+            "multilock-hb": len(ml.alarm_sites()),
         },
         divergences=tuple(divergences),
     )

@@ -32,7 +32,8 @@ Three caches keep the sweeps cheap:
   configuration signature and the source digest of the whole package)
   with atomic write-then-rename, because the sensitivity sweeps of Section
   5.2 revisit the same runs under many detector configurations.  A hit
-  needs neither a program nor a trace;
+  needs neither a program nor a trace; a truncated, non-object or
+  incomplete entry is unlinked and recomputed;
 * verdicts are additionally memoised in memory, which is how parallel
   prefetch results reach the serial table-assembly path byte-for-byte
   unchanged.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -466,22 +467,31 @@ class ExperimentRunner:
 
     def _cache_get(self, app: str, run: int, signature: str) -> RunOutcome | None:
         path = self._cache_path(app, run, signature)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        data = json.loads(path.read_text())
-        if data.get("signature") != signature:
+        try:
+            data = json.loads(path.read_text())
+            if data.get("signature") != signature:
+                return None
+            outcome = RunOutcome(
+                detector=signature,
+                app=app,
+                run=run,
+                detected=data["detected"],
+                alarm_count=data["alarm_count"],
+                dynamic_reports=data["dynamic_reports"],
+                cycles=data["cycles"],
+                detector_extra_cycles=data["detector_extra_cycles"],
+            )
+        except FileNotFoundError:
+            return None
+        except (ValueError, AttributeError, KeyError):
+            # Truncated, not an object or missing a field: the entry fails
+            # closed — unlinked and recomputed like a miss.
+            path.unlink(missing_ok=True)
             return None
         self.metrics.add("harness.verdict_cache_hits")
-        return RunOutcome(
-            detector=signature,
-            app=app,
-            run=run,
-            detected=data["detected"],
-            alarm_count=data["alarm_count"],
-            dynamic_reports=data["dynamic_reports"],
-            cycles=data["cycles"],
-            detector_extra_cycles=data["detector_extra_cycles"],
-        )
+        return outcome
 
     def _cache_put(self, outcome: RunOutcome, signature: str) -> None:
         path = self._cache_path(outcome.app, outcome.run, signature)
@@ -501,11 +511,3 @@ class ExperimentRunner:
         # leaves a truncated JSON file that poisons every later cache hit.
         atomic_write_text(path, payload)
 
-
-@dataclass
-class TableCell:
-    """One "detected / alarms" cell of a paper-style table."""
-
-    detected: int | None = None
-    alarms: int | None = None
-    extras: dict[str, float] = field(default_factory=dict)

@@ -96,10 +96,6 @@ class GridReport:
         """Number of evaluated grid cells."""
         return len(self.outcomes)
 
-    def outcome_index(self) -> dict[tuple[str, int, str], RunOutcome]:
-        """Outcomes keyed by (app, run, configuration signature)."""
-        return {(o.app, o.run, o.detector): o for o in self.outcomes}
-
     def to_dict(self) -> dict:
         """JSON-serialisable summary (outcomes + merged metrics)."""
         return {

@@ -417,21 +417,6 @@ def _scaling_config(
     )
 
 
-def scaling_cells(
-    apps=SCALING_APPS,
-    core_counts=SCALING_CORE_COUNTS,
-    fabrics=COHERENCE_KINDS,
-    detector: str = "hard-default",
-) -> list[GridCell]:
-    """The scaling grid: race-free runs over (app x cores x fabric)."""
-    return [
-        GridCell(app, CLEAN_RUN, _scaling_config(detector, cores, fabric))
-        for app in apps
-        for cores in core_counts
-        for fabric in fabrics
-    ]
-
-
 def control_traffic(stats: dict, cores: int, fabric: str) -> dict:
     """Estimated control-message bytes of one run under one fabric.
 

@@ -23,7 +23,11 @@ exists to avoid.
 
 :mod:`repro.hybrids.conformance` pins the resulting lattice: on every
 trace, exact-HB reports ⊆ AccuLock ⊆ MultiLock-HB ⊆ strict-lockset
-warnings, and classifies each adjacent divergence.
+warnings.  Its :func:`~repro.hybrids.conformance.judge_family` is the one
+classifier of the family's gaps: the conformance harness and the fuzz
+oracle both label each adjacent-pair divergence through it, in one
+:class:`~repro.hybrids.conformance.Divergence` record and one
+:class:`~repro.hybrids.conformance.DivergenceKind` vocabulary.
 """
 
 from repro.hybrids.acculock import AccuLockCore, AccuLockDetector
@@ -32,7 +36,10 @@ from repro.hybrids.conformance import (
     ConformanceError,
     ConformanceReport,
     ConformanceSuiteResult,
+    Divergence,
+    DivergenceKind,
     check_conformance,
+    judge_family,
     run_conformance_suite,
     strict_lockset_sites,
 )
@@ -44,10 +51,13 @@ __all__ = [
     "ConformanceError",
     "ConformanceReport",
     "ConformanceSuiteResult",
+    "Divergence",
+    "DivergenceKind",
     "MultiLockHBCore",
     "MultiLockHBDetector",
     "WeakClocks",
     "check_conformance",
+    "judge_family",
     "run_conformance_suite",
     "strict_lockset_sites",
 ]

@@ -1,8 +1,8 @@
-"""Cross-detector conformance: pin the hybrid lattice, explain every gap.
+"""One divergence judge for the exact detector family.
 
 On any single trace the exact detector family forms a lattice of warning
 sets (each containment proved by construction, re-checked empirically
-here on every run):
+here on every judged trace):
 
     fasttrack  ==  hb-ideal                      (epochs are an encoding,
                                                   not an approximation)
@@ -17,45 +17,59 @@ here on every run):
 where *strict-lockset* is Eraser with no Virgin/Exclusive forgiveness:
 candidate sets intersected from the very first access, warnings on any
 empty-candidate chunk touched by more than one thread, reset only at
-barrier episodes.  :func:`check_conformance` runs the family in one
-:class:`~repro.engine.EngineSession` pass, asserts the chain at
-*(event, site)* granularity, and classifies every adjacent-pair
-divergence:
+barrier episodes (:func:`strict_lockset_sites`, the one strict replay).
 
-==========================  ================================================
-kind                        meaning / verification
-==========================  ================================================
-``hb-schedule-miss``        a hybrid warns, exact HB is silent: the strict
-                            lockset warns too, so the discipline is violated
-                            but this schedule ordered the accesses (Figure 1)
-``multi-lockset-witness``   MultiLock-HB warns, AccuLock is silent: a
-                            retained record with a different lockset
-                            witnesses disjointness AccuLock overwrote
-``lockset-false-positive``  a lockset-side detector warns, the hybrid is
-                            silent: the no-weak-HB ablation still warns, so
-                            a barrier episode (not lock sharing) prunes it
-``pairwise-lockset``        exact/strict lockset warns, even the no-weak-HB
-                            ablation is silent: the *accumulated* candidate
-                            set empties although no conflicting pair is
-                            pairwise lock-disjoint
-``lstate-forgiven``         MultiLock-HB warns, Eraser-exact is silent: the
-                            strict lockset warns, so the Virgin/Exclusive
-                            window absorbed the evidence
-``unexplained``             anything else — a genuine bug in one detector
-==========================  ================================================
+:func:`judge_family` is the one classifier of the family's gaps.  It takes
+the five family results a caller already holds (fasttrack, hb-ideal,
+acculock, multilock-hb and the Eraser-exact lockset), asserts the chain at
+*(event, site)* granularity and labels every divergence between adjacent
+members at the paper's alarm unit, the source site.  Both harnesses call
+it: :func:`check_conformance` on a family-only
+:class:`~repro.engine.EngineSession` pass, and the fuzz oracle
+(:func:`repro.fuzz.oracle.evaluate_trace`) on the results of its own
+suite session, so no detector runs twice.
 
-Bloom-filter aliasing and the other hardware approximations never appear
-here — this module compares *exact* detectors only; the fuzz oracle
-(:mod:`repro.fuzz.oracle`) folds the same family into its hard-default
-differential suite where the PR 3 ablation machinery explains those.
+===========================  ===============================================
+kind (direction)             verification
+===========================  ===============================================
+``hb-schedule-miss``         AccuLock warns, exact HB is silent, the strict
+(acculock-vs-fasttrack)      lockset warns: the discipline is violated but
+                             this schedule ordered the accesses (Figure 1)
+``multi-lockset-witness``    MultiLock-HB warns, AccuLock is silent, inside
+(multilock-vs-acculock)      the strict envelope: a retained record with
+                             another lockset witnesses the disjointness
+                             AccuLock's single slot overwrote
+``lockset-false-positive``   Eraser-exact (or the strict lockset) warns,
+(exact-vs-multilock,         the hybrid is silent, the no-weak-HB ablation
+strict-vs-multilock)         warns: a barrier episode, not lock sharing,
+                             orders the pair
+``pairwise-lockset``         Eraser-exact (or the strict lockset) warns and
+(exact-vs-multilock,         even the ablation is silent: the *accumulated*
+strict-vs-multilock)         candidate set empties though no conflicting
+                             pair is pairwise lock-disjoint
+``lstate-forgiven``          MultiLock-HB warns, Eraser-exact is silent, the
+(exact-vs-multilock)         strict lockset warns: the Virgin/Exclusive
+                             window absorbed the evidence
+``unexplained`` (any pair)   a hybrid warns outside the strict envelope —
+                             a genuine bug in one detector
+===========================  ===============================================
+
+A broken containment is not a site-level divergence: the judge returns it
+as a *violation*, which fails a conformance report outright and reaches a
+fuzz verdict as an ``unexplained`` divergence.  The hardware
+approximations (line granularity, Bloom aliasing, L2 displacement) never
+appear here — the family is exact; the fuzz oracle explains those with its
+ablation re-runs and the machine tape, in the same :class:`Divergence`
+record and :class:`DivergenceKind` vocabulary.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from repro.common.events import OpKind, Trace
+from repro.common.events import OpKind, Site, Trace
 from repro.engine.session import EngineSession
 from repro.hb.fasttrack import FastTrackDetector
 from repro.hb.ideal import IdealHappensBeforeDetector
@@ -69,20 +83,81 @@ class ConformanceError(Exception):
     """A conformance-suite case could not be built or judged."""
 
 
-#: Divergence kinds (values double as the JSON vocabulary).
-HB_SCHEDULE_MISS = "hb-schedule-miss"
-MULTI_LOCKSET_WITNESS = "multi-lockset-witness"
-LOCKSET_FALSE_POSITIVE = "lockset-false-positive"
-PAIRWISE_LOCKSET = "pairwise-lockset"
-LSTATE_FORGIVEN = "lstate-forgiven"
-UNEXPLAINED = "unexplained"
+class DivergenceKind(enum.Enum):
+    """Why two detectors disagreed about one source site.
+
+    Values double as the JSON vocabulary of both harnesses.  The first
+    five are the fuzz oracle's hardware-approximation classes and
+    ``ORDERED_BY_SYNC`` its lockset-vs-HB class; :func:`judge_family`
+    assigns the next five (the oracle's ``hb-only`` branch also assigns
+    ``LSTATE_FORGIVEN``); ``UNEXPLAINED`` marks a genuine bug.
+    """
+
+    FALSE_SHARING = "false-sharing"
+    BLOOM_COLLISION = "bloom-collision"
+    L2_DISPLACEMENT = "l2-displacement"
+    COMPOUND_LOSS = "compound-loss"
+    METADATA_EVICTION = "metadata-eviction"
+    ORDERED_BY_SYNC = "ordered-by-sync"
+    LSTATE_FORGIVEN = "lstate-forgiven"
+    HB_SCHEDULE_MISS = "hb-schedule-miss"
+    MULTI_LOCKSET_WITNESS = "multi-lockset-witness"
+    LOCKSET_FALSE_POSITIVE = "lockset-false-positive"
+    PAIRWISE_LOCKSET = "pairwise-lockset"
+    UNEXPLAINED = "unexplained"
 
 
-def site_key(site) -> tuple:
-    """A site's hashable identity (None-safe)."""
+#: The judge's adjacent-pair names: the ``direction`` of its divergences.
+FAMILY_PAIRS = (
+    "acculock-vs-fasttrack",
+    "multilock-vs-acculock",
+    "exact-vs-multilock",
+    "strict-vs-multilock",
+)
+
+_NO_SITE = ("", -1, "")
+
+
+def site_key(site: Site | None) -> tuple:
+    """A site's hashable, sortable identity (None-safe)."""
     if site is None:
-        return ("", -1, "")
+        return _NO_SITE
     return (site.file, site.line, site.label)
+
+
+def _site_of(key: tuple) -> Site | None:
+    return None if key == _NO_SITE else Site(*key)
+
+
+@dataclass(frozen=True)
+class Divergence:
+    """One explained (or unexplained) detector disagreement.
+
+    ``direction`` names the detector pair and which side reported: one of
+    :data:`FAMILY_PAIRS` or a fuzz-oracle direction.  ``site`` is None for
+    an access without a source site and for a lattice violation.
+    """
+
+    direction: str
+    site: Site | None
+    kind: DivergenceKind
+    evidence: str = ""
+
+    @property
+    def is_expected(self) -> bool:
+        """True unless this divergence indicates a genuine bug."""
+        return self.kind is not DivergenceKind.UNEXPLAINED
+
+    def to_dict(self) -> dict:
+        return {
+            "direction": self.direction,
+            "site": list(site_key(self.site)),
+            "kind": self.kind.value,
+            "evidence": self.evidence,
+        }
+
+    def sort_key(self) -> tuple:
+        return (self.direction, *site_key(self.site))
 
 
 class StrictWarnings(NamedTuple):
@@ -90,6 +165,7 @@ class StrictWarnings(NamedTuple):
 
     events: frozenset  # {(seq, site_key)}
     sites: frozenset  # {site_key}
+    chunks: dict  # {site_key: {chunk address warned at}}
 
 
 def strict_lockset_sites(trace: Trace, granularity: int = 4) -> StrictWarnings:
@@ -107,7 +183,7 @@ def strict_lockset_sites(trace: Trace, granularity: int = 4) -> StrictWarnings:
     arrivals: dict[int, int] = {}
     chunks: dict[int, list] = {}  # chunk -> [candidate | None, {threads}]
     events: set = set()
-    sites: set = set()
+    warned: dict[tuple, set[int]] = {}
     for event in trace:
         op = event.op
         kind = op.kind
@@ -146,16 +222,20 @@ def strict_lockset_sites(trace: Trace, granularity: int = 4) -> StrictWarnings:
                 if not chunk[0] and len(threads) > 1:
                     key = site_key(op.site)
                     events.add((event.seq, key))
-                    sites.add(key)
+                    warned.setdefault(key, set()).add(chunk_addr)
                 if chunk_addr == last:
                     break
                 chunk_addr += granularity
-    return StrictWarnings(frozenset(events), frozenset(sites))
+    return StrictWarnings(frozenset(events), frozenset(warned), warned)
 
 
 def _report_events(result: DetectionResult) -> frozenset:
     """The ``(seq, site_key)`` identity set of one detector's reports."""
     return frozenset((report.seq, site_key(report.site)) for report in result.reports)
+
+
+def _site_keys(result: DetectionResult) -> set:
+    return {site_key(site) for site in result.alarm_sites()}
 
 
 def _result_fingerprint(result: DetectionResult) -> tuple:
@@ -170,26 +250,174 @@ def _result_fingerprint(result: DetectionResult) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class ConformanceDivergence:
-    """One classified disagreement between two adjacent lattice members."""
+def _sample(items: Iterable, limit: int = 3) -> str:
+    ordered = sorted(items)
+    shown = ", ".join(repr(item) for item in ordered[:limit])
+    if len(ordered) > limit:
+        shown += f", … ({len(ordered)} total)"
+    return shown
 
-    pair: str
-    site: tuple
-    kind: str
-    evidence: str = ""
 
-    @property
-    def is_expected(self) -> bool:
-        return self.kind != UNEXPLAINED
+def judge_family(
+    trace: Trace,
+    ft: DetectionResult,
+    hb: DetectionResult,
+    al: DetectionResult,
+    ml: DetectionResult,
+    exact: DetectionResult,
+    strict: StrictWarnings,
+    *,
+    granularity: int = 4,
+    engine_path: str = "auto",
+) -> tuple[tuple[str, ...], tuple[Divergence, ...]]:
+    """Assert the lattice over five family results and classify every gap.
 
-    def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "site": list(self.site),
-            "kind": self.kind,
-            "evidence": self.evidence,
-        }
+    ``ft``/``hb``/``al``/``ml``/``exact`` are the fasttrack, hb-ideal,
+    acculock, multilock-hb and Eraser-exact results over ``trace`` at
+    ``granularity``; ``strict`` is :func:`strict_lockset_sites` of the same
+    trace.  Returns ``(violations, divergences)``: one message per broken
+    containment, and one :class:`Divergence` per site in the difference of
+    an adjacent pair.  The only detector this runs is the no-weak-HB
+    MultiLock-HB ablation, built lazily on ``engine_path`` when an
+    Eraser-side warning needs explaining.
+    """
+    ft_events = _report_events(ft)
+    hb_events = _report_events(hb)
+    al_events = _report_events(al)
+    ml_events = _report_events(ml)
+    violations: list[str] = []
+    if ft_events != hb_events:
+        violations.append(
+            "fasttrack != hb-ideal: only-fasttrack "
+            f"[{_sample(ft_events - hb_events)}], only-hb "
+            f"[{_sample(hb_events - ft_events)}]"
+        )
+    if not ft_events <= al_events:
+        violations.append(
+            f"fasttrack ⊄ acculock: [{_sample(ft_events - al_events)}]"
+        )
+    if not al_events <= ml_events:
+        violations.append(
+            f"acculock ⊄ multilock-hb: [{_sample(al_events - ml_events)}]"
+        )
+    if not ml_events <= strict.events:
+        violations.append(
+            f"multilock-hb ⊄ strict-lockset: [{_sample(ml_events - strict.events)}]"
+        )
+
+    ft_sites = _site_keys(ft)
+    al_sites = _site_keys(al)
+    ml_sites = _site_keys(ml)
+    exact_sites = _site_keys(exact)
+    divergences: list[Divergence] = []
+
+    def classify(pair: str, key: tuple, kind: DivergenceKind, evidence: str) -> None:
+        divergences.append(Divergence(pair, _site_of(key), kind, evidence))
+
+    for key in sorted(al_sites - ft_sites):
+        if key in strict.sites:
+            classify(
+                "acculock-vs-fasttrack",
+                key,
+                DivergenceKind.HB_SCHEDULE_MISS,
+                "strict lockset warns here too: discipline violated, but "
+                "this schedule ordered the accesses (Figure 1)",
+            )
+        else:
+            classify(
+                "acculock-vs-fasttrack",
+                key,
+                DivergenceKind.UNEXPLAINED,
+                "acculock warns outside the strict-lockset envelope",
+            )
+    for key in sorted(ml_sites - al_sites):
+        if key in strict.sites:
+            classify(
+                "multilock-vs-acculock",
+                key,
+                DivergenceKind.MULTI_LOCKSET_WITNESS,
+                "a retained record with a different lockset witnesses "
+                "disjointness AccuLock's single-slot history overwrote",
+            )
+        else:
+            classify(
+                "multilock-vs-acculock",
+                key,
+                DivergenceKind.UNEXPLAINED,
+                "multilock-hb warns outside the strict-lockset envelope",
+            )
+
+    # Eraser-exact vs the hybrid envelope, both directions.  The no-weak-HB
+    # ablation (epoch filter off: every record counts as concurrent)
+    # separates "a barrier episode orders the pair" from "no pairwise
+    # lock-disjoint pair ever existed".  It is not a registry config, so it
+    # cannot shard; a sharded caller's ablation walks batch.
+    noweak_sites: set | None = None
+
+    def pairwise_sites() -> set:
+        nonlocal noweak_sites
+        if noweak_sites is None:
+            path = "batch" if engine_path == "sharded" else engine_path
+            ablation = EngineSession(trace, path=path)
+            ablation.add(
+                MultiLockHBDetector(granularity=granularity, use_weak_hb=False)
+            )
+            (result,) = ablation.run()
+            noweak_sites = _site_keys(result)
+        return noweak_sites
+
+    for key in sorted(exact_sites - ml_sites):
+        if key in pairwise_sites():
+            classify(
+                "exact-vs-multilock",
+                key,
+                DivergenceKind.LOCKSET_FALSE_POSITIVE,
+                "the no-weak-HB ablation still warns: a barrier episode "
+                "orders the pair — the hybrid prunes Eraser's false alarm",
+            )
+        else:
+            classify(
+                "exact-vs-multilock",
+                key,
+                DivergenceKind.PAIRWISE_LOCKSET,
+                "even the no-weak-HB ablation is silent: the accumulated "
+                "candidate set empties although no conflicting pair is "
+                "pairwise lock-disjoint",
+            )
+    for key in sorted(ml_sites - exact_sites):
+        if key in strict.sites:
+            classify(
+                "exact-vs-multilock",
+                key,
+                DivergenceKind.LSTATE_FORGIVEN,
+                "strict (no-forgiveness) lockset warns here: the "
+                "Virgin/Exclusive window absorbed the evidence",
+            )
+        else:
+            classify(
+                "exact-vs-multilock",
+                key,
+                DivergenceKind.UNEXPLAINED,
+                "multilock-hb warns outside the strict-lockset envelope",
+            )
+    for key in sorted(strict.sites - ml_sites):
+        if key in pairwise_sites():
+            classify(
+                "strict-vs-multilock",
+                key,
+                DivergenceKind.LOCKSET_FALSE_POSITIVE,
+                "the no-weak-HB ablation still warns: a barrier episode "
+                "orders every surviving pair",
+            )
+        else:
+            classify(
+                "strict-vs-multilock",
+                key,
+                DivergenceKind.PAIRWISE_LOCKSET,
+                "even the no-weak-HB ablation is silent: only the "
+                "accumulated intersection empties",
+            )
+    return tuple(violations), tuple(divergences)
 
 
 @dataclass
@@ -201,10 +429,10 @@ class ConformanceReport:
     engine_path: str
     alarm_sites: dict[str, int] = field(default_factory=dict)
     violations: tuple[str, ...] = ()
-    divergences: tuple[ConformanceDivergence, ...] = ()
+    divergences: tuple[Divergence, ...] = ()
 
     @property
-    def unexplained(self) -> tuple[ConformanceDivergence, ...]:
+    def unexplained(self) -> tuple[Divergence, ...]:
         return tuple(d for d in self.divergences if not d.is_expected)
 
     @property
@@ -222,14 +450,6 @@ class ConformanceReport:
             "divergences": [d.to_dict() for d in self.divergences],
             "ok": self.ok,
         }
-
-
-def _sample(items: Iterable, limit: int = 3) -> str:
-    ordered = sorted(items)
-    shown = ", ".join(repr(item) for item in ordered[:limit])
-    if len(ordered) > limit:
-        shown += f", … ({len(ordered)} total)"
-    return shown
 
 
 def _detector_family(granularity: int) -> list:
@@ -250,7 +470,7 @@ def check_conformance(
     check_parity: bool = False,
     label: str = "",
 ) -> ConformanceReport:
-    """Judge one trace: run the family, assert the chain, classify gaps.
+    """Judge one trace: run the family once, then :func:`judge_family`.
 
     With ``check_parity`` the whole family is run on **both** engine walks
     and any batch/scalar fingerprint mismatch (reports or stats) becomes a
@@ -279,157 +499,33 @@ def check_conformance(
                     f"batch/scalar parity broken for {scalar_result.detector}"
                 )
 
-    ft_events = _report_events(ft)
-    hb_events = _report_events(hb)
-    al_events = _report_events(al)
-    ml_events = _report_events(ml)
     strict = strict_lockset_sites(trace, granularity)
-
-    if ft_events != hb_events:
-        violations.append(
-            "fasttrack != hb-ideal: only-fasttrack "
-            f"[{_sample(ft_events - hb_events)}], only-hb "
-            f"[{_sample(hb_events - ft_events)}]"
-        )
-    if not ft_events <= al_events:
-        violations.append(
-            f"fasttrack ⊄ acculock: [{_sample(ft_events - al_events)}]"
-        )
-    if not al_events <= ml_events:
-        violations.append(
-            f"acculock ⊄ multilock-hb: [{_sample(al_events - ml_events)}]"
-        )
-    if not ml_events <= strict.events:
-        violations.append(
-            f"multilock-hb ⊄ strict-lockset: [{_sample(ml_events - strict.events)}]"
-        )
-
-    ft_sites = {site_key(s) for s in ft.alarm_sites()}
-    al_sites = {site_key(s) for s in al.alarm_sites()}
-    ml_sites = {site_key(s) for s in ml.alarm_sites()}
-    exact_sites = {site_key(s) for s in exact.alarm_sites()}
-
-    divergences: list[ConformanceDivergence] = []
-
-    def classify(pair: str, site: tuple, kind: str, evidence: str) -> None:
-        divergences.append(ConformanceDivergence(pair, site, kind, evidence))
-
-    for site in sorted(al_sites - ft_sites):
-        if site in strict.sites:
-            classify(
-                "acculock-vs-fasttrack",
-                site,
-                HB_SCHEDULE_MISS,
-                "strict lockset warns here too: discipline violated, but "
-                "this schedule ordered the accesses (Figure 1)",
-            )
-        else:
-            classify(
-                "acculock-vs-fasttrack",
-                site,
-                UNEXPLAINED,
-                "acculock warns outside the strict-lockset envelope",
-            )
-    for site in sorted(ml_sites - al_sites):
-        if site in strict.sites:
-            classify(
-                "multilock-vs-acculock",
-                site,
-                MULTI_LOCKSET_WITNESS,
-                "a retained record with a different lockset witnesses "
-                "disjointness AccuLock's single-slot history overwrote",
-            )
-        else:
-            classify(
-                "multilock-vs-acculock",
-                site,
-                UNEXPLAINED,
-                "multilock-hb warns outside the strict-lockset envelope",
-            )
-
-    # Eraser-exact vs the hybrid envelope, both directions.  The no-weak-HB
-    # ablation (epoch filter off: every record counts as concurrent) is
-    # built lazily — it separates "a barrier episode orders the pair" from
-    # "no pairwise lock-disjoint pair ever existed".
-    noweak_sites: set | None = None
-
-    def pairwise_sites() -> set:
-        nonlocal noweak_sites
-        if noweak_sites is None:
-            ablation = EngineSession(trace, path=engine_path)
-            ablation.add(
-                MultiLockHBDetector(granularity=granularity, use_weak_hb=False)
-            )
-            (result,) = ablation.run()
-            noweak_sites = {site_key(s) for s in result.alarm_sites()}
-        return noweak_sites
-
-    for site in sorted(exact_sites - ml_sites):
-        if site in pairwise_sites():
-            classify(
-                "exact-vs-multilock",
-                site,
-                LOCKSET_FALSE_POSITIVE,
-                "the no-weak-HB ablation still warns: a barrier episode "
-                "orders the pair — the hybrid prunes Eraser's false alarm",
-            )
-        else:
-            classify(
-                "exact-vs-multilock",
-                site,
-                PAIRWISE_LOCKSET,
-                "even the no-weak-HB ablation is silent: the accumulated "
-                "candidate set empties although no conflicting pair is "
-                "pairwise lock-disjoint",
-            )
-    for site in sorted(ml_sites - exact_sites):
-        if site in strict.sites:
-            classify(
-                "exact-vs-multilock",
-                site,
-                LSTATE_FORGIVEN,
-                "strict (no-forgiveness) lockset warns here: the "
-                "Virgin/Exclusive window absorbed the evidence",
-            )
-        else:
-            classify(
-                "exact-vs-multilock",
-                site,
-                UNEXPLAINED,
-                "multilock-hb warns outside the strict-lockset envelope",
-            )
-    for site in sorted(strict.sites - ml_sites):
-        if site in pairwise_sites():
-            classify(
-                "strict-vs-multilock",
-                site,
-                LOCKSET_FALSE_POSITIVE,
-                "the no-weak-HB ablation still warns: a barrier episode "
-                "orders every surviving pair",
-            )
-        else:
-            classify(
-                "strict-vs-multilock",
-                site,
-                PAIRWISE_LOCKSET,
-                "even the no-weak-HB ablation is silent: only the "
-                "accumulated intersection empties",
-            )
-
+    lattice, divergences = judge_family(
+        trace,
+        ft,
+        hb,
+        al,
+        ml,
+        exact,
+        strict,
+        granularity=granularity,
+        engine_path=engine_path,
+    )
+    violations.extend(lattice)
     return ConformanceReport(
         label=label or trace.label,
         events=len(trace),
         engine_path=engine_path,
         alarm_sites={
-            "fasttrack": len(ft_sites),
-            "hb-ideal": len({site_key(s) for s in hb.alarm_sites()}),
-            "acculock": len(al_sites),
-            "multilock-hb": len(ml_sites),
-            "exact-lockset": len(exact_sites),
+            "fasttrack": len(_site_keys(ft)),
+            "hb-ideal": len(_site_keys(hb)),
+            "acculock": len(_site_keys(al)),
+            "multilock-hb": len(_site_keys(ml)),
+            "exact-lockset": len(_site_keys(exact)),
             "strict-lockset": len(strict.sites),
         },
         violations=tuple(violations),
-        divergences=tuple(divergences),
+        divergences=divergences,
     )
 
 

@@ -80,10 +80,6 @@ class CacheMetadataStore(MachineListener, Generic[M]):
             )
         return meta
 
-    def holders_of(self, line_addr: int) -> list[Holder]:
-        """All holders that currently have a copy of ``line_addr``."""
-        return list(self._lines.get(line_addr, ()))
-
     def tracked_lines(self) -> list[int]:
         """All line addresses with at least one live copy."""
         return list(self._lines)

@@ -1006,7 +1006,3 @@ def streaming_private(
                 builder.block(thread_id, ops, stage=stage)
     return region
 
-
-def compute_delay(builder: WorkloadBuilder, thread_id: int, cycles: int) -> None:
-    """Insert a local-compute block (timing only)."""
-    builder.block(thread_id, [compute(cycles)])

@@ -1,16 +1,16 @@
 """ColumnarTrace edge cases (satellite): degenerate shapes and mmap reloads.
 
-The batch kernels iterate ``sync_runs()`` blindly, so the segmentation
-must be exactly right on the degenerate traces a fuzz campaign actually
-produces: empty traces, single events, barrier-only traces, and traces
-reloaded from a memory-mapped file while a suite is mid-flight.
+The batch kernels walk the columns blindly, so they must be exactly right
+on the degenerate traces a fuzz campaign actually produces: empty traces,
+barrier-only traces, and traces reloaded from a memory-mapped file while a
+suite is mid-flight.
 """
 
 import mmap
 from pathlib import Path
 
 from repro.api import detect
-from repro.common.coltrace import ColumnarTrace, SyncRun
+from repro.common.coltrace import ColumnarTrace
 from repro.common.events import Site, Trace, barrier, lock, read, unlock, write
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
@@ -30,52 +30,12 @@ class TestDegenerateShapes:
     def test_empty_trace_has_no_runs(self):
         cols = ColumnarTrace.from_events(Trace(num_threads=0))
         assert len(cols) == 0
-        assert cols.sync_runs() == []
         assert cols.rows() == []
 
     def test_empty_trace_round_trips(self):
         cols = ColumnarTrace.from_events(Trace(num_threads=0))
         again = ColumnarTrace.from_bytes(cols.to_bytes())
         assert len(again) == 0
-        assert again.sync_runs() == []
-
-    def test_single_event_is_one_run(self):
-        trace = Trace(num_threads=1)
-        trace.append(0, write(0x100, SITE))
-        cols = ColumnarTrace.from_events(trace)
-        assert cols.sync_runs() == [SyncRun(0, 1, False)]
-
-    def test_single_barrier_event_is_one_sync_run(self):
-        trace = Trace(num_threads=1)
-        _barrier_all(trace, barrier_id=1, participants=1)
-        cols = ColumnarTrace.from_events(trace)
-        assert cols.sync_runs() == [SyncRun(0, 1, True)]
-
-    def test_barrier_only_trace(self):
-        # Every event is a sync point: N runs, each one event, all sync.
-        trace = Trace(num_threads=2)
-        for barrier_id in (1, 2, 3):
-            _barrier_all(trace, barrier_id, participants=2)
-        cols = ColumnarTrace.from_events(trace)
-        runs = cols.sync_runs()
-        assert len(runs) == len(trace)
-        assert all(run.sync for run in runs)
-        assert all(run.hi - run.lo == 1 for run in runs)
-        assert [run.lo for run in runs] == list(range(len(trace)))
-
-    def test_runs_tile_mixed_trace(self):
-        trace = Trace(num_threads=2)
-        trace.append(0, write(0x100, SITE))
-        trace.append(1, read(0x100, SITE))
-        _barrier_all(trace, barrier_id=1, participants=2)
-        trace.append(0, write(0x104, SITE))
-        cols = ColumnarTrace.from_events(trace)
-        runs = cols.sync_runs()
-        # Runs tile [0, n) in order with no gaps.
-        assert runs[0].lo == 0 and runs[-1].hi == len(trace)
-        for left, right in zip(runs, runs[1:]):
-            assert left.hi == right.lo
-        assert [run.sync for run in runs] == [False, True, True, False]
 
     def test_degenerate_traces_survive_detection(self):
         # The engine must walk zero-run and sync-only columnar traces
@@ -153,7 +113,7 @@ class TestMmapReloadMidSuite:
             first = detect(reloaded, "multilock-hb", engine_path="batch")
             assert result_key(first) == result_key(baseline)
             # ...and a second detector over the same mapping (the
-            # memoised rows/sync_runs must not corrupt across passes).
+            # memoised rows must not corrupt across passes).
             second = detect(reloaded, "acculock", engine_path="batch")
             third = detect(trace, "acculock", engine_path="scalar")
             assert result_key(second) == result_key(third)

@@ -22,20 +22,19 @@ from repro.hybrids import (
     run_conformance_suite,
     strict_lockset_sites,
 )
-from repro.hybrids.conformance import (
-    HB_SCHEDULE_MISS,
-    LOCKSET_FALSE_POSITIVE,
-    LSTATE_FORGIVEN,
-    MULTI_LOCKSET_WITNESS,
-    PAIRWISE_LOCKSET,
-    UNEXPLAINED,
-    suite_specs,
-)
+from repro.hybrids.conformance import DivergenceKind, suite_specs
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
 CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
+
+HB_SCHEDULE_MISS = DivergenceKind.HB_SCHEDULE_MISS
+LOCKSET_FALSE_POSITIVE = DivergenceKind.LOCKSET_FALSE_POSITIVE
+LSTATE_FORGIVEN = DivergenceKind.LSTATE_FORGIVEN
+MULTI_LOCKSET_WITNESS = DivergenceKind.MULTI_LOCKSET_WITNESS
+PAIRWISE_LOCKSET = DivergenceKind.PAIRWISE_LOCKSET
+UNEXPLAINED = DivergenceKind.UNEXPLAINED
 
 #: Every kind the classifier may emit (the JSON vocabulary).
 KNOWN_KINDS = {

@@ -272,7 +272,10 @@ EXEMPLARS: dict[str, tuple] = {
     ),
     "pairwise-lockset": (
         pairwise_lockset_case,
-        {DivergenceKind.PAIRWISE_LOCKSET},
+        # The exact lockset must report too (ORDERED_BY_SYNC): otherwise
+        # PAIRWISE_LOCKSET comes from the strict envelope alone and the
+        # exemplar no longer shows Eraser's accumulated intersection.
+        {DivergenceKind.PAIRWISE_LOCKSET, DivergenceKind.ORDERED_BY_SYNC},
         {DivergenceKind.PAIRWISE_LOCKSET, DivergenceKind.ORDERED_BY_SYNC},
     ),
     "lstate-forgiven": (

@@ -5,21 +5,32 @@ engineered (in :mod:`tests.fuzz.cases`) to trigger exactly that class, and
 asserts both the classification and its direction/evidence.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.common.events import Site
+from repro.engine import EngineSession
+from repro.engine.tape import MachineTape
+from repro.fuzz.corpus import load_case
+from repro.fuzz.generator import generate_program
 from repro.fuzz.oracle import (
+    DEFAULT_ORACLE,
     HARD_EXTRA,
     HARD_MISSED,
     HB_ONLY,
-    HYBRID_EXTRA,
-    HYBRID_MISSED,
     LOCKSET_ONLY,
     CaseVerdict,
     Divergence,
     DivergenceKind,
     evaluate_program,
+    evaluate_trace,
+    eviction_lines,
 )
+from repro.harness.detectors import DetectorConfig
+from repro.obs import Observability, RecordingEmitter
+from repro.threads.runtime import interleave
+from repro.threads.scheduler import RandomScheduler
 
 from tests.fuzz.cases import EXEMPLARS, find_schedule_seed
 
@@ -80,7 +91,7 @@ class TestClassification:
         kinds = {(d.direction, d.kind) for d in verdict.divergences}
         assert kinds == {
             (LOCKSET_ONLY, DivergenceKind.ORDERED_BY_SYNC),
-            (HYBRID_EXTRA, DivergenceKind.HB_SCHEDULE_MISS),
+            ("acculock-vs-fasttrack", DivergenceKind.HB_SCHEDULE_MISS),
         }
         assert verdict.alarm_counts["hb-ideal"] == 0
         assert verdict.alarm_counts["hard-ideal"] > 0
@@ -88,7 +99,7 @@ class TestClassification:
     def test_hb_schedule_miss_is_hybrid_extra(self, verdicts):
         # The hybrid's extra warning must be verified against the strict
         # lockset replay, and fasttrack must agree with hb-ideal (both
-        # schedule-bound) while multilock-hb alone carries the extra.
+        # schedule-bound) while the hybrids alone carry the extra.
         verdict = verdicts["ordered-by-sync"]
         misses = [
             d
@@ -97,8 +108,8 @@ class TestClassification:
         ]
         assert misses
         for divergence in misses:
-            assert divergence.direction == HYBRID_EXTRA
-            assert "strict-lockset replay" in divergence.evidence
+            assert divergence.direction == "acculock-vs-fasttrack"
+            assert "strict lockset warns" in divergence.evidence
         assert verdict.alarm_counts["fasttrack"] == verdict.alarm_counts["hb-ideal"]
         assert verdict.alarm_counts["multilock-hb"] > verdict.alarm_counts["hb-ideal"]
 
@@ -115,9 +126,13 @@ class TestClassification:
             if d.kind is DivergenceKind.PAIRWISE_LOCKSET
         ]
         assert missed
+        assert "exact-vs-multilock" in {d.direction for d in missed}
         for divergence in missed:
-            assert divergence.direction == HYBRID_MISSED
-            assert "no-weak-HB re-run is silent" in divergence.evidence
+            assert divergence.direction in (
+                "exact-vs-multilock",
+                "strict-vs-multilock",
+            )
+            assert "no-weak-HB ablation is silent" in divergence.evidence
         assert verdict.alarm_counts["hard-ideal"] > 0
         assert verdict.alarm_counts["multilock-hb"] == 0
         assert verdict.alarm_counts["fasttrack"] == 0
@@ -126,7 +141,10 @@ class TestClassification:
         verdict = verdicts["lstate-forgiven"]
         assert not verdict.unexplained
         kinds = {(d.direction, d.kind) for d in verdict.divergences}
-        assert kinds == {(HB_ONLY, DivergenceKind.LSTATE_FORGIVEN)}
+        assert kinds == {
+            (HB_ONLY, DivergenceKind.LSTATE_FORGIVEN),
+            ("exact-vs-multilock", DivergenceKind.LSTATE_FORGIVEN),
+        }
         assert any(
             "never reached" in d.evidence for d in verdict.divergences
         )
@@ -142,6 +160,83 @@ class TestClassification:
             DivergenceKind.LSTATE_FORGIVEN
         }
         assert any("strict" in d.evidence for d in verdict.divergences)
+
+
+CORPUS_DIR = Path(__file__).parent / "corpus"
+
+
+def _l2_displacement_trace():
+    case = load_case(CORPUS_DIR / "exemplar-l2-displacement.json")
+    scheduler = RandomScheduler(seed=case.schedule_seed, max_burst=8)
+    return interleave(case.program, scheduler).trace
+
+
+def _fuzz_trace(index):
+    scheduler = RandomScheduler(seed=index, max_burst=8)
+    return interleave(generate_program(index), scheduler).trace
+
+
+class TestTapeEvidence:
+    @pytest.mark.parametrize(
+        "build",
+        (_l2_displacement_trace, lambda: _fuzz_trace(24)),
+        ids=("l2-displacement", "fuzz-24"),
+    )
+    def test_tape_sets_equal_scalar_event_sets(self, build):
+        # The oracle reads evictions off hard-default's machine tape; a
+        # scalar replay with an event recorder must see the same lines.
+        trace = build()
+        hard_cfg = DetectorConfig(key="hard-default", l2_size=DEFAULT_ORACLE.l2_size)
+        recorder = RecordingEmitter(types={"l2.displacement", "cache.evict"})
+        session = EngineSession(
+            trace, obs=Observability(emitter=recorder), path="scalar"
+        )
+        machine = session.add_config(hard_cfg).machine_config
+        session.run()
+        emitted_displaced = {e["line"] for e in recorder.by_type("l2.displacement")}
+        emitted_clean = {
+            e["line"]
+            for e in recorder.by_type("cache.evict")
+            if e["cache"] != "L2" and not e["dirty"]
+        }
+        displaced, clean_evicted = eviction_lines(
+            MachineTape.for_columns(trace.columns(), machine)
+        )
+        assert displaced == emitted_displaced
+        assert clean_evicted == emitted_clean
+        assert displaced
+
+    def test_batch_evaluation_walks_no_scalar_session(self, monkeypatch):
+        paths = []
+        init = EngineSession.__init__
+
+        def spy(self, trace, obs=None, path="auto", **kwargs):
+            paths.append(path)
+            init(self, trace, obs, path, **kwargs)
+
+        monkeypatch.setattr(EngineSession, "__init__", spy)
+        verdict = evaluate_trace(_l2_displacement_trace(), engine_path="batch")
+        assert any(
+            d.kind is DivergenceKind.L2_DISPLACEMENT for d in verdict.divergences
+        )
+        assert paths and "scalar" not in paths
+
+
+class TestEnginePaths:
+    def test_every_walk_gives_the_same_verdict(self):
+        # The pairwise exemplar needs the judge's no-weak-HB ablation,
+        # which is not a registry config: a sharded evaluation must still
+        # judge it (on the batch walk), not raise.
+        case = load_case(CORPUS_DIR / "exemplar-pairwise-lockset.json")
+        scheduler = RandomScheduler(seed=case.schedule_seed, max_burst=8)
+        trace = interleave(case.program, scheduler).trace
+        verdicts = [
+            evaluate_trace(trace, engine_path=path).to_dict()
+            for path in ("batch", "scalar", "sharded")
+        ]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        kinds = {d["kind"] for d in verdicts[0]["divergences"]}
+        assert "pairwise-lockset" in kinds
 
 
 class TestDeterminism:

@@ -119,13 +119,14 @@ class TestObservabilityCommands:
         assert "phase breakdown" in out
         for phase in ("build", "interleave", "characterize", "detect"):
             assert phase in out
-        assert "top 10 event types" in out
-        assert "lstate.transition" in out
         assert "detect throughput:" in out
+        assert "top 10 detector counters" in out
         assert "overhead" in out
-        # The counting emitter puts the run on the scalar walk; the
-        # throughput line describes that walk, and the profile says so.
-        assert "engine path: scalar (fallback: trace emitter active)" in out
+        # No emitter rides along: the throughput line times the walk a
+        # plain run takes, and the profile says which one.
+        assert "engine path: batch" in out
+        assert "fallback" not in out
+        assert "event types" not in out
 
     def test_profile_defaults_to_hard_default(self):
         args = build_parser().parse_args(["profile", "barnes"])

@@ -1,5 +1,7 @@
 """Unit tests for the experiment runner (protocol + caching)."""
 
+import json
+
 import pytest
 
 from repro.common.events import Site
@@ -120,8 +122,6 @@ class TestDiskCache(object):
         assert any(tmp_path.iterdir())
 
     def test_cache_write_is_atomic(self, tmp_path):
-        import json
-
         runner = ExperimentRunner(cache_dir=tmp_path)
         runner.run_detector("raytrace", CLEAN_RUN, "hard-ideal")
         # The rename-into-place protocol leaves no temp files behind and
@@ -133,6 +133,28 @@ class TestDiskCache(object):
         for entry in entries:
             data = json.loads(entry.read_text())
             assert "signature" in data
+
+    @pytest.mark.parametrize(
+        "damage",
+        (
+            lambda text: text[: len(text) // 2],
+            lambda text: "[]",
+            lambda text: text.replace('"cycles"', '"cycels"'),
+        ),
+        ids=("truncated", "not-an-object", "missing-cycles"),
+    )
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        first = ExperimentRunner(cache_dir=tmp_path).run_detector(
+            "radix", CLEAN_RUN, "hb-ideal"
+        )
+        (entry,) = tmp_path.glob("*.json")
+        entry.write_text(damage(entry.read_text()))
+        runner = ExperimentRunner(cache_dir=tmp_path)
+        again = runner.run_detector("radix", CLEAN_RUN, "hb-ideal")
+        assert again.to_dict() == first.to_dict()
+        assert "harness.verdict_cache_hits" not in runner.metrics.snapshot()
+        # The recomputed verdict was written back, whole.
+        assert json.loads(entry.read_text())["cycles"] == first.cycles
 
     def test_outcome_to_dict(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)

@@ -12,9 +12,8 @@ cycle, where the reloaded columns are zero-copy views into the mapping.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.coltrace import ColumnarTrace, SyncRun
+from repro.common.coltrace import ColumnarTrace
 from repro.common.errors import HarnessError
-from repro.common.events import OpKind
 from repro.fuzz.generator import generate_program
 from repro.harness.tracecache import TraceCache
 from repro.threads.runtime import interleave
@@ -75,28 +74,4 @@ def test_trace_cache_mmap_reload(tmp_path_factory, index, schedule_seed, injecte
     # the packed data matches what was stored.
     cols = reloaded.columns()
     assert bytes(cols.kind.tobytes()) == bytes(trace.columns().kind.tobytes())
-    assert cols.sync_runs() == trace.columns().sync_runs()
 
-
-@settings(max_examples=25, deadline=None)
-@given(seeds, schedule_seeds)
-def test_sync_runs_partition_the_trace(index, schedule_seed):
-    """Sync runs tile [0, n) exactly, and barriers always end a run."""
-    trace = fuzz_trace(index, schedule_seed, injected=False)
-    cols = trace.columns()
-    runs = cols.sync_runs()
-    assert all(isinstance(run, SyncRun) for run in runs)
-    expected_lo = 0
-    for run in runs:
-        assert run.lo == expected_lo
-        assert run.lo < run.hi
-        expected_lo = run.hi
-    assert expected_lo == cols.n or cols.n == 0
-    barrier_positions = {
-        i for i, event in enumerate(trace.events)
-        if event.op.kind is OpKind.BARRIER
-    }
-    for run in runs:
-        # A barrier inside a run may only sit at its final position.
-        inside = barrier_positions.intersection(range(run.lo, run.hi - 1))
-        assert not inside, (run, sorted(inside))
