@@ -12,6 +12,7 @@ lock-heavy apps at the high end.
 
 import pytest
 
+from repro.harness.experiment import CLEAN_RUN
 from repro.harness.tables import PAPER_FIGURE8, figure8, render_figure8
 from repro.workloads.registry import WORKLOAD_NAMES
 from repro.reporting import run_core
@@ -42,7 +43,7 @@ def test_overhead_in_paper_band(figure8_data, checked):
 def test_traffic_dominates_overhead(runner, checked):
     """Section 5.1: the bus traffic increase is the main contributor."""
     def _check():
-        outcome = runner.overhead("cholesky")
+        outcome = runner.run_detector("cholesky", CLEAN_RUN, "hard-default")
         result_stats = _overhead_components(runner, "cholesky")
         traffic = result_stats["piggyback"] + result_stats["broadcast"]
         compute = result_stats["check"] + result_stats["lockreg"] + result_stats["reset"]
@@ -74,7 +75,7 @@ def test_reference_band_recorded(checked):
 
 def test_bench_overhead_measurement(runner, benchmark):
     def measure():
-        return runner.overhead("barnes")
+        return runner.run_detector("barnes", CLEAN_RUN, "hard-default")
 
     outcome = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert outcome.cycles > 0

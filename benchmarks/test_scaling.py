@@ -13,6 +13,7 @@ import pytest
 
 from repro.common.config import SCALING_CORE_COUNTS
 from repro.harness import tables
+from repro.harness.detectors import DetectorConfig
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,9 @@ def test_bench_one_scaling_cell(runner, benchmark):
             jobs=runner.engine_jobs,
             tape_cache=runner.tape_cache,
         )
-        session.add_config(tables._scaling_config("hard-default", 64, "directory"))
+        session.add_config(
+            DetectorConfig("hard-default", num_cores=64, coherence="directory")
+        )
         return session.run()[0]
 
     result = benchmark.pedantic(_detect, rounds=1, iterations=1)

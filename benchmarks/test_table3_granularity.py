@@ -12,6 +12,8 @@ else at the default configuration.  Expected shapes (Section 5.2.1):
 
 import pytest
 
+from repro.harness.detectors import DetectorConfig
+from repro.harness.experiment import CLEAN_RUN
 from repro.harness.tables import (
     PAPER_TABLE3_GRANULARITIES,
     render_table3,
@@ -70,7 +72,8 @@ def test_fine_granularity_removes_false_sharing(table3_data, checked):
 
 def test_bench_one_granularity_cell(runner, benchmark):
     def one_cell():
-        return runner.false_alarm_count("raytrace", "hard-default", granularity=8)
+        config = DetectorConfig("hard-default", granularity=8)
+        return runner.run_detector("raytrace", CLEAN_RUN, config).alarm_count
 
     alarms = benchmark.pedantic(one_cell, rounds=1, iterations=1)
     assert alarms >= 0

@@ -10,6 +10,8 @@ alarm — ocean gains a single alarm at 32 bits in the paper).
 import pytest
 
 from repro.common.config import PAPER_BLOOM_SIZES
+from repro.harness.detectors import DetectorConfig
+from repro.harness.experiment import CLEAN_RUN
 from repro.harness.tables import render_table6, table6
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -51,7 +53,8 @@ def test_vector_sizes_covered(checked):
 
 def test_bench_one_bloom_cell(runner, benchmark):
     def one_cell():
-        return runner.false_alarm_count("raytrace", "hard-default", vector_bits=32)
+        config = DetectorConfig("hard-default", vector_bits=32)
+        return runner.run_detector("raytrace", CLEAN_RUN, config).alarm_count
 
     alarms = benchmark.pedantic(one_cell, rounds=1, iterations=1)
     assert alarms >= 0

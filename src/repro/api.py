@@ -73,16 +73,7 @@ from repro.reporting import DetectionResult, hybrid_comparison
 from repro.workloads.registry import WORKLOAD_NAMES
 
 #: Exhibit names :func:`run_table` accepts.
-EXHIBITS = (
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "figure8",
-    "hybrids",
-    "scaling",
-)
+EXHIBITS = tuple(_tables.EXHIBITS)
 
 
 @dataclass
@@ -205,31 +196,9 @@ def run_table(
     runner = make_runner(
         workload_seed=workload_seed, runs=runs, cache_dir=cache_dir, jobs=jobs
     )
-    if name == "table2":
-        data = _tables.table2(runner, apps=apps)
-        text = _tables.render_table2(data, runs=runs)
-    elif name == "table3":
-        data = _tables.table3(runner, apps=apps)
-        text = _tables.render_table3(data)
-    elif name in ("table4", "table5"):
-        data = _tables.table4_and_5(runner, apps=apps)
-        render = _tables.render_table4 if name == "table4" else _tables.render_table5
-        text = render(data)
-    elif name == "table6":
-        data = _tables.table6(runner, apps=apps)
-        text = _tables.render_table6(data)
-    elif name == "hybrids":
-        data = _tables.hybrids(runner, apps=apps)
-        text = _tables.render_hybrids(data, runs=runs)
-    elif name == "scaling":
-        # The scaling study has its own default universe (server-shaped
-        # workloads); an explicit --apps selection still narrows it.
-        scaling_apps = _tables.SCALING_APPS if apps == WORKLOAD_NAMES else apps
-        data = _tables.scaling(runner, apps=scaling_apps)
-        text = _tables.render_scaling(data)
-    else:  # figure8
-        data = _tables.figure8(runner, apps=apps)
-        text = _tables.render_figure8(data)
+    compute, render = _tables.EXHIBITS[name]
+    data = compute(runner, apps)
+    text = render(data, runs)
     return TableResult(
         name=name,
         data=data,

@@ -11,7 +11,7 @@ from repro.harness.detectors import (
 )
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner, RunOutcome, score_detection
 from repro.harness.parallel import GridCell, GridReport, run_grid
-from repro.harness.sweeps import SweepCell, SweepResult, sweep, sweep_cells
+from repro.harness.sweeps import SweepCell, SweepResult, sweep
 from repro.harness.tracecache import TraceCache
 from repro.harness.tracestats import TraceStats, characterize
 from repro.harness.tables import (
@@ -53,7 +53,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "sweep",
-    "sweep_cells",
     "TraceStats",
     "characterize",
     "PAPER_FIGURE8",

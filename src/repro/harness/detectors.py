@@ -36,7 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from repro.common.config import HappensBeforeConfig, HardConfig, MachineConfig
+from repro.common.config import (
+    BloomConfig,
+    HappensBeforeConfig,
+    HardConfig,
+    MachineConfig,
+)
 from repro.common.errors import HarnessError
 from repro.core.detector import HardDetector
 from repro.hb.detector import HappensBeforeDetector
@@ -68,9 +73,10 @@ class DetectorConfig:
 
     Frozen (hashable, picklable) so a configuration can key caches and
     cross process boundaries unchanged — the parallel grid engine ships
-    these to worker processes.  ``None`` means "the key's default", which
-    keeps cache signatures identical between an explicit default and no
-    override at all.
+    these to worker processes.  ``None`` means "the key's default", and a
+    knob set to its key's default (:func:`knob_defaults`) is stored as
+    ``None``: an explicit default and no override are one configuration,
+    equal, with one cache signature.
     """
 
     key: str = "hard-default"
@@ -82,6 +88,11 @@ class DetectorConfig:
     use_counter_register: bool = True
     num_cores: int | None = None
     coherence: str | None = None
+
+    def __post_init__(self) -> None:
+        for name, default in knob_defaults(self.key).items():
+            if getattr(self, name) == default:
+                object.__setattr__(self, name, None)
 
     def overrides(self) -> dict[str, object]:
         """The non-default knobs as ``make_detector`` keyword arguments."""
@@ -112,8 +123,40 @@ class DetectorConfig:
                     "pass knobs inside DetectorConfig, not as extra overrides"
                 )
             return config
+        unknown = sorted(set(overrides) - set(KNOBS))
+        if unknown:
+            raise HarnessError(
+                f"unknown detector knob {', '.join(map(repr, unknown))}; "
+                f"expected one of {KNOBS}"
+            )
         kwargs = {k: v for k, v in overrides.items() if v is not None}
         return cls(key=config, **kwargs)
+
+
+#: Every knob a :class:`DetectorConfig` carries beyond its key.
+KNOBS = tuple(spec.name for spec in fields(DetectorConfig) if spec.name != "key")
+
+_MACHINE = MachineConfig()
+
+#: The knobs whose default does not depend on the key.
+_SHARED_DEFAULTS = {
+    "l2_size": _MACHINE.l2.size_bytes,
+    "num_cores": _MACHINE.num_cores,
+    "coherence": _MACHINE.coherence,
+    "vector_bits": BloomConfig().vector_bits,
+}
+
+#: Metadata granularity of the cache-resident keys; every other key runs
+#: at 4 B.
+_GRANULARITY = {
+    "hard-default": HardConfig().granularity,
+    "hb-default": HappensBeforeConfig().granularity,
+}
+
+
+def knob_defaults(key: str) -> dict[str, object]:
+    """What each ``None`` knob of ``key`` means in :func:`make_detector`."""
+    return {"granularity": _GRANULARITY.get(key, 4), **_SHARED_DEFAULTS}
 
 
 def _machine_config(cfg: DetectorConfig) -> MachineConfig:
@@ -148,43 +191,41 @@ def make_detector(
     """
     cfg = DetectorConfig.coerce(config, **overrides)
     key = cfg.key
+    granularity = cfg.granularity or knob_defaults(key)["granularity"]
     if key == "hard-default":
         machine = _machine_config(cfg)
         hard = HardConfig(
+            granularity=granularity,
             barrier_reset=cfg.barrier_reset,
             broadcast_updates=cfg.broadcast_updates,
             use_counter_register=cfg.use_counter_register,
         )
-        if cfg.granularity is not None:
-            hard = hard.with_granularity(cfg.granularity)
         if cfg.vector_bits is not None:
             hard = hard.with_vector_bits(cfg.vector_bits)
         return HardDetector(machine, hard, name=key)
     if key == "hard-ideal":
         return IdealLocksetDetector(
-            granularity=cfg.granularity or 4,
+            granularity=granularity,
             barrier_reset=cfg.barrier_reset,
             name=key,
         )
     if key == "hb-default":
         machine = _machine_config(cfg)
-        hb = HappensBeforeConfig()
-        if cfg.granularity is not None:
-            hb = hb.with_granularity(cfg.granularity)
+        hb = HappensBeforeConfig(granularity=granularity)
         return HappensBeforeDetector(machine, hb, name=key)
     if key == "hb-ideal":
-        return IdealHappensBeforeDetector(granularity=cfg.granularity or 4, name=key)
+        return IdealHappensBeforeDetector(granularity=granularity, name=key)
     if key == "fasttrack":
-        return FastTrackDetector(granularity=cfg.granularity or 4, name=key)
+        return FastTrackDetector(granularity=granularity, name=key)
     if key == "acculock":
         return AccuLockDetector(
-            granularity=cfg.granularity or 4,
+            granularity=granularity,
             barrier_reset=cfg.barrier_reset,
             name=key,
         )
     if key == "multilock-hb":
         return MultiLockHBDetector(
-            granularity=cfg.granularity or 4,
+            granularity=granularity,
             barrier_reset=cfg.barrier_reset,
             name=key,
         )
@@ -192,7 +233,7 @@ def make_detector(
         machine = _machine_config(cfg)
         return SoftwareLocksetDetector(
             machine,
-            granularity=cfg.granularity or 4,
+            granularity=granularity,
             barrier_reset=cfg.barrier_reset,
             name=key,
         )

@@ -16,9 +16,10 @@ The evaluation grid — (app, run, detector configuration) cells — is
 embarrassingly parallel, and every stochastic choice flows through
 :func:`~repro.common.rng.derive_seed`, so a cell's outcome is a pure
 function of its coordinates.  :meth:`ExperimentRunner.run_detector`
-evaluates one cell; :meth:`ExperimentRunner.prefetch` evaluates many, and
-with ``jobs > 1`` fans them out across worker processes via
-:mod:`repro.harness.parallel`.
+evaluates one cell; :meth:`ExperimentRunner.outcomes` scores a whole grid —
+every exhibit and sweep declares its cells once and reads its data from
+the returned mapping — and with ``jobs > 1`` fans it out across worker
+processes via :mod:`repro.harness.parallel`.
 
 Three caches keep the sweeps cheap:
 
@@ -34,9 +35,9 @@ Three caches keep the sweeps cheap:
   5.2 revisit the same runs under many detector configurations.  A hit
   needs neither a program nor a trace; a truncated, non-object or
   incomplete entry is unlinked and recomputed;
-* verdicts are additionally memoised in memory, which is how parallel
-  prefetch results reach the serial table-assembly path byte-for-byte
-  unchanged.
+* verdicts are additionally memoised in memory, so a cell scored once —
+  in this process or by a worker — is never evaluated again by this
+  runner.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from repro.workloads.injection import inject_bug
 from repro.workloads.registry import build_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.harness.parallel import GridCell, GridReport
+    from repro.harness.parallel import GridCell
 
 #: Run index reserved for the race-free (no injection) execution.
 CLEAN_RUN = -1
@@ -134,7 +135,7 @@ class ExperimentRunner:
             ``traces/`` subdirectory, interleaved traces).  ``None``
             disables both disk caches.
         runs: injected runs per application (the paper uses 10).
-        jobs: worker processes for :meth:`prefetch`; ``1`` (the default)
+        jobs: worker processes for :meth:`outcomes`; ``1`` (the default)
             evaluates everything serially in this process.
         trace_memo_limit: maximum number of traces held in the in-memory
             memo at once (least-recently-used eviction via
@@ -366,27 +367,6 @@ class ExperimentRunner:
             for index in range(len(cfgs))
         ]
 
-    def detection_count(
-        self, app: str, config: DetectorConfig | str, **overrides
-    ) -> int:
-        """Bugs detected out of :attr:`runs` injected runs."""
-        return sum(
-            self.run_detector(app, run, config, **overrides).detected
-            for run in range(self.runs)
-        )
-
-    def false_alarm_count(
-        self, app: str, config: DetectorConfig | str, **overrides
-    ) -> int:
-        """Source-level alarms on the race-free run."""
-        return self.run_detector(app, CLEAN_RUN, config, **overrides).alarm_count
-
-    def overhead(
-        self, app: str, config: DetectorConfig | str = "hard-default", **overrides
-    ) -> RunOutcome:
-        """The race-free run's outcome, for overhead accounting (Figure 8)."""
-        return self.run_detector(app, CLEAN_RUN, config, **overrides)
-
     # ----------------------------------------------------------- lifecycle
 
     def close(self) -> None:
@@ -411,46 +391,40 @@ class ExperimentRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ---------------------------------------------------------- prefetch
+    # ---------------------------------------------------------------- grid
 
-    def prefetch(self, cells: Iterable["GridCell"]) -> "GridReport | None":
-        """Evaluate many grid cells ahead of the serial assembly path.
+    def outcomes(self, cells: Iterable["GridCell"]) -> dict["GridCell", RunOutcome]:
+        """Score a grid of cells; returns every requested cell's outcome.
 
-        With ``jobs == 1`` this is a plain serial warm-up of the memo (the
-        exact work the assembly path would do anyway, in the same order).
-        With ``jobs > 1`` the cells fan out across worker processes; the
-        merged outcomes seed the in-memory memo, so the subsequent serial
-        reads reproduce bit-for-bit what a serial evaluation returns.
+        Memoised cells are not re-evaluated.  With ``jobs == 1`` the rest
+        runs here, one :meth:`run_detectors` session per (app, run) chunk
+        of :func:`~repro.harness.parallel.plan_chunks`; with ``jobs > 1``
+        the chunks fan out across worker processes
+        (:func:`~repro.harness.parallel.run_grid`) and the merged outcomes
+        seed the memo.  Either way the outcomes are bit-for-bit what a
+        serial evaluation returns.
         """
         from repro.harness import parallel
 
-        pending = []
-        for cell in cells:
-            signature = config_signature(cell.config)
-            if (cell.app, cell.run, signature) not in self._outcomes:
-                pending.append(cell)
-        if not pending:
-            return None
-        if self.jobs <= 1:
-            # Group the pending cells by execution so each (app, run) trace
-            # is walked once for all of its configurations — the same
-            # single-pass chunking the parallel workers use.
+        keys = {cell: (cell.app, cell.run, cell.signature) for cell in cells}
+        pending = [cell for cell, key in keys.items() if key not in self._outcomes]
+        if pending and self.jobs <= 1:
             for app, run, configs in parallel.plan_chunks(pending):
                 self.run_detectors(app, run, configs)
-            return None
-        report = parallel.run_grid(
-            pending,
-            jobs=self.jobs,
-            workload_seed=self.workload_seed,
-            cache_dir=self.cache_dir,
-            trace_cache_dir=self.trace_cache.directory,
-            tape_cache_dir=self.tape_cache.directory,
-            engine_path=self.engine_path,
-        )
-        for outcome in report.outcomes:
-            self._outcomes[(outcome.app, outcome.run, outcome.detector)] = outcome
-        self.metrics.merge_registry(report.metrics)
-        return report
+        elif pending:
+            report = parallel.run_grid(
+                pending,
+                jobs=self.jobs,
+                workload_seed=self.workload_seed,
+                cache_dir=self.cache_dir,
+                trace_cache_dir=self.trace_cache.directory,
+                tape_cache_dir=self.tape_cache.directory,
+                engine_path=self.engine_path,
+            )
+            for outcome in report.outcomes:
+                self._outcomes[(outcome.app, outcome.run, outcome.detector)] = outcome
+            self.metrics.merge_registry(report.metrics)
+        return {cell: self._outcomes[key] for cell, key in keys.items()}
 
     # ------------------------------------------------------------- cache
 

@@ -4,21 +4,26 @@ The paper's Tables 3–6 are fixed sweeps; this module exposes the same
 machinery for arbitrary grids, so users can run their own sensitivity
 studies (e.g. L2 sizes the paper didn't test, 8-bit Bloom vectors, the
 broadcast/counter-register ablations across every application) with the
-harness's caching and scoring.  A sweep enumerates its full grid up front
-and prefetches it through the runner, so a runner built with ``jobs > 1``
-evaluates the grid across worker processes with identical results.
+harness's caching and scoring.
 
-Prefetch chunks the grid by (app, run) execution, and the runner scores
-every configuration of a chunk in one single-pass
-:class:`~repro.engine.EngineSession` walk of that execution's trace — a
-sweep of N settings walks each trace once, not N times, while each cell's
-outcome stays bit-for-bit what a standalone evaluation produces.
+:func:`score_columns` is the one scoring shape every sweep and exhibit
+column shares: bugs detected over the injected runs plus the clean run's
+alarms, for each (application, configuration) column.  It declares the
+whole grid once and scores it in one :meth:`ExperimentRunner.outcomes`
+call, so a runner built with ``jobs > 1`` evaluates the grid across worker
+processes with identical results.  The runner chunks the grid by (app,
+run) execution and scores every configuration of a chunk in one
+single-pass :class:`~repro.engine.EngineSession` walk of that execution's
+trace — a sweep of N settings walks each trace once, not N times, while
+each cell's outcome stays bit-for-bit what a standalone evaluation
+produces.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.harness.detectors import DetectorConfig
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner
@@ -88,24 +93,36 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def sweep_cells(
-    *,
-    detector: str,
-    parameter: str,
-    values: list[object],
-    apps: tuple[str, ...],
-    runs: int = 10,
-    include_detection: bool = True,
-) -> list[GridCell]:
-    """The full evaluation grid one :func:`sweep` call touches."""
-    cells = []
-    for app in apps:
-        for value in values:
-            config = DetectorConfig.coerce(detector, **{parameter: value})
-            if include_detection:
-                cells.extend(GridCell(app, run, config) for run in range(runs))
-            cells.append(GridCell(app, CLEAN_RUN, config))
-    return cells
+def score_columns(
+    runner: ExperimentRunner,
+    columns: Iterable[tuple[str, DetectorConfig, bool]],
+) -> dict[tuple[str, DetectorConfig], dict[str, int]]:
+    """Score "detected over runs + clean-run alarms" columns as one grid.
+
+    A column ``(app, config, detect)`` covers the clean run and, with
+    ``detect``, the runner's ``runs`` injected runs.  Returns
+    ``{"detected": …, "alarms": …}`` per ``(app, config)``: bugs detected
+    over the injected runs (0 without ``detect``) and the clean run's
+    alarm count.
+    """
+    columns = [
+        (app, config, range(runner.runs) if detect else ())
+        for app, config, detect in columns
+    ]
+    scored = runner.outcomes(
+        GridCell(app, run, config)
+        for app, config, injected in columns
+        for run in (*injected, CLEAN_RUN)
+    )
+    return {
+        (app, config): {
+            "detected": sum(
+                scored[GridCell(app, run, config)].detected for run in injected
+            ),
+            "alarms": scored[GridCell(app, CLEAN_RUN, config)].alarm_count,
+        }
+        for app, config, injected in columns
+    }
 
 
 def sweep(
@@ -123,46 +140,33 @@ def sweep(
     ``parameter`` is any knob of
     :class:`~repro.harness.detectors.DetectorConfig` (``granularity``,
     ``l2_size``, ``vector_bits``, ``barrier_reset``, ``broadcast_updates``,
-    ``use_counter_register``).
+    ``use_counter_register``, ``num_cores``, ``coherence``); any other name
+    raises :class:`~repro.common.errors.HarnessError`.
 
     An ``obs`` bundle gets one ``span`` event per assembled (app, value)
     cell; the returned result's ``metrics`` carries the runner's harness
     counters either way.
     """
     emitter = obs.emitter if obs is not None else None
-    prefetch = getattr(runner, "prefetch", None)
-    if prefetch is not None:
-        prefetch(
-            sweep_cells(
-                detector=detector,
-                parameter=parameter,
-                values=values,
-                apps=apps,
-                runs=getattr(runner, "runs", 10),
-                include_detection=include_detection,
-            )
-        )
+    configs = [
+        (value, DetectorConfig.coerce(detector, **{parameter: value}))
+        for value in values
+    ]
+    scores = score_columns(
+        runner,
+        [(app, config, include_detection) for app in apps for _, config in configs],
+    )
     cells = []
     for app in apps:
-        for value in values:
-            overrides = {parameter: value}
+        for value, config in configs:
             with _cell_span(emitter, app, parameter, value):
-                detected = (
-                    runner.detection_count(app, detector, **overrides)
-                    if include_detection
-                    else 0
-                )
-                alarms = runner.false_alarm_count(app, detector, **overrides)
-            cells.append(
-                SweepCell(app=app, value=value, detected=detected, alarms=alarms)
-            )
-    runner_metrics = getattr(runner, "metrics", None)
+                cells.append(SweepCell(app=app, value=value, **scores[app, config]))
     return SweepResult(
         detector=detector,
         parameter=parameter,
         cells=cells,
-        runs=getattr(runner, "runs", 10),
-        metrics=runner_metrics.snapshot_all() if runner_metrics is not None else {},
+        runs=runner.runs,
+        metrics=runner.metrics.snapshot_all(),
     )
 
 

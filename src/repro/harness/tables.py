@@ -8,12 +8,16 @@ numbers come from our synthetic workloads and functional simulator — the
 *shapes* (who detects more, how alarms respond to granularity/L2/vector
 size) are the reproduction targets; EXPERIMENTS.md records both.
 
-Every exhibit function enumerates its full grid as
-:class:`~repro.harness.parallel.GridCell` tasks and hands them to
-:meth:`ExperimentRunner.prefetch` before assembling the result dict, so a
-runner constructed with ``jobs > 1`` computes the grid across worker
-processes while the assembly below — and therefore the rendered exhibit —
-stays byte-for-byte what a serial run produces.
+Every exhibit declares its grid once — its (app, detector configuration)
+columns — and scores it in one :meth:`ExperimentRunner.outcomes` call
+(through :func:`~repro.harness.sweeps.score_columns` for the "bugs detected
+over the injected runs + clean-run alarms" shape), so a runner constructed
+with ``jobs > 1`` computes the whole grid across worker processes and the
+data dict is read from the returned outcomes, byte-for-byte what a serial
+run produces.  A knob at its key's default is no override
+(:class:`~repro.harness.detectors.DetectorConfig` stores it as ``None``),
+so an exhibit cell that coincides with the default configuration shares
+its cached verdicts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from repro.common.config import (
     COHERENCE_KINDS,
     KB,
-    MB,
     PAPER_BLOOM_SIZES,
     PAPER_L2_SIZES,
     SCALING_CORE_COUNTS,
@@ -29,6 +32,7 @@ from repro.common.config import (
 from repro.harness.detectors import DetectorConfig, PAPER_DETECTORS
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner
 from repro.harness.parallel import GridCell
+from repro.harness.sweeps import score_columns
 from repro.obs.runreport import overhead_entry
 from repro.workloads.registry import SERVER_WORKLOADS, WORKLOAD_NAMES
 
@@ -58,62 +62,55 @@ PAPER_FIGURE8 = {
 PAPER_TABLE3_GRANULARITIES = (4, 8, 16, 32)
 
 
-def _gran(granularity: int) -> int | None:
-    """Map the default granularity to "no override" so sweep cells that
-    coincide with the default configuration reuse its cached verdicts."""
-    return None if granularity == 32 else granularity
-
-
-def _l2(size: int) -> int | None:
-    """Same default-reuse mapping for the L2 capacity."""
-    return None if size == 1 * MB else size
-
-
-def _bits(bits: int) -> int | None:
-    """Same default-reuse mapping for the BFVector width."""
-    return None if bits == 16 else bits
-
-
-def _scored_runs(runs: int) -> tuple[int, ...]:
-    """Every run a "detected + alarms" exhibit column touches."""
-    return (*range(runs), CLEAN_RUN)
-
-
-def _prefetch(runner, cells_fn) -> None:
-    """Prefetch an exhibit's grid through ``runner`` when it supports it.
-
-    ``cells_fn`` maps the runner's per-app run count to the grid.
-    Duck-typed so lightweight runner stand-ins (tests, notebooks) that only
-    implement the counting methods keep working.
-    """
-    prefetch = getattr(runner, "prefetch", None)
-    if prefetch is not None:
-        prefetch(cells_fn(getattr(runner, "runs", 10)))
-
-
-def table2_cells(apps=WORKLOAD_NAMES, runs: int = 10) -> list[GridCell]:
-    """The full Table 2 evaluation grid."""
-    return [
-        GridCell(app, run, DetectorConfig(key=key))
+def _by_key(runner: ExperimentRunner, apps, keys) -> dict:
+    """Per app, per detector key: bugs detected and clean-run alarms."""
+    configs = {key: DetectorConfig(key) for key in keys}
+    scores = score_columns(
+        runner, [(app, config, True) for app in apps for config in configs.values()]
+    )
+    return {
+        app: {key: scores[app, config] for key, config in configs.items()}
         for app in apps
-        for key in PAPER_DETECTORS
-        for run in _scored_runs(runs)
-    ]
+    }
+
+
+def _knob_rows(runner: ExperimentRunner, apps, knob: str, values, detect_at) -> dict:
+    """Rows of a one-knob sensitivity table.
+
+    Per app, ``detected[key][value]`` at each key's ``detect_at[key]``
+    values and clean-run ``alarms[key][value]`` at every value.
+    """
+    configs = {
+        (key, value): DetectorConfig(key, **{knob: value})
+        for key in detect_at
+        for value in values
+    }
+    scores = score_columns(
+        runner,
+        [
+            (app, config, value in detect_at[key])
+            for app in apps
+            for (key, value), config in configs.items()
+        ],
+    )
+    return {
+        app: {
+            "detected": {
+                key: {v: scores[app, configs[key, v]]["detected"] for v in points}
+                for key, points in detect_at.items()
+            },
+            "alarms": {
+                key: {v: scores[app, configs[key, v]]["alarms"] for v in values}
+                for key in detect_at
+            },
+        }
+        for app in apps
+    }
 
 
 def table2(runner: ExperimentRunner, apps=WORKLOAD_NAMES) -> dict:
     """Table 2: bugs detected and false alarms for all four detectors."""
-    _prefetch(runner, lambda runs: table2_cells(apps, runs=runs))
-    data: dict[str, dict[str, dict[str, int]]] = {}
-    for app in apps:
-        row: dict[str, dict[str, int]] = {}
-        for key in PAPER_DETECTORS:
-            row[key] = {
-                "detected": runner.detection_count(app, key),
-                "alarms": runner.false_alarm_count(app, key),
-            }
-        data[app] = row
-    return data
+    return _by_key(runner, apps, PAPER_DETECTORS)
 
 
 def render_table2(data: dict, runs: int = 10) -> str:
@@ -135,19 +132,14 @@ def render_table2(data: dict, runs: int = 10) -> str:
     return "\n".join(lines)
 
 
-def figure8_cells(apps=WORKLOAD_NAMES) -> list[GridCell]:
-    """The Figure 8 grid: one race-free HARD run per application."""
-    return [GridCell(app, CLEAN_RUN, DetectorConfig()) for app in apps]
-
-
 def figure8(runner: ExperimentRunner, apps=WORKLOAD_NAMES) -> dict:
     """Figure 8: HARD execution overhead on the race-free run."""
-    _prefetch(runner, lambda runs: figure8_cells(apps))
-    data = {}
-    for app in apps:
-        outcome = runner.overhead(app)
-        data[app] = overhead_entry(outcome.cycles, outcome.detector_extra_cycles)
-    return data
+    cells = {app: GridCell(app, CLEAN_RUN, DetectorConfig()) for app in apps}
+    scored = runner.outcomes(cells.values())
+    return {
+        app: overhead_entry(scored[cell].cycles, scored[cell].detector_extra_cycles)
+        for app, cell in cells.items()
+    }
 
 
 def render_figure8(data: dict) -> str:
@@ -163,31 +155,6 @@ def render_figure8(data: dict) -> str:
     return "\n".join(lines)
 
 
-def _table3_detection_grans(key: str, granularities) -> tuple[int, ...]:
-    """Which granularities get the 10-run detection sweep for ``key``."""
-    if key == "hard-default":
-        return (granularities[0], granularities[-1])
-    return (granularities[-1],)
-
-
-def table3_cells(
-    apps=WORKLOAD_NAMES,
-    granularities=PAPER_TABLE3_GRANULARITIES,
-    runs: int = 10,
-) -> list[GridCell]:
-    """The full Table 3 evaluation grid."""
-    cells = []
-    for app in apps:
-        for key in ("hard-default", "hb-default"):
-            for g in _table3_detection_grans(key, granularities):
-                config = DetectorConfig(key=key, granularity=_gran(g))
-                cells.extend(GridCell(app, run, config) for run in range(runs))
-            for g in granularities:
-                config = DetectorConfig(key=key, granularity=_gran(g))
-                cells.append(GridCell(app, CLEAN_RUN, config))
-    return cells
-
-
 def table3(
     runner: ExperimentRunner,
     apps=WORKLOAD_NAMES,
@@ -196,27 +163,17 @@ def table3(
     """Table 3: detection and false alarms vs metadata granularity.
 
     False alarms are swept over every granularity (race-free runs only).
-    Detection is computed at the two extreme granularities (4 B and 32 B):
-    the paper's table prints a single "4-32B" bug column because the counts
-    are identical, and verifying the extremes covers the invariance claim
-    without re-simulating 10 injected runs for the interior points.
+    Detection is computed at the two extreme granularities (4 B and 32 B)
+    for HARD and at 32 B for happens-before: the paper's table prints a
+    single "4-32B" bug column because the counts are identical, and
+    verifying the extremes covers the invariance claim without
+    re-simulating 10 injected runs for the interior points.
     """
-    _prefetch(runner, lambda runs: table3_cells(apps, granularities, runs=runs))
-    data: dict[str, dict] = {}
-    for app in apps:
-        row = {"detected": {}, "alarms": {}}
-        for key in ("hard-default", "hb-default"):
-            detection_grans = _table3_detection_grans(key, granularities)
-            row["detected"][key] = {
-                g: runner.detection_count(app, key, granularity=_gran(g))
-                for g in detection_grans
-            }
-            row["alarms"][key] = {
-                g: runner.false_alarm_count(app, key, granularity=_gran(g))
-                for g in granularities
-            }
-        data[app] = row
-    return data
+    detect_at = {
+        "hard-default": (granularities[0], granularities[-1]),
+        "hb-default": (granularities[-1],),
+    }
+    return _knob_rows(runner, apps, "granularity", granularities, detect_at)
 
 
 def render_table3(data: dict, granularities=PAPER_TABLE3_GRANULARITIES) -> str:
@@ -238,23 +195,6 @@ def render_table3(data: dict, granularities=PAPER_TABLE3_GRANULARITIES) -> str:
     return "\n".join(lines)
 
 
-def table4_5_cells(
-    apps=WORKLOAD_NAMES, l2_sizes=PAPER_L2_SIZES, runs: int = 10
-) -> list[GridCell]:
-    """The full Tables 4/5 evaluation grid."""
-    detection_sizes = (l2_sizes[0], l2_sizes[-1])
-    cells = []
-    for app in apps:
-        for key in ("hard-default", "hb-default"):
-            for size in detection_sizes:
-                config = DetectorConfig(key=key, l2_size=_l2(size))
-                cells.extend(GridCell(app, run, config) for run in range(runs))
-            for size in l2_sizes:
-                config = DetectorConfig(key=key, l2_size=_l2(size))
-                cells.append(GridCell(app, CLEAN_RUN, config))
-    return cells
-
-
 def table4_and_5(
     runner: ExperimentRunner, apps=WORKLOAD_NAMES, l2_sizes=PAPER_L2_SIZES
 ) -> dict:
@@ -265,22 +205,9 @@ def table4_and_5(
     extreme capacities (128 KB and 1 MB), which carry the paper's finding:
     a small L2 displaces candidate sets and costs detections.
     """
-    _prefetch(runner, lambda runs: table4_5_cells(apps, l2_sizes, runs=runs))
-    data: dict[str, dict] = {}
-    detection_sizes = (l2_sizes[0], l2_sizes[-1])
-    for app in apps:
-        row = {"detected": {}, "alarms": {}}
-        for key in ("hard-default", "hb-default"):
-            row["detected"][key] = {
-                size: runner.detection_count(app, key, l2_size=_l2(size))
-                for size in detection_sizes
-            }
-            row["alarms"][key] = {
-                size: runner.false_alarm_count(app, key, l2_size=_l2(size))
-                for size in l2_sizes
-            }
-        data[app] = row
-    return data
+    extremes = (l2_sizes[0], l2_sizes[-1])
+    detect_at = {"hard-default": extremes, "hb-default": extremes}
+    return _knob_rows(runner, apps, "l2_size", l2_sizes, detect_at)
 
 
 def render_table4(data: dict, l2_sizes=PAPER_L2_SIZES) -> str:
@@ -307,36 +234,17 @@ def _render_l2_view(data: dict, field: str, title: str, l2_sizes) -> str:
     return "\n".join(lines)
 
 
-def table6_cells(
-    apps=WORKLOAD_NAMES, vector_sizes=PAPER_BLOOM_SIZES, runs: int = 10
-) -> list[GridCell]:
-    """The full Table 6 evaluation grid."""
-    cells = []
-    for app in apps:
-        for bits in vector_sizes:
-            config = DetectorConfig(vector_bits=_bits(bits))
-            cells.extend(GridCell(app, run, config) for run in _scored_runs(runs))
-    return cells
-
-
 def table6(
     runner: ExperimentRunner, apps=WORKLOAD_NAMES, vector_sizes=PAPER_BLOOM_SIZES
 ) -> dict:
     """Table 6: HARD with 16-bit vs 32-bit BFVectors."""
-    _prefetch(runner, lambda runs: table6_cells(apps, vector_sizes, runs=runs))
-    data: dict[str, dict] = {}
-    for app in apps:
-        data[app] = {
-            "detected": {
-                bits: runner.detection_count(app, "hard-default", vector_bits=_bits(bits))
-                for bits in vector_sizes
-            },
-            "alarms": {
-                bits: runner.false_alarm_count(app, "hard-default", vector_bits=_bits(bits))
-                for bits in vector_sizes
-            },
-        }
-    return data
+    rows = _knob_rows(
+        runner, apps, "vector_bits", vector_sizes, {"hard-default": vector_sizes}
+    )
+    return {
+        app: {field: row[field]["hard-default"] for field in ("detected", "alarms")}
+        for app, row in rows.items()
+    }
 
 
 def render_table6(data: dict, vector_sizes=PAPER_BLOOM_SIZES) -> str:
@@ -364,16 +272,6 @@ HYBRID_TABLE_DETECTORS = (
 )
 
 
-def hybrids_cells(apps=WORKLOAD_NAMES, runs: int = 10) -> list[GridCell]:
-    """The full hybrid-comparison evaluation grid."""
-    return [
-        GridCell(app, run, DetectorConfig(key=key))
-        for app in apps
-        for key in HYBRID_TABLE_DETECTORS
-        for run in _scored_runs(runs)
-    ]
-
-
 def hybrids(runner: ExperimentRunner, apps=WORKLOAD_NAMES) -> dict:
     """The hybrid family next to its exact endpoints (Table 2 shape).
 
@@ -383,17 +281,7 @@ def hybrids(runner: ExperimentRunner, apps=WORKLOAD_NAMES) -> dict:
     hb-ideal = fasttrack ≤ acculock ≤ multilock-hb; detection counts show
     the schedule-insensitivity payoff on the injected runs.
     """
-    _prefetch(runner, lambda runs: hybrids_cells(apps, runs=runs))
-    data: dict[str, dict[str, dict[str, int]]] = {}
-    for app in apps:
-        row: dict[str, dict[str, int]] = {}
-        for key in HYBRID_TABLE_DETECTORS:
-            row[key] = {
-                "detected": runner.detection_count(app, key),
-                "alarms": runner.false_alarm_count(app, key),
-            }
-        data[app] = row
-    return data
+    return _by_key(runner, apps, HYBRID_TABLE_DETECTORS)
 
 
 #: Default application set of the scaling exhibit: two paper apps for
@@ -403,18 +291,6 @@ SCALING_APPS = ("barnes", "ocean") + SERVER_WORKLOADS
 #: Snooped address-phase bytes per bus transaction (the broadcast traffic
 #: model's per-snooper cost: a 64-bit address/command packet).
 SNOOP_ADDRESS_BYTES = 8
-
-
-def _scaling_config(
-    key: str, cores: int, fabric: str
-) -> DetectorConfig:
-    """One scaling cell's configuration (defaults map to None so cells that
-    coincide with the default 4-core snoopy machine reuse its caches)."""
-    return DetectorConfig(
-        key=key,
-        num_cores=None if cores == 4 else cores,
-        coherence=None if fabric == "snoopy" else fabric,
-    )
 
 
 def control_traffic(stats: dict, cores: int, fabric: str) -> dict:
@@ -494,7 +370,9 @@ def scaling(
             tape_cache=runner.tape_cache,
         )
         for cores, fabric in coords:
-            session.add_config(_scaling_config(detector, cores, fabric))
+            session.add_config(
+                DetectorConfig(detector, num_cores=cores, coherence=fabric)
+            )
         with runner.metrics.time("harness.detect"):
             results = session.run()
         row: dict[str, dict] = {}
@@ -554,3 +432,25 @@ def render_hybrids(data: dict, runs: int = 10) -> str:
         "hb-ideal = fasttrack <= acculock <= multilock-hb"
     )
     return "\n".join(lines)
+
+
+#: Every exhibit :func:`repro.api.run_table` regenerates, by name:
+#: ``(compute, render)`` with ``compute(runner, apps) -> data`` and
+#: ``render(data, runs) -> text``.
+EXHIBITS = {
+    "table2": (table2, render_table2),
+    "table3": (table3, lambda data, runs: render_table3(data)),
+    "table4": (table4_and_5, lambda data, runs: render_table4(data)),
+    "table5": (table4_and_5, lambda data, runs: render_table5(data)),
+    "table6": (table6, lambda data, runs: render_table6(data)),
+    "figure8": (figure8, lambda data, runs: render_figure8(data)),
+    "hybrids": (hybrids, render_hybrids),
+    # The scaling study has its own default universe (server-shaped
+    # workloads); an explicit app selection still narrows it.
+    "scaling": (
+        lambda runner, apps: scaling(
+            runner, apps=SCALING_APPS if apps == WORKLOAD_NAMES else apps
+        ),
+        lambda data, runs: render_scaling(data),
+    ),
+}

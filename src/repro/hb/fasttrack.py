@@ -24,7 +24,7 @@ in the conformance harness, a stronger and more useful equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.addresses import spanned_chunks
 from repro.common.events import OpKind, Trace
@@ -59,7 +59,6 @@ class FastTrackDetector:
 
     granularity: int = 4
     name: str = "fasttrack"
-    stats: StatCounters = field(default_factory=StatCounters)
 
     def core(self) -> "FastTrackCore":
         """A fresh incremental core for one pass (the engine entry point)."""

@@ -11,7 +11,7 @@ hardware the detector gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.addresses import spanned_chunks
 from repro.common.events import OpKind, Trace
@@ -28,7 +28,6 @@ class IdealHappensBeforeDetector:
 
     granularity: int = 4
     name: str = "hb-ideal"
-    stats: StatCounters = field(default_factory=StatCounters)
 
     def core(self) -> "IdealHappensBeforeCore":
         """A fresh incremental core for one pass (the engine entry point)."""

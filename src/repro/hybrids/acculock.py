@@ -30,7 +30,7 @@ exact-HB ⊆ acculock ⊆ multilock-hb ⊆ strict-lockset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.addresses import spanned_chunks
 from repro.common.errors import DetectorError
@@ -69,7 +69,6 @@ class AccuLockDetector:
     granularity: int = 4
     barrier_reset: bool = True
     name: str = "acculock"
-    stats: StatCounters = field(default_factory=StatCounters)
 
     def core(self) -> "AccuLockCore":
         """A fresh incremental core for one pass (the engine entry point)."""

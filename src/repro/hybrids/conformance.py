@@ -71,11 +71,7 @@ from typing import Iterable, NamedTuple
 
 from repro.common.events import OpKind, Site, Trace
 from repro.engine.session import EngineSession
-from repro.hb.fasttrack import FastTrackDetector
-from repro.hb.ideal import IdealHappensBeforeDetector
-from repro.hybrids.acculock import AccuLockDetector
 from repro.hybrids.multilock import MultiLockHBDetector
-from repro.lockset.exact import IdealLocksetDetector
 from repro.reporting import DetectionResult
 
 
@@ -426,6 +422,8 @@ class ConformanceReport:
 
     label: str
     events: int
+    #: The walk the family session took (``batch``, ``sharded`` or
+    #: ``scalar``), never the requested ``"auto"``.
     engine_path: str
     alarm_sites: dict[str, int] = field(default_factory=dict)
     violations: tuple[str, ...] = ()
@@ -452,14 +450,22 @@ class ConformanceReport:
         }
 
 
-def _detector_family(granularity: int) -> list:
-    return [
-        FastTrackDetector(granularity=granularity),
-        IdealHappensBeforeDetector(granularity=granularity),
-        AccuLockDetector(granularity=granularity),
-        MultiLockHBDetector(granularity=granularity),
-        IdealLocksetDetector(granularity=granularity, name="exact-lockset"),
-    ]
+#: The family's registry keys in judge order; ``hard-ideal`` is the
+#: Eraser-exact lockset.
+_FAMILY_KEYS = ("fasttrack", "hb-ideal", "acculock", "multilock-hb", "hard-ideal")
+
+
+def _family_session(trace: Trace, granularity: int, path: str) -> EngineSession:
+    """One session over the family, registered by config so that every
+    walk — the sharded one too, whose workers rebuild cores from configs —
+    can run it."""
+    # Imported here: repro.harness.detectors builds the hybrid cores.
+    from repro.harness.detectors import DetectorConfig
+
+    session = EngineSession(trace, path=path)
+    for key in _FAMILY_KEYS:
+        session.add_config(DetectorConfig(key, granularity=granularity))
+    return session
 
 
 def check_conformance(
@@ -476,21 +482,14 @@ def check_conformance(
     and any batch/scalar fingerprint mismatch (reports or stats) becomes a
     violation — the bit-for-bit guarantee the batch kernels must keep.
     """
-    session = EngineSession(trace, path=engine_path)
-    for detector in _detector_family(granularity):
-        session.add(detector)
+    session = _family_session(trace, granularity, engine_path)
     ft, hb, al, ml, exact = session.run()
 
     violations: list[str] = []
     if check_parity:
-        scalar_session = EngineSession(trace, path="scalar")
-        for detector in _detector_family(granularity):
-            scalar_session.add(detector)
-        batch_session = EngineSession(trace, path="batch")
-        for detector in _detector_family(granularity):
-            batch_session.add(detector)
         for scalar_result, batch_result in zip(
-            scalar_session.run(), batch_session.run()
+            _family_session(trace, granularity, "scalar").run(),
+            _family_session(trace, granularity, "batch").run(),
         ):
             if _result_fingerprint(scalar_result) != _result_fingerprint(
                 batch_result
@@ -515,7 +514,7 @@ def check_conformance(
     return ConformanceReport(
         label=label or trace.label,
         events=len(trace),
-        engine_path=engine_path,
+        engine_path=session.path_taken,
         alarm_sites={
             "fasttrack": len(_site_keys(ft)),
             "hb-ideal": len(_site_keys(hb)),

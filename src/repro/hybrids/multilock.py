@@ -36,7 +36,7 @@ via barrier ordering" from "pairwise disjointness never held at all".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.addresses import spanned_chunks
 from repro.common.errors import DetectorError
@@ -97,7 +97,6 @@ class MultiLockHBDetector:
     barrier_reset: bool = True
     use_weak_hb: bool = True
     name: str = "multilock-hb"
-    stats: StatCounters = field(default_factory=StatCounters)
 
     def core(self) -> "MultiLockHBCore":
         """A fresh incremental core for one pass (the engine entry point)."""

@@ -19,7 +19,7 @@ barrier exit every candidate set is reset to "all locks".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.addresses import spanned_chunks
 from repro.common.errors import DetectorError
@@ -68,7 +68,6 @@ class IdealLocksetDetector:
     granularity: int = 4
     barrier_reset: bool = True
     name: str = "lockset-ideal"
-    stats: StatCounters = field(default_factory=StatCounters)
 
     def core(self) -> "IdealLocksetCore":
         """A fresh incremental core for one pass (the engine entry point)."""

@@ -15,7 +15,7 @@ from repro.fuzz.generator import generate_program
 from repro.fuzz.oracle import LATTICE_BREAK, evaluate_trace
 from repro.hybrids import DivergenceKind, check_conformance
 from repro.hybrids.acculock import AccuLockCore
-from repro.hybrids.conformance import FAMILY_PAIRS
+from repro.hybrids.conformance import FAMILY_PAIRS, _build_case_trace
 from repro.reporting import DetectionResult, RaceReportLog
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
@@ -90,3 +90,16 @@ class TestLatticeBreak:
         assert breaks
         assert all(d.kind is DivergenceKind.UNEXPLAINED for d in breaks)
         assert any("fasttrack ⊄ acculock" in d.evidence for d in breaks)
+
+
+class TestEnginePaths:
+    def test_sharded_walk_matches_batch(self):
+        trace, _ = _build_case_trace(("fuzz", 1, 0, 1))
+        sharded = check_conformance(trace, engine_path="sharded")
+        batch = check_conformance(trace, engine_path="batch")
+        assert (sharded.engine_path, batch.engine_path) == ("sharded", "batch")
+        assert sharded.to_dict() == {**batch.to_dict(), "engine_path": "sharded"}
+
+    def test_report_names_the_walk_taken(self):
+        report = check_conformance(_fuzz_trace(1))
+        assert report.engine_path == "batch"

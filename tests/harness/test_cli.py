@@ -78,6 +78,14 @@ class TestCommands:
         assert "unknown detector key 'nope'" in err
         assert "Traceback" not in err
 
+    def test_sweep_unknown_knob_is_usage_error(self, tmp_path, capsys):
+        argv = ["sweep", "--parameter", "bogus", "--values", "1"]
+        argv += ["--apps", "raytrace", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown detector knob 'bogus'" in err
+        assert "granularity" in err and "vector_bits" in err
+
 
 class TestObservabilityCommands:
     def test_run_json_is_a_single_json_object(self, capsys):

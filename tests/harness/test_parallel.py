@@ -22,7 +22,6 @@ from repro.harness.detectors import DetectorConfig, config_signature
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner, schedule_seed_for
 from repro.harness.parallel import (
     GridCell,
-    GridReport,
     WorkerSpec,
     fan_out,
     plan_chunks,
@@ -174,30 +173,38 @@ class TestSerialParallelEquivalence:
         assert len(data["outcomes"]) == len(small_grid())
 
 
-class TestPrefetch:
-    def test_parallel_prefetch_seeds_serial_reads(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path, runs=1, jobs=2)
-        report = runner.prefetch(small_grid(runs=(CLEAN_RUN, 0)))
-        assert isinstance(report, GridReport)
-        # Every subsequent read is a memo hit: no further evaluation.
-        before = runner.metrics.get("harness.cells_evaluated")
-        for config in FAST_CONFIGS:
-            runner.false_alarm_count(APP, config)
-            runner.detection_count(APP, config)
-        assert runner.metrics.get("harness.cells_evaluated") == before
+class TestOutcomes:
+    def test_parallel_outcomes_match_serial(self, tmp_path):
+        cells = small_grid(runs=(CLEAN_RUN, 0))
+        parallel = ExperimentRunner(cache_dir=tmp_path / "p", runs=1, jobs=2)
+        serial = ExperimentRunner(cache_dir=tmp_path / "s", runs=1, jobs=1)
+        got = parallel.outcomes(cells)
+        assert set(got) == set(cells)
+        assert got == serial.outcomes(cells)
+        assert parallel.metrics.get("grid.cells") == len(cells)
+        # Every later request is a memo hit: no further evaluation.
+        before = parallel.metrics.get("harness.cells_evaluated")
+        assert parallel.outcomes(cells) == got
+        assert parallel.metrics.get("harness.cells_evaluated") == before
 
-    def test_prefetch_skips_known_cells(self, tmp_path):
+    def test_outcomes_skip_known_cells(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path, runs=1, jobs=2)
-        runner.prefetch(small_grid(runs=(CLEAN_RUN,)))
-        assert runner.prefetch(small_grid(runs=(CLEAN_RUN,))) is None
+        runner.outcomes(small_grid(runs=(CLEAN_RUN,)))
+        runner.outcomes(small_grid(runs=(CLEAN_RUN, 0)))
+        # The second call evaluated only the injected run's cells.
+        assert runner.metrics.get("harness.cells_evaluated") == len(small_grid())
+        assert runner.metrics.get("grid.cells") == len(small_grid())
 
-    def test_serial_prefetch_warms_memo(self, tmp_path):
+    def test_serial_outcomes_warm_memo(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path, runs=1, jobs=1)
-        assert runner.prefetch(small_grid(runs=(CLEAN_RUN,))) is None
+        cells = small_grid(runs=(CLEAN_RUN,))
+        first = runner.outcomes(cells + cells)
+        assert list(first) == cells
         evaluated = runner.metrics.get("harness.cells_evaluated")
         assert evaluated == len(FAST_CONFIGS)
-        for config in FAST_CONFIGS:
-            runner.false_alarm_count(APP, config)
+        for cell in cells:
+            again = runner.run_detector(cell.app, cell.run, cell.config)
+            assert again == first[cell]
         assert runner.metrics.get("harness.cells_evaluated") == evaluated
 
 

@@ -2,15 +2,32 @@
 
 import pytest
 
+from repro.harness.experiment import RunOutcome
 from repro.harness.sweeps import SweepCell, SweepResult, sweep
+from repro.obs.metrics import MetricsRegistry
 
 
 class StubRunner:
-    def detection_count(self, app, key, **overrides):
-        return 8 + (overrides.get("l2_size", 0) or 0) % 2
+    runs = 10
 
-    def false_alarm_count(self, app, key, **overrides):
-        return len(app) + (overrides.get("l2_size", 0) or 0) // 1024
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+
+    def outcomes(self, cells):
+        return {cell: self._outcome(cell) for cell in cells}
+
+    @staticmethod
+    def _outcome(cell):
+        l2_size = cell.config.l2_size or 0
+        return RunOutcome(
+            detector=cell.config.key,
+            app=cell.app,
+            run=cell.run,
+            # 8 of 10 injected runs detected, 9 on an odd L2 size.
+            detected=cell.run >= 2 - l2_size % 2,
+            alarm_count=len(cell.app) + l2_size // 1024,
+            dynamic_reports=0,
+        )
 
 
 class TestSweep:

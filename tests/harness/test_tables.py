@@ -2,34 +2,35 @@
 
 from repro.common.config import KB, MB
 from repro.harness import tables
+from repro.harness.experiment import RunOutcome
 
 
 class StubRunner:
     """Deterministic fake of ExperimentRunner for renderer tests."""
 
+    runs = 10
+
     def __init__(self):
         self.calls = []
 
-    def detection_count(self, app, key, **overrides):
-        self.calls.append(("detect", app, key, tuple(sorted(overrides.items()))))
-        return 9 if key.startswith("hard") else 7
+    def outcomes(self, cells):
+        cells = list(cells)
+        self.calls.append(cells)
+        return {cell: self._outcome(cell) for cell in cells}
 
-    def false_alarm_count(self, app, key, **overrides):
-        self.calls.append(("fa", app, key, tuple(sorted(overrides.items()))))
-        # Sweep cells matching the default config are passed as None
-        # ("no override") so they can reuse cached default verdicts.
-        granularity = overrides.get("granularity") or 32
-        return {4: 3, 8: 5, 16: 9, 32: 20}[granularity]
-
-    def overhead(self, app, key="hard-default", **overrides):
-        from repro.harness.experiment import RunOutcome
-
+    @staticmethod
+    def _outcome(cell):
+        config = cell.config
+        # A cell at its key's default carries None ("no override"), so it
+        # shares the default configuration's cached verdicts.
+        granularity = config.granularity or 32
         return RunOutcome(
-            detector=key,
-            app=app,
-            run=-1,
-            detected=False,
-            alarm_count=0,
+            detector=config.key,
+            app=cell.app,
+            run=cell.run,
+            # 9 of 10 injected runs detected for HARD, 7 for the rest.
+            detected=cell.run >= (1 if config.key.startswith("hard") else 3),
+            alarm_count={4: 3, 8: 5, 16: 9, 32: 20}[granularity],
             dynamic_reports=0,
             cycles=1_020_000,
             detector_extra_cycles=20_000,
@@ -114,7 +115,10 @@ class TestHybrids:
                 assert {"detected", "alarms"} == set(cell)
 
     def test_cells_cover_family_and_clean_run(self):
-        cells = tables.hybrids_cells(apps=APPS, runs=2)
+        runner = StubRunner()
+        runner.runs = 2
+        tables.hybrids(runner, apps=APPS)
+        (cells,) = runner.calls
         keys = {cell.config.key for cell in cells}
         assert keys == set(tables.HYBRID_TABLE_DETECTORS)
         runs = {cell.run for cell in cells}
@@ -125,6 +129,16 @@ class TestHybrids:
         assert "FastTrack" in text
         assert "MultiLock" in text
         assert "lattice check" in text
+
+
+class TestOneScoringCall:
+    def test_every_exhibit_scores_its_grid_once(self):
+        for name, (compute, _) in tables.EXHIBITS.items():
+            if name == "scaling":  # walks engine sessions for stat counters
+                continue
+            runner = StubRunner()
+            compute(runner, APPS)
+            assert len(runner.calls) == 1, name
 
 
 class TestPaperReferences:
