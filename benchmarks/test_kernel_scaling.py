@@ -12,9 +12,11 @@ runs) with the machine tape already recorded, and fails when a key's 4x
 rate is below half its 1x rate.  The machine tape's recorder
 (``MachineTape``, i.e. ``Machine.record``) is held to the same bound on the
 default machine: its per-access cost must not grow with the trace either,
-as it would with a cache set that is never pruned.  The best of
-``REPEATS`` passes is kept, so a noisy host has to slow every pass to fail
-the check.
+as it would with a cache set that is never pruned.  So is the
+interleaver, timed with its packing (``interleave`` returns packed
+columns): a slice that copied the ops accumulated so far, say, would make
+it quadratic.  The best of ``REPEATS`` passes is kept, so a noisy host has
+to slow every pass to fail the check.
 
 Outside tier-1 (``benchmarks/`` is not collected by default)::
 
@@ -63,14 +65,23 @@ def scaled_params(scale: int) -> RaytraceParams:
     return replace(base, **{name: getattr(base, name) * scale for name in REPEAT_COUNTS})
 
 
+def schedule() -> RandomScheduler:
+    return RandomScheduler(seed=5, max_burst=8)
+
+
 @pytest.fixture(scope="module")
-def columns():
-    """Columnar raytrace traces by scale, each built and interleaved once."""
-    out = {}
-    for scale in SCALES:
-        program = build(seed=3, params=scaled_params(scale))
-        trace = interleave(program, RandomScheduler(seed=5, max_burst=8)).trace
-        out[scale] = trace.columns()
+def programs():
+    """Raytrace programs by scale, each built once."""
+    return {scale: build(seed=3, params=scaled_params(scale)) for scale in SCALES}
+
+
+@pytest.fixture(scope="module")
+def columns(programs):
+    """Columnar raytrace traces by scale, each interleaved once."""
+    out = {
+        scale: interleave(program, schedule()).trace.columns()
+        for scale, program in programs.items()
+    }
     yield out
     for cols in out.values():
         cols.close()
@@ -100,6 +111,16 @@ def record_rate(cols) -> float:
     return cols.n / best
 
 
+def interleave_rate(program) -> float:
+    """Best-of-``REPEATS`` events/s of interleaving and packing ``program``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        trace = interleave(program, schedule()).trace
+        best = min(best, time.perf_counter() - t0)
+    return len(trace) / best
+
+
 def check_rates(name: str, rates: dict, columns) -> None:
     print(
         f"\n{name}: "
@@ -120,3 +141,8 @@ def test_rate_holds_as_the_trace_grows(key, columns):
 def test_tape_recording_rate_holds_as_the_trace_grows(columns):
     rates = {scale: record_rate(cols) for scale, cols in columns.items()}
     check_rates("tape record", rates, columns)
+
+
+def test_interleave_rate_holds_as_the_trace_grows(programs, columns):
+    rates = {scale: interleave_rate(program) for scale, program in programs.items()}
+    check_rates("interleave", rates, columns)

@@ -1,11 +1,13 @@
 """Packed columnar trace representation (the redesigned trace substrate).
 
-A :class:`~repro.common.events.Trace` is a list of frozen dataclass objects —
-ideal for construction and debugging, hostile to throughput: every detector
-pass re-dereferences ``event.op.kind`` / ``.addr`` / ``.size`` through three
-Python objects per event.  :class:`ColumnarTrace` stores the same execution
-as parallel packed columns (one :mod:`array`/``memoryview`` per field) with
-an interned site table, so that
+An event-list :class:`~repro.common.events.Trace` holds frozen dataclass
+objects — ideal for construction and debugging, hostile to throughput:
+every detector pass re-dereferences ``event.op.kind`` / ``.addr`` /
+``.size`` through three Python objects per event.  The interleaver never
+builds that list: it packs its executed ops straight into a
+:class:`ColumnarTrace` (:meth:`ColumnarTrace.from_ops`), which stores the
+execution as parallel packed columns (one :mod:`array`/``memoryview`` per
+field) with an interned site table, so that
 
 * batch detector kernels (``DetectorCore.step_batch``) walk plain ints,
 * the on-disk :class:`~repro.harness.tracecache.TraceCache` serialises the
@@ -93,6 +95,20 @@ def kind_of_code(code: int) -> OpKind:
     return _CODE_TO_KIND[code]
 
 
+#: Kind code by the member's ``_value_`` string: a str key hashes from its
+#: cached hash, where an :class:`OpKind` key runs the Python-level
+#: ``Enum.__hash__`` on every lookup.
+_CODE_OF_VALUE = {kind._value_: code for kind, code in _KIND_TO_CODE.items()}
+
+#: ``bytes.translate`` table mapping a kind code to its ``is_write`` flag.
+_IS_WRITE = bytes(int(code == KIND_WRITE) for code in range(256))
+
+
+def kind_codes(ops) -> bytes:
+    """The packed kind code of every op in ``ops``, one byte each."""
+    return bytes(map(_CODE_OF_VALUE.__getitem__, [op.kind._value_ for op in ops]))
+
+
 #: (name, array typecode) of every packed column, in serialisation order.
 _COLUMNS = (
     ("kind", "B"),
@@ -113,11 +129,15 @@ FORMAT_VERSION = 2
 class ColumnarTrace:
     """A trace as parallel packed columns with an interned site table.
 
-    Construct via :meth:`from_events` (or :meth:`Trace.columns()
+    Construct via :meth:`from_ops` (the interleaver packs its executed ops
+    this way), :meth:`from_events` (or :meth:`Trace.columns()
     <repro.common.events.Trace.columns>`, which memoises the result on the
-    trace).  Columns are :class:`array.array` objects when built in memory
-    and ``memoryview`` casts when loaded from an mmap-ed cache file; both
-    support indexing, iteration and ``len`` identically.
+    trace), or :meth:`from_bytes`.  Columns are :class:`array.array`
+    objects when built in memory and ``memoryview`` casts when loaded from
+    an mmap-ed cache file; both support indexing, iteration and ``len``
+    identically.  :meth:`to_events` decodes fresh :class:`Op` and
+    :class:`Site` objects (interned within the decode): equal to the ops
+    that were packed, not the same objects.
     """
 
     __slots__ = (
@@ -171,71 +191,99 @@ class ColumnarTrace:
     # ------------------------------------------------------------ conversion
 
     @classmethod
-    def from_events(cls, trace: Trace) -> "ColumnarTrace":
-        """Encode a :class:`~repro.common.events.Trace` into columns."""
+    def from_ops(
+        cls,
+        tids,
+        ops,
+        *,
+        num_threads: int,
+        label: str = "",
+        bug: InjectedBug | None = None,
+    ) -> "ColumnarTrace":
+        """Pack executed ``ops`` and their thread ids into columns.
+
+        ``tids[i]`` is the thread that executed ``ops[i]``; index ``i`` is
+        the event's position in the trace.  Each column is built in one
+        pass over the ops, and no op is hashed: kind codes are looked up by
+        the member's value string, and sites are interned by ``id()`` first
+        — a program reuses a few hundred site objects across its whole run
+        — before the distinct objects are merged by equality.  The site
+        table holds one entry per distinct site, in order of first
+        appearance, followed by any sites of ``bug`` that no event touched
+        (sorted).
+        """
+        n = len(ops)
+        if len(tids) != n:
+            raise ProgramError(
+                f"{len(tids)} thread ids for {n} ops: every op needs its thread"
+            )
         self = cls()
-        events = trace.events
-        n = len(events)
         self.n = n
-        self.num_threads = trace.num_threads
-        self.label = trace.label
+        self.num_threads = num_threads
+        self.label = label
+        self.bug = bug
 
-        kind = array("B", bytes(n))
-        tid = array("i", [0]) * n if n else array("i")
-        addr = array("q", [0]) * n if n else array("q")
-        size = array("i", [0]) * n if n else array("i")
-        site_id = array("i", [0]) * n if n else array("i")
-        cycles = array("q", [0]) * n if n else array("q")
-        participants = array("i", [0]) * n if n else array("i")
-        is_write = array("B", bytes(n))
+        # List comprehensions, not ``map(attrgetter(...))``: their attribute
+        # loads are specialised by the interpreter, and an array fills
+        # fastest from a list.
+        codes = kind_codes(ops)
+        self.kind = array("B", codes)
+        self.is_write = array("B", codes.translate(_IS_WRITE))
+        self.tid = array("i", tids)
+        self.addr = array("q", [op.addr for op in ops])
+        self.size = array("i", [op.size for op in ops])
+        self.cycles = array("q", [op.cycles for op in ops])
+        self.participants = array("i", [op.participants for op in ops])
 
+        site_of = [op.site for op in ops]
+        site_keys = list(map(id, site_of))
+        # id -> site, keyed in first-appearance order; the ops keep every
+        # site alive, so no id is reused while this runs.
+        distinct = dict(zip(site_keys, site_of))
         site_ids: dict[Site, int] = {}
         site_table: list[Site] = []
-        kind_codes = _KIND_TO_CODE
-        for i, event in enumerate(events):
-            if event.seq != i:
-                raise ProgramError(
-                    f"trace is not densely sequenced at index {i} "
-                    f"(seq {event.seq}); rebuild it via Trace.append"
-                )
-            op = event.op
-            code = kind_codes[op.kind]
-            kind[i] = code
-            tid[i] = event.thread_id
-            addr[i] = op.addr
-            size[i] = op.size
-            cycles[i] = op.cycles
-            participants[i] = op.participants
-            if code == KIND_WRITE:
-                is_write[i] = 1
-            site = op.site
+        sid_of_key: dict[int, int] = {}
+        for key, site in distinct.items():
             if site is None:
-                site_id[i] = -1
+                sid = -1
             else:
                 sid = site_ids.get(site)
                 if sid is None:
                     sid = site_ids[site] = len(site_table)
                     site_table.append(site)
-                site_id[i] = sid
+            sid_of_key[key] = sid
+        self.site_id = array("i", list(map(sid_of_key.__getitem__, site_keys)))
 
-        for site in sorted(
-            trace.injected_bug_sites, key=lambda s: (s.file, s.line, s.label)
-        ):
+        bug_sites = bug.sites if bug is not None else ()
+        for site in sorted(bug_sites, key=lambda s: (s.file, s.line, s.label)):
             if site not in site_ids:
                 site_ids[site] = len(site_table)
                 site_table.append(site)
-
         self.sites = tuple(site_table)
-        self.bug = trace.injected_bug
-        self.kind = kind
-        self.tid = tid
-        self.addr = addr
-        self.size = size
-        self.site_id = site_id
-        self.cycles = cycles
-        self.participants = participants
-        self.is_write = is_write
         return self
+
+    @classmethod
+    def from_events(cls, trace: Trace) -> "ColumnarTrace":
+        """Encode a :class:`~repro.common.events.Trace` into columns.
+
+        Checks that the events are densely sequenced, then packs their ops
+        and thread ids with :meth:`from_ops`.
+        """
+        events = trace.events
+        seqs = [event.seq for event in events]
+        if seqs != list(range(len(seqs))):
+            i = next(i for i, seq in enumerate(seqs) if seq != i)
+            raise ProgramError(
+                f"trace is not densely sequenced at index {i} "
+                f"(seq {seqs[i]}); rebuild it via Trace.append"
+            )
+        return cls.from_ops(
+            [event.thread_id for event in events],
+            [event.op for event in events],
+            num_threads=trace.num_threads,
+            label=trace.label,
+            bug=trace.injected_bug,
+        )
 
     def to_events(self) -> list[TraceEvent]:
         """Decode back to a list of :class:`TraceEvent` (ops interned).

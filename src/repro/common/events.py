@@ -217,9 +217,12 @@ class Trace:
 
     A trace is backed by its event list, by its packed columnar encoding
     (``columns=``, a :class:`~repro.common.coltrace.ColumnarTrace`), or by
-    both.  A column-backed trace decodes :attr:`events` on first access;
-    ``len()``, :meth:`columns` and the metadata answer from the columns
-    without decoding, so a batch-path consumer never builds event objects.
+    both.  :func:`~repro.threads.runtime.interleave` returns a
+    column-backed trace.  A column-backed trace decodes :attr:`events` on
+    first access; ``len()``, :meth:`columns` and the metadata answer from
+    the columns without decoding, so a batch-path consumer never builds
+    event objects.  Decoded ops (and their sites) are *equal* to the
+    program's, not the same objects: compare them with ``==``.
     """
 
     def __init__(

@@ -250,8 +250,9 @@ class ExperimentRunner:
     def _build_trace(self, app: str, run: int) -> Trace:
         """Load one run's trace from the disk cache or interleave it.
 
-        Either way the result is backed by packed columns only: the
-        program and the interleaved event objects are released here.
+        Either way the result is backed by packed columns only (the
+        interleaver builds no event objects), and the program is released
+        here.
         """
         key = self._trace_key(app, run)
         trace = self.trace_cache.load(app, run, *key)
@@ -265,7 +266,7 @@ class ExperimentRunner:
             trace = interleave(program, scheduler).trace
         self.metrics.add("harness.traces_built")
         self.trace_cache.store(trace, app, run, *key)
-        return trace.columns().to_trace()
+        return trace
 
     def _trace_key(self, app: str, run: int) -> tuple[object, ...]:
         """Every value beyond (app, run) that the interleaving depends on.

@@ -245,12 +245,12 @@ class TraceStatsCore:
 def characterize(trace: Trace, line_size: int = 32) -> TraceStats:
     """Measure the characterization statistics of ``trace``.
 
-    A thin shim over :class:`TraceStatsCore` — one incremental pass,
-    exactly what an engine session feeding the core would compute.
+    A thin shim over :class:`TraceStatsCore`'s batch kernel: one pass over
+    the packed columns, exactly what an engine session feeding the core
+    would compute.  A column-backed trace is never decoded into events.
     """
+    cols = trace.columns()
     core = TraceStatsCore(line_size)
-    core.begin(trace)
-    step = core.step
-    for event in trace:
-        step(event)
-    return core.finish()
+    core.begin_batch(cols)
+    core.step_batch(cols, 0, cols.n)
+    return core.finish_batch()

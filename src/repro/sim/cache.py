@@ -130,25 +130,34 @@ class Cache:
 
     # ------------------------------------------------------------------ fills
 
-    def choose_victim(self, line_addr: int) -> Victim | None:
+    def choose_victim(self, line_addr: int, pinned=()) -> Victim | None:
         """Return the line a fill of ``line_addr`` would displace, if any.
 
         Returns None when the target set still has a free way (or already
-        holds the line).  Does not modify the cache.
+        holds the line).  The victim is the least recently used line not in
+        ``pinned`` (the lines an in-flight access has already touched), or
+        the least recently used line when every way is pinned.  Does not
+        modify the cache.
         """
         line_addr &= self._line_mask
         cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         if line_addr in cache_set or len(cache_set) < self._ways:
             return None
-        victim = next(iter(cache_set.values()))  # least recently used
+        lines = iter(cache_set.values())
+        victim = next(lines)  # least recently used
+        if victim.tag in pinned:
+            victim = next(
+                (line for line in lines if line.tag not in pinned), victim
+            )
         return Victim(victim.tag, victim.state is MESI.MODIFIED)
 
-    def fill(self, line_addr: int, state: MESI) -> Victim | None:
+    def fill(self, line_addr: int, state: MESI, pinned=()) -> Victim | None:
         """Install ``line_addr`` in ``state``; return the displaced victim.
 
         The caller is responsible for acting on the victim (writeback,
         back-invalidation of upper levels, metadata loss callbacks) *before*
-        relying on the new line.
+        relying on the new line.  ``pinned`` is passed to
+        :meth:`choose_victim`.
         """
         if state is MESI.INVALID:
             raise SimulationError("cannot fill a line in Invalid state")
@@ -158,7 +167,7 @@ class Cache:
             raise SimulationError(
                 f"{self.name}: fill of already-resident line 0x{line_addr:x}"
             )
-        victim = self.choose_victim(line_addr)
+        victim = self.choose_victim(line_addr, pinned)
         if victim is not None:
             del cache_set[victim.line_addr]
             if self._emitter.enabled:

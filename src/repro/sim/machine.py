@@ -225,9 +225,15 @@ class Machine:
             total = result.cycles
         else:
             # Straddling accesses (and the size check) take the general path.
+            # A line the access already touched is pinned in the L2 until
+            # the access completes: a later line's memory fill must not
+            # displace it, which would back-invalidate the copy just used.
+            line_size = self._line_size
             lines = tuple(
-                self._access_line(core, line, is_write)
-                for line in spanned_lines(addr, size, self._line_size)
+                self._access_line(
+                    core, line, is_write, range(line_addr, line, line_size)
+                )
+                for line in spanned_lines(addr, size, line_size)
             )
             total = sum(r.cycles for r in lines)
         counts = self._counts
@@ -236,12 +242,14 @@ class Machine:
         return AccessResult(core, addr, size, is_write, lines, total)
 
     # Internal: one line's worth of the access.
-    def _access_line(self, core: int, line_addr: int, is_write: bool) -> LineAccessResult:
+    def _access_line(
+        self, core: int, line_addr: int, is_write: bool, pinned=()
+    ) -> LineAccessResult:
         line = self.l1s[core].access(line_addr)
         if line is not None:
             result = self._hit_path(core, line_addr, line, is_write)
         else:
-            result = self._miss_path(core, line_addr, is_write)
+            result = self._miss_path(core, line_addr, is_write, pinned)
         cycles = result.cycles
         self._cycles += cycles
         self.stats.add("cycles.access", cycles)
@@ -292,7 +300,9 @@ class Machine:
             cycles,
         )
 
-    def _miss_path(self, core: int, line_addr: int, is_write: bool) -> LineAccessResult:
+    def _miss_path(
+        self, core: int, line_addr: int, is_write: bool, pinned=()
+    ) -> LineAccessResult:
         l1 = self.l1s[core]
         bus = self.bus
         line_size = self._line_size
@@ -364,7 +374,7 @@ class Machine:
             cycles += self._l2_latency  # L2 lookup that missed
             cycles += self._memory_latency
             cycles += bus.line_transfer(line_size, "mem_fill")
-            l2_victim_line = self._fill_l2_from_memory(line_addr)
+            l2_victim_line = self._fill_l2_from_memory(line_addr, pinned)
 
         # 3. Install in the requester's L1 — Shared if another core still
         #    holds the line after any invalidations, else Exclusive.
@@ -648,8 +658,15 @@ class Machine:
                             if len(l2_set) >= l2_ways:
                                 # L2 displacement: back-invalidate every L1
                                 # copy of the victim (inclusion), in core order.
+                                # The LRU line goes, unless this access already
+                                # touched it (lines first..line_addr - 1 are
+                                # pinned while another way can go).
                                 for victim in l2_set:
-                                    break
+                                    if victim < first or victim >= line_addr:
+                                        break
+                                else:
+                                    for victim in l2_set:
+                                        break
                                 victim_dirty = l2_set.pop(victim).state is _MODIFIED
                                 victim_holders = holders.pop(victim, None)
                                 if victim_holders:
@@ -796,9 +813,13 @@ class Machine:
             )
         self.l2.set_state(line_addr, _MODIFIED)
 
-    def _fill_l2_from_memory(self, line_addr: int) -> int | None:
-        """Install a fresh line in the L2; handle the inclusion victim."""
-        victim = self.l2.fill(line_addr, _EXCLUSIVE)
+    def _fill_l2_from_memory(self, line_addr: int, pinned=()) -> int | None:
+        """Install a fresh line in the L2; handle the inclusion victim.
+
+        ``pinned`` holds the lines the in-flight access already touched,
+        which the L2 does not choose as the victim while another way can go.
+        """
+        victim = self.l2.fill(line_addr, _EXCLUSIVE, pinned)
         if victim is None:
             return None
         # Back-invalidate every L1 copy of the victim (inclusion), in core

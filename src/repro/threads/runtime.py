@@ -2,10 +2,21 @@
 
 :func:`interleave` executes a :class:`~repro.threads.program.ParallelProgram`
 under a scheduler, honouring lock and barrier blocking semantics, and
-produces a :class:`~repro.common.events.Trace` — the total order of executed
-operations that *every* detector then consumes.  Running all detectors over
-the same trace mirrors the paper's methodology of comparing detectors "using
-identical executions" (Section 5.1).
+produces the total order of executed operations that *every* detector then
+consumes.  Running all detectors over the same trace mirrors the paper's
+methodology of comparing detectors "using identical executions"
+(Section 5.1).
+
+The trace is born columnar: the interleaver collects the executed ops and
+their thread ids in two flat lists and packs them once, by
+:meth:`~repro.common.coltrace.ColumnarTrace.from_ops`, into a column-backed
+:class:`~repro.common.events.Trace`.  No :class:`TraceEvent` is built unless
+a consumer reads ``trace.events``.
+
+A slice advances by runs, not by events: each thread's LOCK/UNLOCK/BARRIER
+positions are found once, and the ops between two of them are copied into
+the trace with one list slice.  Only sync ops go one at a time through the
+lock and barrier tables.
 
 Blocking rules:
 
@@ -20,27 +31,25 @@ Blocking rules:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
+from repro.common.coltrace import (
+    KIND_BARRIER,
+    KIND_LOCK,
+    KIND_UNLOCK,
+    ColumnarTrace,
+    kind_codes,
+)
 from repro.common.errors import DeadlockError, SchedulerError
 from repro.common.events import OpKind, Trace
+from repro.common.gcpause import gc_paused
 from repro.threads.program import ParallelProgram
 from repro.threads.scheduler import RandomScheduler, Scheduler
 from repro.threads.synch import BarrierTable, LockTable
 
-
-@dataclass
-class _ThreadState:
-    """Progress of one thread through its program."""
-
-    pc: int = 0
-    blocked_on_lock: int | None = None
-    at_barrier: bool = False
-    finished: bool = False
-
-    @property
-    def runnable(self) -> bool:
-        return not (self.finished or self.at_barrier or self.blocked_on_lock is not None)
+#: Matches the LOCK, UNLOCK and BARRIER bytes of a packed kind string.
+_SYNC_OPS = re.compile(b"[%c%c%c]" % (KIND_LOCK, KIND_UNLOCK, KIND_BARRIER))
 
 
 @dataclass
@@ -73,131 +82,179 @@ def interleave(
         obs: optional :class:`repro.obs.Observability`; when active, the
             slice-length distribution and blocking counters are recorded
             into its metrics registry.
+
+    The returned trace is backed by its packed columns; its events decode
+    on first read of ``trace.events``.  The walk runs with the cyclic
+    collector paused: the op and thread-id lists it grows hold no cycles.
     """
     observe = obs is not None and obs.active
     sched = scheduler if scheduler is not None else RandomScheduler(seed=0)
-    states = [_ThreadState() for _ in range(program.num_threads)]
-    for tid, thread in enumerate(program.threads):
-        if not thread.ops:
-            states[tid].finished = True
-
-    locks = LockTable()
-    barriers = BarrierTable()
-    waiters: dict[int, set[int]] = {}  # lock addr -> threads parked on it
-    trace = Trace(
-        num_threads=program.num_threads,
-        injected_bug=program.injected_bug,
-        label=program.name,
-    )
-    result = InterleaveResult(trace=trace)
-
-    total_ops = program.total_ops()
-    executed = 0
-    guard = 0
-    # Zero-op slices happen when a woken thread loses the re-acquire race,
-    # but each is preceded by an unlock, so total iterations stay linear in
-    # the op count; the generous limit only catches runtime bugs.
-    guard_limit = 16 * total_ops + 4096
-
-    while executed < total_ops:
-        guard += 1
-        if guard > guard_limit:
-            raise SchedulerError(
-                "interleaver failed to make progress; this is a runtime bug"
-            )
-        runnable = [tid for tid, st in enumerate(states) if st.runnable]
-        if not runnable:
-            raise DeadlockError(_describe_waiting(states, program))
-        thread_id, burst = sched.pick(runnable)
-        if thread_id not in runnable:
-            raise SchedulerError(
-                f"scheduler picked non-runnable thread {thread_id}"
-            )
-        ran = _run_slice(
-            program, states, locks, barriers, trace, result, thread_id, burst, waiters
+    with gc_paused():
+        result, tids, ops = _run(
+            program, sched, record_slices, obs.metrics if observe else None
         )
-        executed += ran
-        result.context_switches += 1
-        if record_slices:
-            result.slices.append((thread_id, ran))
-        if observe:
-            obs.metrics.observe("interleave.slice_ops", ran)
+        result.trace = ColumnarTrace.from_ops(
+            tids,
+            ops,
+            num_threads=program.num_threads,
+            label=program.name,
+            bug=program.injected_bug,
+        ).to_trace()
     if observe:
         metrics = obs.metrics
         metrics.add("interleave.context_switches", result.context_switches)
         metrics.add("interleave.lock_block_events", result.lock_block_events)
         metrics.add("interleave.barrier_episodes", result.barrier_episodes)
-        metrics.add("interleave.trace_events", len(trace))
+        metrics.add("interleave.trace_events", len(result.trace))
     return result
 
 
-def _run_slice(
-    program: ParallelProgram,
-    states: list[_ThreadState],
-    locks: LockTable,
-    barriers: BarrierTable,
-    trace: Trace,
-    result: InterleaveResult,
-    thread_id: int,
-    burst: int,
-    waiters: dict[int, set[int]],
-) -> int:
-    """Run ``thread_id`` for up to ``burst`` ops; return ops executed."""
-    state = states[thread_id]
-    thread = program.threads[thread_id]
-    ran = 0
+def _run(
+    program: ParallelProgram, sched: Scheduler, record_slices: bool, metrics
+) -> tuple[InterleaveResult, list[int], list]:
+    """The scheduling loop: (diagnostics, executed thread ids, executed ops)."""
+    programs = [thread.ops for thread in program.threads]
+    num_threads = len(programs)
+    ends = [len(ops) for ops in programs]
+    # Per thread: the positions of its sync ops, then its end as a
+    # sentinel, and a cursor into that list that only moves forward.
+    syncs = [
+        [m.start() for m in _SYNC_OPS.finditer(kind_codes(ops))] + [len(ops)]
+        for ops in programs
+    ]
+    cursors = [0] * num_threads
+    pcs = [0] * num_threads
+    blocked_on: list[int | None] = [None] * num_threads
+    at_barrier = [False] * num_threads
 
-    while ran < burst and not state.finished:
-        op = thread.ops[state.pc]
-        if op.kind is OpKind.LOCK:
-            if not locks.try_acquire(thread_id, op.addr):
-                state.blocked_on_lock = op.addr
-                waiters.setdefault(op.addr, set()).add(thread_id)
-                result.lock_block_events += 1
-                break
-        elif op.kind is OpKind.UNLOCK:
-            locks.release(thread_id, op.addr)
-            # Wake everyone parked on this lock; they will race to
-            # re-acquire it when next scheduled.
-            for parked in waiters.pop(op.addr, ()):  # noqa: B007
-                states[parked].blocked_on_lock = None
-        elif op.kind is OpKind.BARRIER:
-            released = barriers.arrive(thread_id, op.addr, op.participants)
-            trace.append(thread_id, op)
-            state.pc += 1
-            ran += 1
-            if state.pc >= len(thread.ops):
-                state.finished = True
-            if released:
-                result.barrier_episodes += 1
-                for other in released:
-                    states[other].at_barrier = False
-            else:
-                state.at_barrier = True
-                break
-            continue
+    locks = LockTable()
+    barriers = BarrierTable()
+    waiters: dict[int, set[int]] = {}  # lock addr -> threads parked on it
+    result = InterleaveResult(trace=None)
+    slices = result.slices
+    out_tids: list[int] = []
+    out_ops: list = []
+    lock_blocks = 0
+    episodes = 0
+    switches = 0
 
-        trace.append(thread_id, op)
-        state.pc += 1
-        ran += 1
-        if state.pc >= len(thread.ops):
-            state.finished = True
-    return ran
+    total_ops = sum(ends)
+    executed = 0
+    # Zero-op slices happen when a woken thread loses the re-acquire race,
+    # but each is preceded by an unlock, so total slices stay linear in the
+    # op count; the generous limit only catches runtime bugs.
+    guard_limit = 16 * total_ops + 4096
+    changed = True
+    runnable: list[int] = []
+
+    while executed < total_ops:
+        if switches >= guard_limit:
+            raise SchedulerError(
+                "interleaver failed to make progress; this is a runtime bug"
+            )
+        if changed:
+            runnable = [
+                tid
+                for tid in range(num_threads)
+                if pcs[tid] < ends[tid]
+                and not at_barrier[tid]
+                and blocked_on[tid] is None
+            ]
+            changed = False
+            if not runnable:
+                raise DeadlockError(
+                    _describe_waiting(pcs, ends, blocked_on, at_barrier, programs)
+                )
+        tid, burst = sched.pick(runnable)
+        if tid not in runnable:
+            raise SchedulerError(f"scheduler picked non-runnable thread {tid}")
+
+        ops = programs[tid]
+        end = ends[tid]
+        sync = syncs[tid]
+        cursor = cursors[tid]
+        pc = start = pcs[tid]
+        limit = pc + burst
+        while pc < limit and pc < end:
+            nxt = sync[cursor]
+            if pc < nxt:
+                # A run of non-sync ops: copy it up to the next sync op or
+                # the end of the burst in one slice.
+                stop = nxt if nxt < limit else limit
+                out_ops += ops[pc:stop]
+                out_tids += [tid] * (stop - pc)
+                pc = stop
+                continue
+            op = ops[pc]
+            kind = op.kind
+            if kind is OpKind.LOCK:
+                if not locks.try_acquire(tid, op.addr):
+                    blocked_on[tid] = op.addr
+                    waiters.setdefault(op.addr, set()).add(tid)
+                    lock_blocks += 1
+                    changed = True
+                    break
+            elif kind is OpKind.UNLOCK:
+                locks.release(tid, op.addr)
+                # Wake everyone parked on this lock; they will race to
+                # re-acquire it when next scheduled.
+                parked = waiters.pop(op.addr, None)
+                if parked:
+                    for other in parked:
+                        blocked_on[other] = None
+                    changed = True
+            else:  # BARRIER
+                released = barriers.arrive(tid, op.addr, op.participants)
+                out_ops.append(op)
+                out_tids.append(tid)
+                pc += 1
+                cursor += 1
+                changed = True
+                if released:
+                    episodes += 1
+                    for other in released:
+                        at_barrier[other] = False
+                    continue
+                at_barrier[tid] = True
+                break
+            out_ops.append(op)
+            out_tids.append(tid)
+            pc += 1
+            cursor += 1
+        pcs[tid] = pc
+        cursors[tid] = cursor
+        if pc >= end:
+            changed = True
+        ran = pc - start
+        executed += ran
+        switches += 1
+        if record_slices:
+            slices.append((tid, ran))
+        if metrics is not None:
+            metrics.observe("interleave.slice_ops", ran)
+
+    result.context_switches = switches
+    result.lock_block_events = lock_blocks
+    result.barrier_episodes = episodes
+    return result, out_tids, out_ops
 
 
 def _describe_waiting(
-    states: list[_ThreadState], program: ParallelProgram
+    pcs: list[int],
+    ends: list[int],
+    blocked_on: list[int | None],
+    at_barrier: list[bool],
+    programs: list[list],
 ) -> dict[int, str]:
     """Explain what each unfinished thread is blocked on, for diagnostics."""
     waiting = {}
-    for tid, st in enumerate(states):
-        if st.finished:
+    for tid, pc in enumerate(pcs):
+        if pc >= ends[tid]:
             continue
-        if st.blocked_on_lock is not None:
-            waiting[tid] = f"lock 0x{st.blocked_on_lock:x}"
-        elif st.at_barrier:
-            op = program.threads[tid].ops[st.pc - 1]
-            waiting[tid] = f"barrier {op.addr}"
+        if blocked_on[tid] is not None:
+            waiting[tid] = f"lock 0x{blocked_on[tid]:x}"
+        elif at_barrier[tid]:
+            waiting[tid] = f"barrier {programs[tid][pc - 1].addr}"
         else:  # pragma: no cover - only reachable via scheduler bug
             waiting[tid] = "unknown"
     return waiting

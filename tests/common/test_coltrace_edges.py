@@ -9,9 +9,23 @@ suite is mid-flight.
 import mmap
 from pathlib import Path
 
+import pytest
+
 from repro.api import detect
 from repro.common.coltrace import ColumnarTrace
-from repro.common.events import Site, Trace, barrier, lock, read, unlock, write
+from repro.common.errors import ProgramError
+from repro.common.events import (
+    InjectedBug,
+    Site,
+    Trace,
+    TraceEvent,
+    barrier,
+    compute,
+    lock,
+    read,
+    unlock,
+    write,
+)
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
@@ -54,6 +68,46 @@ class TestDegenerateShapes:
         _barrier_all(trace, 1, 2)
         _barrier_all(trace, 2, 2)
         return trace
+
+
+class TestPacker:
+    def test_equal_sites_share_one_entry_in_first_appearance_order(self):
+        # Distinct but equal Site objects, as a decode or a second builder
+        # produces them, intern to one table entry.
+        a1, a2 = Site("p.c", 2, "a"), Site("p.c", 2, "a")
+        b = Site("p.c", 1, "b")
+        ops = [compute(4), write(0x10, a1), read(0x20, b), read(0x10, a2)]
+        cols = ColumnarTrace.from_ops([0, 1, 0, 1], ops, num_threads=2)
+        assert cols.sites == (a1, b)
+        assert list(cols.site_id) == [-1, 0, 1, 0]
+        assert list(cols.is_write) == [0, 1, 0, 0]
+
+    def test_untouched_bug_sites_follow_sorted(self):
+        touched = Site("p.c", 5)
+        bug = InjectedBug(
+            thread_id=0,
+            lock_addr=0x40,
+            lock_op_index=0,
+            unlock_op_index=1,
+            chunk_addresses=frozenset({0x10}),
+            sites=frozenset({Site("z.c", 1), touched, Site("a.c", 9)}),
+        )
+        cols = ColumnarTrace.from_ops(
+            [0], [write(0x10, touched)], num_threads=1, bug=bug
+        )
+        assert cols.sites == (touched, Site("a.c", 9), Site("z.c", 1))
+
+    def test_every_op_needs_its_thread(self):
+        with pytest.raises(ProgramError, match="2 thread ids for 1 ops"):
+            ColumnarTrace.from_ops([0, 1], [compute(1)], num_threads=2)
+
+    def test_from_events_rejects_a_gap_in_the_sequence(self):
+        events = [
+            TraceEvent(seq=0, thread_id=0, op=compute(1)),
+            TraceEvent(seq=2, thread_id=0, op=compute(1)),
+        ]
+        with pytest.raises(ProgramError, match=r"index 1 \(seq 2\)"):
+            ColumnarTrace.from_events(Trace(events, num_threads=1))
 
 
 class TestHeldLocks:

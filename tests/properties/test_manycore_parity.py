@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.api import detect_many
 from repro.common.coltrace import ColumnarTrace
+from repro.common.events import Site, Trace, read
 from repro.engine import run_sharded
 from repro.harness.detectors import DetectorConfig
 
@@ -58,5 +59,24 @@ def test_scalar_batch_sharded_agree_on_drawn_machines(trace, machine):
     cols = ColumnarTrace.from_events(trace)
     batch = [result_key(r) for r in detect_many(cols, configs, engine_path="batch")]
     assert batch == scalar
+    sharded = [result_key(r) for r in run_sharded(cols, configs, jobs=1, shards=3)]
+    assert sharded == scalar
+
+
+def test_straddling_access_keeps_its_own_lines_on_every_path():
+    # Line 0x10e0 is the 8-line L2's LRU line but an L1 hit for thread 0,
+    # whose read of 0x10fc+8 then fills 0x1100 from memory: the fill must
+    # not displace 0x10e0, or the access loses the line it just used.
+    site = Site("straddle.c", 1)
+    trace = Trace(num_threads=2, label="straddle")
+    trace.append(0, read(0x10E0, site))
+    for k in range(7):
+        trace.append(1, read(0x2000 + 32 * k, site))
+    trace.append(0, read(0x10FC, site, size=8))
+    machine = {"num_cores": 4, "coherence": "snoopy", "l2_size": SMALL_L2}
+    configs = [DetectorConfig(key, **machine) for key in MACHINE_KEYS]
+    scalar = [result_key(r) for r in detect_many(trace, configs, engine_path="scalar")]
+    cols = ColumnarTrace.from_events(trace)
+    assert [result_key(r) for r in detect_many(cols, configs, engine_path="batch")] == scalar
     sharded = [result_key(r) for r in run_sharded(cols, configs, jobs=1, shards=3)]
     assert sharded == scalar

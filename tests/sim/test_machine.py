@@ -168,6 +168,35 @@ class TestEvictionsAndInclusion:
         assert ("writeback", 0, 0x1000) in listener.events
         assert ("l1_evict", 0, 0x1000, True) in listener.events
 
+    def test_straddling_access_never_displaces_its_own_line(self):
+        """A later line's L2 fill must not evict a line the same access used.
+
+        Line A (0x10e0) is the L2's least recently used line but an L1 hit
+        for core 0, so core 0's read of A and B (0x1100) fills B from memory
+        into a full one-set L2.  Evicting A would back-invalidate the copy
+        the access has just used, leaving a detector no metadata for it.
+        """
+        m = Machine(
+            MachineConfig(
+                num_cores=4,
+                l1=CacheConfig(512, 2, 32, 3),
+                l2=CacheConfig(256, 8, 32, 10),  # one set of 8 ways
+                memory_latency_cycles=200,
+            )
+        )
+        listener = RecordingListener()
+        m.add_listener(listener)
+        m.access(0, 0x10E0, 4, False)
+        for k in range(7):
+            m.access(1, 0x2000 + 32 * k, 4, False)
+        listener.events.clear()
+        m.access(0, 0x10FC, 8, False)
+        assert m.l1s[0].lookup(0x10E0) is not None
+        assert [e for e in listener.events if e[0] == "l2_evict"] == [
+            ("l2_evict", 0x2000)
+        ]
+        m.check_invariants()
+
     def test_invariants_hold_under_random_traffic(self):
         import random
 

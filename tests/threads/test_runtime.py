@@ -1,8 +1,10 @@
 """Unit tests for the interleaving runtime."""
 
+import gc
+
 import pytest
 
-from repro.common.errors import DeadlockError
+from repro.common.errors import DeadlockError, ProgramError, SchedulerError
 from repro.common.events import OpKind, Site, barrier, compute, lock, read, unlock, write
 from repro.threads.program import ParallelProgram, ThreadProgram
 from repro.threads.runtime import interleave
@@ -151,6 +153,108 @@ class TestTraceMetadata:
         prog = program([compute(1)] * 4, [compute(1)] * 4)
         result = interleave(prog, RoundRobinSchedulerFactory(), record_slices=True)
         assert sum(n for _, n in result.slices) == 8
+
+
+class _PicksFinishedThread:
+    """A broken scheduler: always picks thread 1, even once it finished."""
+
+    def pick(self, runnable):
+        return 1, 4
+
+
+#: (program, scheduler factory, error type, exact message).
+ERROR_CASES = {
+    "deadlock": (
+        lambda: program(
+            [lock(0x10, SITE), lock(0x20, SITE), unlock(0x20, SITE), unlock(0x10, SITE)],
+            [lock(0x20, SITE), lock(0x10, SITE), unlock(0x10, SITE), unlock(0x20, SITE)],
+        ),
+        lambda: FixedOrderScheduler([(0, 1), (1, 1), (0, 9), (1, 9)]),
+        DeadlockError,
+        "deadlock: all runnable threads are blocked (t0: lock 0x20, t1: lock 0x10)",
+    ),
+    "unsatisfiable-barrier": (
+        lambda: program(
+            [barrier(0, 3), write(0x100, SITE)],
+            [barrier(7, 3), write(0x104, SITE)],
+        ),
+        lambda: RandomScheduler(seed=0),
+        DeadlockError,
+        "deadlock: all runnable threads are blocked (t0: barrier 0, t1: barrier 7)",
+    ),
+    "re-acquire": (
+        lambda: program(
+            [compute(1), lock(0x10, SITE), write(0x100, SITE), lock(0x10, SITE)]
+        ),
+        lambda: RandomScheduler(seed=0),
+        ProgramError,
+        "thread 0 re-acquired held lock 0x10",
+    ),
+    "non-runnable-pick": (
+        lambda: program([compute(1)] * 6, [compute(1)] * 2),
+        _PicksFinishedThread,
+        SchedulerError,
+        "scheduler picked non-runnable thread 1",
+    ),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_raises_with_its_message(self, case):
+        make_program, make_scheduler, error, message = ERROR_CASES[case]
+        with pytest.raises(error) as exc:
+            interleave(make_program(), make_scheduler())
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_survives_the_raise(self, case, enabled):
+        make_program, make_scheduler, error, _ = ERROR_CASES[case]
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(error):
+                interleave(make_program(), make_scheduler())
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_survives_a_clean_run(self, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            interleave(program([compute(1)] * 3, [write(0x100, SITE)]))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+
+class TestBornColumnar:
+    def test_no_event_objects_are_built(self):
+        prog = program(
+            [lock(0x10, SITE), write(0x100, SITE), unlock(0x10, SITE), barrier(0, 2)],
+            [compute(3), barrier(0, 2), read(0x100, SITE)],
+        )
+        trace = interleave(prog, RandomScheduler(seed=4, max_burst=2)).trace
+        assert trace._events is None
+        assert len(trace) == 7
+        assert trace._events is None  # len() answers from the columns
+
+    def test_decoded_ops_equal_the_program_ops(self):
+        ops0 = [lock(0x10, SITE), write(0x100, SITE), unlock(0x10, SITE)]
+        ops1 = [compute(3), read(0x100, Site("u.c", 2, "r"), size=8)]
+        trace = interleave(program(ops0, ops1), RandomScheduler(seed=1)).trace
+        assert [ev.op for ev in trace if ev.thread_id == 0] == ops0
+        assert [ev.op for ev in trace if ev.thread_id == 1] == ops1
+        assert [ev.seq for ev in trace] == list(range(5))
+
+    def test_append_extends_a_born_columnar_trace(self):
+        trace = interleave(program([write(0x100, SITE)])).trace
+        trace.append(0, read(0x104, SITE))
+        assert [ev.op.addr for ev in trace] == [0x100, 0x104]
+        assert trace.columns().n == 2
 
 
 def RoundRobinSchedulerFactory():
