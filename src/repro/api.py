@@ -120,12 +120,13 @@ def detect(
     ``trace`` may be a :class:`~repro.common.events.Trace` or its packed
     :class:`~repro.common.coltrace.ColumnarTrace` encoding (e.g. straight
     from an mmap-loaded cache file).  ``engine_path`` selects the walk:
-    ``"auto"`` uses the vectorized batch kernel unless per-event
-    observability is active, ``"scalar"`` forces the per-event reference
-    walk, ``"batch"`` asserts the vectorized path is taken, and
-    ``"sharded"`` partitions the trace by address across ``jobs`` worker
-    processes (``jobs > 1`` also lets ``"auto"`` pick the sharded path on
-    large traces).
+    ``"auto"`` uses the vectorized batch kernel, which metrics collection
+    and trace emission ride, ``"scalar"`` forces the per-event reference
+    walk (which emits no trace events), ``"batch"`` asserts the vectorized
+    path is taken, and ``"sharded"`` partitions the trace by address
+    across ``jobs`` worker processes (``jobs > 1`` also lets ``"auto"``
+    pick the sharded path on large traces when ``obs`` observes no
+    events).
     """
     session = EngineSession(trace, obs=obs, path=engine_path, jobs=jobs)
     session.add_config(DetectorConfig.coerce(config, **overrides))

@@ -35,6 +35,7 @@ import sys
 from repro import api
 from repro.common.config import BloomConfig
 from repro.core.bloom import collision_probability
+from repro.engine import EngineError
 from repro.obs import JsonlEmitter, Observability
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
@@ -125,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             engine_path=args.engine_path,
             **machine_overrides,
         )
-    except api.HarnessError as exc:
+    except (api.HarnessError, EngineError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     finally:

@@ -39,10 +39,10 @@ from repro.common.stats import StatCounters
 from repro.core.bloom import BloomMapper
 from repro.core.candidate import LineMeta
 from repro.core.lockregister import LockRegister
-from repro.core.lstate import NO_OWNER, transition
-from repro.obs.trace import emit_alarm
+from repro.core.lstate import NO_OWNER, LState, transition
 from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.coherence import SourceKind
+from repro.sim.fabric import meta_cost_model
 from repro.sim.machine import LOCK_WORD_BYTES, Machine
 from repro.sim.metadata import CacheMetadataStore
 
@@ -111,18 +111,16 @@ class HardCore:
     def begin(self, trace: Trace, obs=None) -> None:
         """Allocate the pass state and a fresh machine."""
         detector = self.d
-        self.machine = Machine(detector.machine_config, obs=obs)
+        self.machine = Machine(detector.machine_config)
         self.mapper = BloomMapper(detector.config.bloom)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
         self.extra_cycles = 0
-        # Observability gates, resolved once: ``_observe`` guards all metric
-        # recording, ``_tracing`` additionally guards event emission.  With
-        # the default null sink both are False and the per-event cost is one
-        # attribute load + branch.
+        # The metrics gate, resolved once: without an active bundle the
+        # per-event cost is one attribute load + branch.  Trace events ride
+        # the batch walk only (``begin_batch``).
         self.obs = obs
         self._observe = obs is not None and obs.active
-        self._tracing = obs is not None and obs.emitter.enabled
         self._lock_registers: dict[int, LockRegister] = {}
         self._barrier_arrivals: dict[int, int] = {}
         # Hot per-chunk counters, batched into plain ints and flushed in
@@ -213,10 +211,6 @@ class HardCore:
         self._charge(self.d.costs.barrier_reset_flash, "hard.barrier_reset")
         if self._observe:
             self.obs.metrics.observe("hard.barrier_reset_copies", touched)
-            if self._tracing:
-                self.obs.emitter.emit(
-                    "barrier.reset", barrier=barrier_id, copies=touched
-                )
 
     def _memory_access(self, event, core: int) -> None:
         op = event.op
@@ -257,14 +251,6 @@ class HardCore:
             state_changed = (
                 outcome.state is not chunk.lstate or outcome.owner != chunk.owner
             )
-            if self._tracing and outcome.state is not chunk.lstate:
-                self.obs.emitter.emit(
-                    "lstate.transition",
-                    seq=event.seq,
-                    thread=thread_id,
-                    chunk=chunk_addr,
-                    **{"from": chunk.lstate.value, "to": outcome.state.value},
-                )
             chunk.lstate = outcome.state
             chunk.owner = outcome.owner
 
@@ -272,7 +258,9 @@ class HardCore:
                 new_bf = chunk.bf & lock_vector
                 if new_bf != chunk.bf:
                     if self._observe:
-                        self._note_refinement(event, chunk_addr, chunk.bf, new_bf)
+                        metrics = self.obs.metrics
+                        metrics.add("obs.lockset_refinements")
+                        metrics.observe("hard.candidate_popcount", new_bf.bit_count())
                     chunk.bf = new_bf
                     state_changed = True
                 self._n_candidate_updates += 1
@@ -281,7 +269,7 @@ class HardCore:
                     # metadata must be written into the line's extra bits.
                     self._charge(self.d.costs.candidate_check, "hard.check")
                 if outcome.check_race and self.mapper.is_empty(new_bf):
-                    report = self.log.add(
+                    self.log.add(
                         seq=event.seq,
                         thread_id=thread_id,
                         addr=op.addr,
@@ -292,7 +280,12 @@ class HardCore:
                     )
                     self.stats.add("hard.dynamic_reports")
                     if self._observe:
-                        self._note_alarm(report, chunk_addr, new_bf)
+                        self.obs.metrics.add("obs.alarms")
+                        if new_bf:
+                            # The set is empty (some part all-zero) yet
+                            # residual collision bits remain: the Bloom
+                            # aliasing of Section 3.2 made visible.
+                            self.obs.metrics.add("obs.bloom_collision_bits")
             if state_changed:
                 changed_lines.add(line_addr)
 
@@ -322,6 +315,8 @@ class HardCore:
 
     _L2 = -2  # metadata holder key of the shared L2's copy
     _VIRGIN, _EXCLUSIVE, _SHARED, _SHARED_MODIFIED = 0, 1, 2, 3
+    #: The ``lstate.transition`` event names of the int codes.
+    _LSTATE_NAMES = tuple(state.value for state in LState)
 
     def begin_batch(self, cols, tape, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
@@ -333,6 +328,10 @@ class HardCore:
         self._access_cycles = (
             tape.access_cycles(cols) if self._metrics is not None else None
         )
+        # Trace events ride this walk: an enabled emitter is called inside
+        # branches the kernel takes anyway to count its metrics.
+        self._emitter = obs.emitter if obs is not None and obs.emitter.enabled else None
+        self._meta_model = meta_cost_model(machine_config)
         self.mapper = BloomMapper(config.bloom)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
@@ -427,6 +426,13 @@ class HardCore:
         n_collisions = self._n_collisions
         refined_popcounts = self._refined_popcounts
         reset_touched = self._reset_touched
+        emitter = self._emitter
+        tracing = emitter is not None
+        if tracing:
+            emit = emitter.emit
+            meta_bits = self._line_meta_bits
+            update_event = self._meta_model.update_event
+            lstate_names = self._LSTATE_NAMES
 
         h = hook_off[lo]
         for i in range(lo, hi):
@@ -457,6 +463,9 @@ class HardCore:
                 count = pig[i]
                 if count:
                     n_piggybacks += count
+                    if tracing:
+                        for _ in range(count):
+                            emit("metadata.piggyback", bits=meta_bits)
                 register = registers.get(tid)
                 lock_vector = register.value if register is not None else 0
 
@@ -499,6 +508,15 @@ class HardCore:
                             meta[slot] = new_bf
                             state_changed = True
                             refined_popcounts[new_bf.bit_count()] += 1
+                            if tracing:
+                                emit(
+                                    "lockset.refine",
+                                    seq=i,
+                                    thread=tid,
+                                    chunk=chunk_addr,
+                                    before=bf,
+                                    after=new_bf,
+                                )
                         n_candidate_updates += 1
                         if state_changed:
                             n_checks += 1
@@ -520,7 +538,26 @@ class HardCore:
                                 n_reports += 1
                                 if new_bf:
                                     n_collisions += 1
+                                    if tracing:
+                                        emit(
+                                            "bloom.collision",
+                                            seq=i,
+                                            thread=tid,
+                                            chunk=chunk_addr,
+                                            vector=new_bf,
+                                        )
                     if state_changed:
+                        if tracing and next_state != state:
+                            emit(
+                                "lstate.transition",
+                                seq=i,
+                                thread=tid,
+                                chunk=chunk_addr,
+                                **{
+                                    "from": lstate_names[state],
+                                    "to": lstate_names[next_state],
+                                },
+                            )
                         if changed_line < 0:
                             changed_line = line_addr
                         elif line_addr != changed_line:
@@ -550,6 +587,8 @@ class HardCore:
                         for holder in holders:
                             holders[holder] = meta[:]
                         n_broadcasts += 1
+                        if tracing:
+                            emit(update_event, bits=meta_bits)
             elif kind == 2:  # LOCK
                 register = registers.get(tid)
                 if register is None:
@@ -583,6 +622,8 @@ class HardCore:
                         self._n_resets += 1
                         self._n_reset_copies += touched
                         reset_touched[touched] = reset_touched.get(touched, 0) + 1
+                        if tracing:
+                            emit("barrier.reset", barrier=addr, copies=touched)
             # kind == 5 (COMPUTE): cycles already on the tape.
 
         self._n_candidate_updates = n_candidate_updates
@@ -601,11 +642,9 @@ class HardCore:
         keys the scalar fabric methods charge — so the reconstruction is
         exact on the snoopy bus and the directory fabric alike.
         """
-        from repro.sim.fabric import meta_cost_model
-
         tape = self._tape
         costs = self.d.costs
-        meta_model = meta_cost_model(self.d.machine_config)
+        meta_model = self._meta_model
         stats = self.stats
         extra = 0
 
@@ -680,40 +719,3 @@ class HardCore:
             cycles=tape.machine_cycles + extra,
             detector_extra_cycles=extra,
         )
-
-    # ---------------------------------------------------------- observability
-    # Cold paths: called only when an Observability bundle is active.
-
-    def _note_refinement(self, event, chunk_addr: int, before: int, after: int) -> None:
-        metrics = self.obs.metrics
-        metrics.add("obs.lockset_refinements")
-        metrics.observe("hard.candidate_popcount", after.bit_count())
-        if self._tracing:
-            self.obs.emitter.emit(
-                "lockset.refine",
-                seq=event.seq,
-                thread=event.thread_id,
-                chunk=chunk_addr,
-                before=before,
-                after=after,
-            )
-
-    def _note_alarm(self, report, chunk_addr: int, vector: int) -> None:
-        metrics = self.obs.metrics
-        metrics.add("obs.alarms")
-        if vector:
-            # The set is empty (some part all-zero) yet residual collision
-            # bits remain: the Bloom aliasing of Section 3.2 made visible.
-            metrics.add("obs.bloom_collision_bits")
-        if not self._tracing:
-            return
-        emitter = self.obs.emitter
-        if vector:
-            emitter.emit(
-                "bloom.collision",
-                seq=report.seq,
-                thread=report.thread_id,
-                chunk=chunk_addr,
-                vector=vector,
-            )
-        emit_alarm(emitter, report)

@@ -25,19 +25,28 @@ process reading the columns and tape out of shared ``mmap`` pages, with
 per-shard results merged losslessly.  Under ``"auto"`` the sharded path is
 selected when the session has worker budget (``jobs > 1``), every core was
 registered by config, the trace is large enough (``shard_threshold``
-events) for the fan-out to pay for itself, and no metrics are collected
-(shard workers keep no registry; such a run walks batch and records the
+events) for the fan-out to pay for itself, and the run is not observed
+per event (shard workers carry no observability bundle, so a run with
+metrics collection or a trace emitter walks batch and records the
 fallback).
 
-``"scalar"`` is the per-event reference oracle: each core runs its own
-loop over the whole trace with its own
-:class:`~repro.sim.machine.Machine`.  ``path="scalar"`` forces it, and an
-active trace emitter takes it (the emitter fires per event inside the
-scalar ``step`` methods): the walk is one ``engine.walk`` span holding one
-``engine.core.<name>`` span per core, and one core's state is alive at a
-time.  A custom core without a batch kernel runs only on
-``path="scalar"``: a session never splits its cores between walks.
-Results are bit-for-bit identical on every walk.
+Trace events ride the batch walk too.  The walk is one ``engine.walk``
+span holding one ``engine.core.<name>`` span per core.  The ``hard-default``
+kernel emits the paper's detector-internal events (LState transitions,
+lockset refinements, Bloom collisions, barrier resets, piggybacks and
+candidate-set updates) where it already counts them;
+:func:`walk_batch_core` emits each core's ``alarm`` events from its report
+log and, for a machine-backed core, the ``cache.evict`` and
+``l2.displacement`` events of its tape (:meth:`MachineTape.emit_evictions
+<repro.engine.tape.MachineTape.emit_evictions>`).
+
+``"scalar"`` is the per-event reference oracle, reached only by
+``path="scalar"``: each core runs its own loop over the whole trace with
+its own :class:`~repro.sim.machine.Machine`, one core's state alive at a
+time.  It emits no trace events, so it refuses an active emitter.  A
+custom core without a batch kernel runs only on ``path="scalar"``: a
+session never splits its cores between walks.  Results are bit-for-bit
+identical on every walk.
 
 A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
 (``obs.telemetry``) never changes the path choice.  On the batch walk it
@@ -56,7 +65,8 @@ from contextlib import nullcontext
 from repro.common.errors import ReproError
 from repro.common.events import Trace
 from repro.common.gcpause import gc_paused
-from repro.obs.trace import NULL_EMITTER
+from repro.obs.trace import NULL_EMITTER, emit_alarm
+from repro.reporting import DetectionResult
 
 
 class EngineError(ReproError):
@@ -125,9 +135,8 @@ class EngineSession:
         #: ``"sharded"`` — set by :meth:`run`.
         self.path_taken: str | None = None
         #: Why ``path="auto"`` did not take the walk it would have taken
-        #: without observability: ``"trace emitter active"`` (scalar, not
-        #: batch) or ``"metrics collection active"`` (batch, not sharded);
-        #: None when nothing fell back.
+        #: without observability: ``"per-event observability active"``
+        #: (batch, not sharded); None when nothing fell back.
         self.fallback: str | None = None
 
     @property
@@ -201,44 +210,40 @@ class EngineSession:
             raise EngineError("no cores registered")
         self._ran = True
         obs = self.obs
-        tracing = obs is not None and obs.emitter.enabled
         recorder = obs.telemetry if obs is not None else None
         source = self._trace if self._trace is not None else self._cols
         if recorder is not None:
             self._census = recorder.observe_trace(source)
 
-        # An emitter fires per event inside the scalar ``step``s, so it
-        # forces the scalar walk: the fallback under "auto", an error under
-        # "batch" and "sharded".  Metrics ride the batch kernels, but shard
-        # workers keep no registry, so a metrics run never shards.  A
-        # flight recorder rides every walk.
-        collecting = obs is not None and obs.collect_metrics
-        if tracing and self.path in ("batch", "sharded"):
-            raise EngineError(
-                f"engine path {self.path!r} is incompatible with an active "
-                "trace emitter"
-            )
-        if collecting and self.path == "sharded":
-            raise EngineError(
-                "engine path 'sharded' is incompatible with metrics "
-                "collection: shard workers keep no metrics registry"
-            )
-        if tracing and self.path == "auto":
-            self.fallback = "trace emitter active"
-
-        batch_allowed = self.path != "scalar" and not tracing
-        if batch_allowed:
-            lacking = [c.name for c in self._cores if not hasattr(c, "begin_batch")]
-            if lacking:
+        # Metrics and trace events ride the batch kernels; the scalar walk
+        # emits nothing, and shard workers carry no observability bundle,
+        # so an observed run never shards.  A flight recorder rides every
+        # walk.
+        if self.path == "scalar":
+            if obs is not None and obs.emitter.enabled:
                 raise EngineError(
-                    "the batch and sharded walks need begin_batch/step_batch/"
-                    f"finish_batch, which these cores lack: {', '.join(lacking)}; "
-                    'run them with path="scalar"'
+                    "engine path 'scalar' emits no trace events: trace "
+                    "emission rides the batch walk; run with path 'auto' or "
+                    "'batch'"
                 )
-        sharded_ok = batch_allowed and all(
-            config is not None for config in self._configs
-        )
+            self.path_taken = "scalar"
+            return self._walk_scalar(recorder)
+        lacking = [c.name for c in self._cores if not hasattr(c, "begin_batch")]
+        if lacking:
+            raise EngineError(
+                "the batch and sharded walks need begin_batch/step_batch/"
+                f"finish_batch, which these cores lack: {', '.join(lacking)}; "
+                'run them with path="scalar"'
+            )
+        observed = obs is not None and obs.active
+        sharded_ok = all(config is not None for config in self._configs)
         if self.path == "sharded":
+            if observed:
+                raise EngineError(
+                    "engine path 'sharded' is incompatible with metrics "
+                    "collection and trace emission: shard workers carry no "
+                    "observability bundle; run with path 'auto' or 'batch'"
+                )
             if not sharded_ok:
                 raise EngineError(
                     "engine path 'sharded' requires every core to be "
@@ -253,38 +258,34 @@ class EngineSession:
             and self.jobs > 1
             and len(source) >= self.shard_threshold
         ):
-            if not collecting:
+            if not observed:
                 self.path_taken = "sharded"
                 return self._run_sharded(recorder)
-            self.fallback = "metrics collection active"
-        if batch_allowed:
-            self.path_taken = "batch"
-            return self._walk_batch(recorder)
+            self.fallback = "per-event observability active"
+        self.path_taken = "batch"
+        return self._walk_batch(recorder)
 
+    def _walk_scalar(self, recorder) -> list:
         # The scalar walk: each core runs alone, with its own machine, and
         # is released once finished, like a batch kernel.  Under a flight
-        # recorder each core's loop is one timed walk; under an emitter the
-        # walk is one ``engine.walk`` span holding one span per core.
-        self.path_taken = "scalar"
+        # recorder each core's loop is one timed walk.
         perf = time.perf_counter
         walk = recorder.walk if recorder is not None else nullcontext
-        span = obs.emitter.span if tracing else NULL_EMITTER.span
         trace = self.trace
         results = []
-        with span("engine.walk", cores=len(self._cores)):
-            for index in range(len(self._cores)):
-                core = self._take(index)
-                core.begin(trace, obs=obs)
-                step = core.step
-                t0 = perf()
-                with span(f"engine.core.{core.name}"), walk():
-                    for event in trace:
-                        step(event)
-                if recorder is not None:
-                    wall = perf() - t0
-                    recorder.record_core_walk(core.name, len(trace), wall)
-                results.append(core.finish())
-                del core, step
+        for index in range(len(self._cores)):
+            core = self._take(index)
+            core.begin(trace, obs=self.obs)
+            step = core.step
+            t0 = perf()
+            with walk():
+                for event in trace:
+                    step(event)
+            if recorder is not None:
+                wall = perf() - t0
+                recorder.record_core_walk(core.name, len(trace), wall)
+            results.append(core.finish())
+            del core, step
         return results
 
     def _run_sharded(self, recorder) -> list:
@@ -316,8 +317,10 @@ class EngineSession:
         # persisted via the tape cache so later *processes* replay nothing).
         from repro.engine.tape import MachineTape
 
+        obs = self.obs
         walk = recorder.walk if recorder is not None else nullcontext
         frame = recorder.frame if recorder is not None else nullcontext
+        span = obs.emitter.span if obs is not None else NULL_EMITTER.span
         with walk():
             with frame("pack"):
                 cols = self.columns()
@@ -327,12 +330,11 @@ class EngineSession:
                     cols, machine_config, self.tape_cache, recorder
                 )
 
-            return [
-                walk_batch_core(
-                    self._take(index), cols, tape_for, recorder, self.obs
-                )
-                for index in range(len(self._cores))
-            ]
+            with span("engine.walk", cores=len(self._cores)):
+                return [
+                    walk_batch_core(self._take(index), cols, tape_for, recorder, obs)
+                    for index in range(len(self._cores))
+                ]
 
     def _take(self, index: int):
         # Hand the session's reference to one core over to the caller.
@@ -359,23 +361,35 @@ def walk_batch_core(core, cols, tape_for, recorder=None, obs=None):
     A flight ``recorder`` gets the ``begin_batch``, ``finish_batch`` and
     ``release`` frames and the core's exact step time.  ``obs`` goes to
     ``begin_batch``: with metrics collection on, the kernel books its
-    per-event metrics into ``obs.metrics`` in ``finish_batch``.
+    per-event metrics into ``obs.metrics`` in ``finish_batch``, and an
+    enabled emitter gets the kernel's own events.  The walk then emits,
+    inside one ``engine.core.<name>`` span, the ``cache.evict`` and
+    ``l2.displacement`` events of the core's tape and the ``alarm`` events
+    of its report log, in log order.
     """
     machine_config = getattr(core, "machine_config", None)
     tape = tape_for(machine_config) if machine_config is not None else None
     frame = recorder.frame if recorder is not None else nullcontext
+    emitter = obs.emitter if obs is not None else NULL_EMITTER
     perf = time.perf_counter
-    with gc_paused():
-        with frame("begin_batch"):
-            core.begin_batch(cols, tape, obs=obs)
-        t0 = perf()
-        core.step_batch(cols, 0, cols.n)
-        wall = perf() - t0
-        with frame("finish_batch"):
-            result = core.finish_batch()
-        name = core.name
-        with frame("release"):
-            del core
+    name = core.name
+    with emitter.span(f"engine.core.{name}"):
+        with gc_paused():
+            with frame("begin_batch"):
+                core.begin_batch(cols, tape, obs=obs)
+            t0 = perf()
+            core.step_batch(cols, 0, cols.n)
+            wall = perf() - t0
+            with frame("finish_batch"):
+                result = core.finish_batch()
+            with frame("release"):
+                del core
+        if emitter.enabled:
+            if tape is not None:
+                tape.emit_evictions(emitter)
+            if isinstance(result, DetectionResult):
+                for report in result.reports:
+                    emit_alarm(emitter, report)
     if recorder is not None:
         recorder.record_core_walk(name, cols.n, wall)
     return result

@@ -230,6 +230,33 @@ class MachineTape:
             self._access_cycles = counts
         return counts
 
+    def emit_evictions(self, emitter) -> None:
+        """Emit the ``cache.evict`` and ``l2.displacement`` events of the walk.
+
+        One ``cache.evict`` per L1 capacity eviction (named ``L1#<core>``,
+        dirty as its hook's ``hook_aux``) and, per L2 displacement, one
+        ``cache.evict`` of the ``L2`` plus one ``l2.displacement`` (Section
+        3.6): the events a per-event :class:`~repro.sim.machine.Machine`
+        driven through the same trace sees its caches displace.  The L2
+        record carries no dirty bit, but the hook stream implies it: an L2
+        line is filled clean from memory, and only a writeback makes it
+        dirty.
+        """
+        emit = emitter.emit
+        written: set[int] = set()
+        for code, line, core, aux in zip(
+            self.hook_code, self.hook_line, self.hook_core, self.hook_aux
+        ):
+            if code == HOOK_WRITEBACK:
+                written.add(line)
+            elif code == HOOK_L1_EVICT:
+                emit("cache.evict", cache=f"L1#{core}", line=line, dirty=aux == 1)
+            elif code == HOOK_L2_EVICT:
+                dirty = line in written
+                written.discard(line)
+                emit("cache.evict", cache="L2", line=line, dirty=dirty)
+                emit("l2.displacement", line=line)
+
     # ---------------------------------------------------------- serialisation
 
     def to_bytes(self) -> bytes:

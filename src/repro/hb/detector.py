@@ -24,7 +24,6 @@ from repro.common.stats import StatCounters
 from repro.core.detector import LOCK_WORD_BYTES
 from repro.hb.meta import HBChunkMeta, HBLineMeta, check_epochs
 from repro.hb.vectorclock import SyncClocks
-from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.machine import Machine
 from repro.sim.metadata import SharedMetadataStore
@@ -66,8 +65,7 @@ class HappensBeforeCore:
         detector = self.d
         self.obs = obs
         self._observe = obs is not None and obs.active
-        self._tracing = obs is not None and obs.emitter.enabled
-        self.machine = Machine(detector.machine_config, obs=obs)
+        self.machine = Machine(detector.machine_config)
         self.clocks = SyncClocks(trace.num_threads)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
@@ -127,7 +125,7 @@ class HappensBeforeCore:
                 conflicts = chunk.check_and_update(thread_id, clock, op.is_write)
                 self._n_history_updates += 1
                 for detail in conflicts:
-                    report = self.log.add(
+                    self.log.add(
                         seq=event.seq,
                         thread_id=thread_id,
                         addr=op.addr,
@@ -139,8 +137,6 @@ class HappensBeforeCore:
                     stats.add("hb.dynamic_reports")
                     if self._observe:
                         self.obs.metrics.add("obs.alarms")
-                        if self._tracing:
-                            emit_alarm(self.obs.emitter, report)
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""

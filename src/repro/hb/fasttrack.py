@@ -30,7 +30,6 @@ from repro.common.addresses import spanned_chunks
 from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.hb.vectorclock import SyncClocks
-from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog
 
 #: Shared "no conflicts" result for the race-free hot path.
@@ -173,7 +172,7 @@ class FastTrackCore:
                 conflicts = check(chunk, thread_id, values)
                 self._n_history_updates += 1
                 for detail in conflicts:
-                    report = self.log.add(
+                    self.log.add(
                         seq=event.seq,
                         thread_id=thread_id,
                         addr=op.addr,
@@ -185,8 +184,6 @@ class FastTrackCore:
                     stats.add("fasttrack.dynamic_reports")
                     if self._observe:
                         self.obs.metrics.add("obs.alarms")
-                        if self.obs.emitter.enabled:
-                            emit_alarm(self.obs.emitter, report)
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""

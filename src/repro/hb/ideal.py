@@ -18,7 +18,6 @@ from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.hb.meta import HBChunkMeta, check_epochs
 from repro.hb.vectorclock import SyncClocks
-from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog
 
 
@@ -79,7 +78,7 @@ class IdealHappensBeforeCore:
                 conflicts = chunk.check_and_update(thread_id, clock, op.is_write)
                 self._n_history_updates += 1
                 for detail in conflicts:
-                    report = self.log.add(
+                    self.log.add(
                         seq=event.seq,
                         thread_id=thread_id,
                         addr=op.addr,
@@ -91,8 +90,6 @@ class IdealHappensBeforeCore:
                     stats.add("hb.dynamic_reports")
                     if self._observe:
                         self.obs.metrics.add("obs.alarms")
-                        if self.obs.emitter.enabled:
-                            emit_alarm(self.obs.emitter, report)
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""

@@ -37,7 +37,6 @@ from repro.common.errors import DetectorError
 from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.hybrids.clocks import WeakClocks
-from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog
 
 #: Shared "no conflicts" result for the race-free hot path.
@@ -178,7 +177,7 @@ class AccuLockCore:
                 conflicts = self._check(chunk, thread_id, clock, held, is_write)
                 self._n_history_updates += 1
                 for detail in conflicts:
-                    report = self.log.add(
+                    self.log.add(
                         seq=event.seq,
                         thread_id=thread_id,
                         addr=op.addr,
@@ -190,8 +189,6 @@ class AccuLockCore:
                     stats.add("acculock.dynamic_reports")
                     if self._observe:
                         self.obs.metrics.add("obs.alarms")
-                        if self.obs.emitter.enabled:
-                            emit_alarm(self.obs.emitter, report)
 
     def _barrier(self, thread_id: int, barrier_id: int, participants: int) -> None:
         if self.clocks.barrier_arrive(thread_id, barrier_id, participants):

@@ -26,7 +26,6 @@ from repro.common.errors import DetectorError
 from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.core.lstate import NO_OWNER, LState, transition
-from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog
 
 #: Sentinel meaning "all possible locks" (the initial candidate set).
@@ -156,7 +155,7 @@ class IdealLocksetCore:
                     "lockset.candidate_size", len(chunk.candidate or ())
                 )
             if outcome.check_race and chunk.is_empty:
-                report = self.log.add(
+                self.log.add(
                     seq=event.seq,
                     thread_id=event.thread_id,
                     addr=op.addr,
@@ -168,8 +167,6 @@ class IdealLocksetCore:
                 stats.add("lockset.dynamic_reports")
                 if obs is not None:
                     obs.metrics.add("obs.alarms")
-                    if obs.emitter.enabled:
-                        emit_alarm(obs.emitter, report)
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""

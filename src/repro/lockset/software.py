@@ -33,7 +33,6 @@ from repro.common.stats import StatCounters
 from repro.core.detector import LOCK_WORD_BYTES
 from repro.core.lstate import NO_OWNER, LState, transition
 from repro.lockset.exact import ALL_LOCKS, ExactChunk
-from repro.obs.trace import emit_alarm
 from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.machine import Machine
 
@@ -90,7 +89,7 @@ class SoftwareLocksetCore:
         detector = self.d
         self.obs = obs
         self._observe = obs is not None and obs.active
-        self.machine = Machine(detector.machine_config, obs=obs)
+        self.machine = Machine(detector.machine_config)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
         self.extra_cycles = 0
@@ -160,7 +159,7 @@ class SoftwareLocksetCore:
                 if outcome.check_race and chunk.is_empty:
                     machine.charge(costs.report, "sw.report")
                     self.extra_cycles += costs.report
-                    report = self.log.add(
+                    self.log.add(
                         seq=event.seq,
                         thread_id=thread_id,
                         addr=op.addr,
@@ -171,8 +170,6 @@ class SoftwareLocksetCore:
                     )
                     if self._observe:
                         self.obs.metrics.add("obs.alarms")
-                        if self.obs.emitter.enabled:
-                            emit_alarm(self.obs.emitter, report)
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""

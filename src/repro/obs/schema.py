@@ -33,6 +33,9 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "bloom.collision": frozenset({"seq", "thread", "chunk", "vector"}),
     # A changed candidate set was broadcast to the other holders (Figure 6).
     "candidate.broadcast": frozenset({"bits"}),
+    # The directory fabric's counterpart: a changed candidate set was
+    # written back point-to-point to the line's home node (Section 3.4).
+    "metadata.update": frozenset({"bits"}),
     # Metadata rode an existing coherence transfer (Section 3.4).
     "metadata.piggyback": frozenset({"bits"}),
     # Barrier exit flash-reset every cached BFVector (Section 3.5).

@@ -116,12 +116,11 @@ class CountingEmitter(TraceEmitter):
 class RecordingEmitter(TraceEmitter):
     """Keeps selected events in memory for programmatic inspection.
 
-    The differential-fuzzing oracle uses this to verify its divergence
-    classifications against the detector's own evidence stream (e.g. that a
-    missed detection classified as metadata loss really coincides with an
-    ``l2.displacement`` of the victim line).  Pass ``types`` to keep only
-    the event types you need — detector runs emit one event per metadata
-    mutation, so recording everything on a long trace is memory-hungry.
+    Tests use this to read a run's evidence stream back (e.g. that a
+    missed detection coincides with an ``l2.displacement`` of the victim
+    line).  Pass ``types`` to keep only the event types you need — detector
+    runs emit one event per metadata mutation, so recording everything on
+    a long trace is memory-hungry.
     """
 
     enabled = True

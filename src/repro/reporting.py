@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
+from repro.common.errors import ConfigError
 from repro.common.events import Site, Trace
 from repro.common.stats import StatCounters
 
@@ -172,23 +173,27 @@ class DetectorCore(Protocol):
     and returns the :class:`DetectionResult`.  :func:`run_core` drives one
     core over a trace, and :class:`repro.engine.EngineSession` drives many
     cores from a single trace walk.  ``obs`` is the optional observability
-    bundle (tracing + metrics); a core must behave identically — and pay no
-    measurable cost — when it is absent or inactive.
+    bundle (metrics only: a scalar ``step`` emits no trace events); a core
+    must behave identically — and pay no measurable cost — when it is
+    absent or inactive.
 
     Every registered detector's core also implements the *batch* protocol
     — ``begin_batch(cols, tape, obs=None)`` / ``step_batch(cols, lo, hi)``
     / ``finish_batch()`` — consuming ``[lo, hi)`` event ranges of a
     :class:`~repro.common.coltrace.ColumnarTrace` (plus, for machine-backed
     cores, a prerecorded :class:`~repro.engine.tape.MachineTape`) instead of
-    per-event dispatch.  The engine session uses it whenever no trace
-    emitter is active (a custom core without it runs only on
-    ``path="scalar"``); results must be bit-for-bit identical to the
-    scalar walk, which remains the reference oracle.  With metrics
-    collection on, ``finish_batch`` books into ``obs.metrics`` exactly the
-    counters and histograms the scalar ``step`` books per event.  The engine passes the
-    whole trace in one ``step_batch`` call, so a kernel handles barriers
-    inline, and it runs each kernel with the cyclic garbage collector
-    paused, so a kernel must build no reference cycles.
+    per-event dispatch.  The engine session uses it on every walk but
+    ``path="scalar"`` (a custom core without it runs only there); results
+    must be bit-for-bit identical to the scalar walk, which remains the
+    reference oracle.  With metrics collection on, ``finish_batch`` books
+    into ``obs.metrics`` exactly the counters and histograms the scalar
+    ``step`` books per event.  Trace events ride the batch walk only: the
+    session emits each core's alarms from its report log, and a kernel
+    may emit its own detector-internal events to ``obs.emitter`` (the
+    ``hard-default`` kernel does); a scalar ``step`` emits none.  The
+    engine passes the whole trace in one ``step_batch`` call, so a kernel
+    handles barriers inline, and it runs each kernel with the cyclic
+    garbage collector paused, so a kernel must build no reference cycles.
 
     ``machine_config`` is the :class:`~repro.common.config.MachineConfig`
     the core replays the data path through, or ``None`` for trace-only
@@ -223,8 +228,15 @@ def run_core(
     """Drive one core over a full trace with per-event ``step`` dispatch.
 
     This is the scalar reference walk — the oracle the vectorized engine
-    path is validated against.
+    path is validated against.  It emits no trace events, so it refuses
+    an ``obs`` with an enabled emitter (raising
+    :class:`~repro.common.errors.ConfigError`).
     """
+    if obs is not None and obs.emitter.enabled:
+        raise ConfigError(
+            "run_core is the scalar walk, which emits no trace events; "
+            "trace emission rides the batch walk (repro.engine.EngineSession)"
+        )
     core.begin(trace, obs=obs)
     step = core.step
     for event in trace:

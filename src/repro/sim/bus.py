@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from repro.common.config import BusConfig
 from repro.common.stats import StatCounters
-from repro.obs.trace import NULL_EMITTER, TraceEmitter
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,10 @@ class Bus:
     #: Fabric kind, mirrored from ``MachineConfig.coherence``.
     kind = "snoopy"
 
-    def __init__(self, config: BusConfig, emitter: TraceEmitter | None = None):
+    def __init__(self, config: BusConfig):
         self.config = config
         self.stats = StatCounters()
         self._cycles = 0
-        self._emitter = emitter if emitter is not None else NULL_EMITTER
         self.meta_model = snoopy_meta_model(config)
         # Hot path: _spend bumps the live counters directly, with each
         # kind's counter keys built once.
@@ -194,8 +192,6 @@ class Bus:
         cycles = model.piggyback_cycles
         self._cycles += cycles
         self.stats.add(model.piggyback_cycle_key, cycles)
-        if self._emitter.enabled:
-            self._emitter.emit("metadata.piggyback", bits=meta_bits)
         return cycles
 
     def metadata_broadcast(self, meta_bits: int) -> int:
@@ -212,8 +208,6 @@ class Bus:
         self.stats.add(model.metadata_bytes_key, (meta_bits + 7) // 8)
         if model.update_control_bytes:
             self.stats.add(model.control_bytes_key, model.update_control_bytes)
-        if self._emitter.enabled:
-            self._emitter.emit(model.update_event, bits=meta_bits)
         cycles = model.update_cycles
         self._cycles += cycles
         self.stats.add(model.update_cycle_key, cycles)

@@ -21,7 +21,6 @@ from typing import Iterator
 
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
-from repro.obs.trace import NULL_EMITTER, TraceEmitter
 
 
 class MESI(enum.Enum):
@@ -78,18 +77,12 @@ class Cache:
     access.
     """
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        name: str = "cache",
-        emitter: TraceEmitter | None = None,
-    ):
+    def __init__(self, config: CacheConfig, name: str = "cache"):
         self.config = config
         self.name = name
         self._sets: list[dict[int, CacheLine]] = [
             {} for _ in range(config.num_sets)
         ]
-        self._emitter = emitter if emitter is not None else NULL_EMITTER
         # Hot-path constants (profiled: recomputing them per lookup is the
         # single largest cost of a simulation pass).
         self._line_mask = ~(config.line_size - 1)
@@ -170,13 +163,6 @@ class Cache:
         victim = self.choose_victim(line_addr, pinned)
         if victim is not None:
             del cache_set[victim.line_addr]
-            if self._emitter.enabled:
-                self._emitter.emit(
-                    "cache.evict",
-                    cache=self.name,
-                    line=victim.line_addr,
-                    dirty=victim.dirty,
-                )
         cache_set[line_addr] = CacheLine(line_addr, state)
         return victim
 
@@ -204,10 +190,6 @@ class Cache:
         if line is None:
             raise SimulationError(
                 f"{self.name}: eviction of absent line 0x{line_addr:x}"
-            )
-        if self._emitter.enabled:
-            self._emitter.emit(
-                "cache.evict", cache=self.name, line=line.tag, dirty=line.dirty
             )
         return line
 

@@ -35,7 +35,6 @@ in the machine's data path, where the tape totals capture them exactly.
 from __future__ import annotations
 
 from repro.common.config import BusConfig, DirectoryConfig, MachineConfig
-from repro.obs.trace import TraceEmitter
 from repro.sim.bus import Bus, MetaCostModel, snoopy_meta_model
 
 #: Alias making the strategy explicit at registration sites.
@@ -83,13 +82,8 @@ class DirectoryFabric(Bus):
 
     kind = "directory"
 
-    def __init__(
-        self,
-        config: BusConfig,
-        directory: DirectoryConfig,
-        emitter: TraceEmitter | None = None,
-    ):
-        super().__init__(config, emitter=emitter)
+    def __init__(self, config: BusConfig, directory: DirectoryConfig):
+        super().__init__(config)
         self.directory = directory
         self.meta_model = directory_meta_model(config, directory)
         self.scale_cycles = (
@@ -161,13 +155,11 @@ class DirectoryFabric(Bus):
             self._control(forward, "owner_forward", owner_forwards, owner_forwards)
 
 
-def make_fabric(
-    config: MachineConfig, emitter: TraceEmitter | None = None
-) -> Bus:
+def make_fabric(config: MachineConfig) -> Bus:
     """Build the coherence fabric ``config.coherence`` names."""
     if config.coherence == "directory":
-        return DirectoryFabric(config.bus, config.directory, emitter=emitter)
-    return SnoopyBus(config.bus, emitter=emitter)
+        return DirectoryFabric(config.bus, config.directory)
+    return SnoopyBus(config.bus)
 
 
 def meta_cost_model(config: MachineConfig) -> MetaCostModel:

@@ -82,19 +82,14 @@ class Machine:
     L1s.
     """
 
-    def __init__(self, config: MachineConfig | None = None, obs=None):
+    def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
-        # ``obs`` is a repro.obs.Observability (kept untyped to avoid a
-        # dependency edge from the simulator into the observability layer).
-        emitter = obs.emitter if obs is not None else None
-        self._emitter_on = emitter is not None and emitter.enabled
-        self._obs_emitter = emitter
         self.l1s = [
-            Cache(self.config.l1, name=f"L1#{core}", emitter=emitter)
+            Cache(self.config.l1, name=f"L1#{core}")
             for core in range(self.config.num_cores)
         ]
-        self.l2 = Cache(self.config.l2, name="L2", emitter=emitter)
-        self.bus = make_fabric(self.config, emitter=emitter)
+        self.l2 = Cache(self.config.l2, name="L2")
+        self.bus = make_fabric(self.config)
         self.stats = StatCounters()
         self.evictions = EvictionRecord()
         self._listeners: list[MachineListener] = []
@@ -438,22 +433,15 @@ class Machine:
         appears iff its event happened at least once, even when its value
         is 0 (a zero-cycle COMPUTE still creates ``cycles.compute``).
 
-        Raises :class:`SimulationError` when a listener is registered or a
-        trace emitter is active: this kernel makes none of their
-        callbacks, so such a machine must be driven per event through
-        :meth:`access`.
+        Raises :class:`SimulationError` when a listener is registered:
+        this kernel makes no listener callbacks, so such a machine must be
+        driven per event through :meth:`access`.
         """
         if self._listeners:
             raise SimulationError(
                 "Machine.record makes no listener callbacks, but "
                 f"{len(self._listeners)} listener(s) are registered; drive "
                 "the scalar Machine.access path per event instead"
-            )
-        if self._emitter_on:
-            raise SimulationError(
-                "Machine.record emits no trace events, but this machine's "
-                "trace emitter is active; drive the scalar Machine.access "
-                "path per event instead"
             )
         n = cols.n
         kinds = cols.kind
@@ -851,8 +839,6 @@ class Machine:
         self.evictions.note_l2_eviction(victim_line)
         for hook in self._on_l2_evict:
             hook(victim_line)
-        if self._emitter_on:
-            self._obs_emitter.emit("l2.displacement", line=victim_line)
         return victim_line
 
     def _owner_among(self, holders: list[int], line_addr: int) -> int | None:

@@ -155,12 +155,20 @@ class TestPathSelection:
         assert session.fallback is None
         assert result_key(result) == result_key(detect(trace, "hb-ideal"))
 
-    def test_batch_rejects_active_observability(self, trace):
-        obs = Observability(emitter=RecordingEmitter())
-        session = EngineSession(trace, obs=obs, path="batch")
+    def test_batch_carries_a_trace_emitter(self, trace):
+        # Trace events ride the batch walk: the results are the scalar
+        # reference results, and every report becomes one alarm event.
+        recorder = RecordingEmitter(types={"alarm"})
+        session = EngineSession(trace, obs=Observability(emitter=recorder), path="batch")
         session.add_config(DetectorConfig.coerce("hard-default"))
-        with pytest.raises(EngineError):
-            session.run()
+        [observed] = session.run()
+        assert session.path_taken == "batch"
+        [plain] = detect_many(trace, ("hard-default",), engine_path="scalar")
+        assert result_key(observed) == result_key(plain)
+        assert [
+            (e["seq"], e["thread"], e["addr"], e["detail"])
+            for e in recorder.by_type("alarm")
+        ] == [(r.seq, r.thread_id, r.addr, r.detail) for r in plain.reports]
 
     def test_auto_with_recorder_still_matches(self, trace):
         # A flight recorder rides the batch walk under "auto"; results

@@ -27,7 +27,7 @@ from tests.engine.test_batch_path import ScalarOnlyCore
 
 
 class AliveProbeCore:
-    """A scalar core that notes, on ``begin``, which earlier probes live."""
+    """A batch core that notes, on ``begin_batch``, which earlier probes live."""
 
     machine_config = None
 
@@ -35,16 +35,16 @@ class AliveProbeCore:
         self.name = name
         self.log = log
 
-    def begin(self, trace, obs=None):
+    def begin_batch(self, cols, tape, obs=None):
         watched = (ref() for ref in self.log["watch"])
         alive = [core.name for core in watched if core is not None]
         self.log["alive"].append((self.name, alive))
         self.log["watch"].append(weakref.ref(self))
 
-    def step(self, event):
+    def step_batch(self, cols, lo, hi):
         pass
 
-    def finish(self):
+    def finish_batch(self):
         return DetectionResult(self.name, RaceReportLog(self.name))
 
 
@@ -256,10 +256,11 @@ class TestPathChoice:
             None,
         )
 
-    @pytest.mark.parametrize("path", ["batch", "sharded"])
-    def test_requested_fast_paths_refuse_a_trace_emitter(self, small, path):
+    @pytest.mark.parametrize("path", ["sharded", "scalar"])
+    def test_requested_walks_refuse_a_trace_emitter(self, small, path):
+        # Trace events ride the batch walk only, and the error names it.
         obs = Observability(emitter=CountingEmitter())
-        with pytest.raises(EngineError, match="trace emitter"):
+        with pytest.raises(EngineError, match="run with path 'auto' or 'batch'"):
             self.run_session(small, ["hard-default"], obs=obs, path=path)
 
     def test_requested_sharded_refuses_metrics(self, small):
@@ -277,18 +278,29 @@ class TestPathChoice:
 
     def test_metrics_fallback_is_named(self, small):
         # Without metrics this session shards (test_sharded_path pins
-        # that); shard workers keep no metrics registry, so it walks batch.
+        # that); shard workers carry no observability bundle, so it walks
+        # batch.
         obs = Observability(collect_metrics=True)
         assert self.run_session(
             small, ["hard-default"], obs=obs, jobs=2, shard_threshold=1
-        ) == ("batch", "metrics collection active")
+        ) == ("batch", "per-event observability active")
 
-    def test_trace_emitter_takes_the_scalar_walk(self, small):
+    def test_trace_emitter_fallback_is_named(self, small):
+        # One rule keeps every observed run off the sharded walk.
         obs = Observability(emitter=CountingEmitter())
-        assert self.run_session(small, ["hard-default"], obs=obs) == (
-            "scalar",
-            "trace emitter active",
+        assert self.run_session(
+            small, ["hard-default"], obs=obs, jobs=2, shard_threshold=1
+        ) == ("batch", "per-event observability active")
+
+    @pytest.mark.parametrize("path", ["auto", "batch"])
+    def test_trace_emitter_rides_the_batch_walk(self, small, path):
+        obs = Observability(emitter=CountingEmitter())
+        assert self.run_session(small, ["hard-default"], obs=obs, path=path) == (
+            "batch",
+            None,
         )
+        assert obs.emitter.counts["alarm"] > 0
+        assert obs.emitter.counts["lstate.transition"] > 0
 
     def test_emitter_walk_holds_one_core_at_a_time(self, small, tmp_path):
         # Each core is released before the next begins, and the JSONL
@@ -303,7 +315,7 @@ class TestPathChoice:
         session.add_core(AliveProbeCore("c", log))
         session.run()
         obs.close()
-        assert session.path_taken == "scalar"
+        assert session.path_taken == "batch"
         assert log["alive"] == [("a", []), ("b", []), ("c", [])]
         counts = validate_jsonl(path)
         assert counts["alarm"] > 0

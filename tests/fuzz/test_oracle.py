@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.events import Site
+from repro.common.events import OpKind, Site
 from repro.engine import EngineSession
 from repro.engine.tape import MachineTape
 from repro.fuzz.corpus import load_case
@@ -27,8 +27,9 @@ from repro.fuzz.oracle import (
     evaluate_trace,
     eviction_lines,
 )
-from repro.harness.detectors import DetectorConfig
-from repro.obs import Observability, RecordingEmitter
+from repro.harness.detectors import DetectorConfig, make_detector
+from repro.sim.coherence import MachineListener
+from repro.sim.machine import LOCK_WORD_BYTES, Machine
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 
@@ -176,6 +177,21 @@ def _fuzz_trace(index):
     return interleave(generate_program(index), scheduler).trace
 
 
+class EvictionListener(MachineListener):
+    """The lines a machine displaced from its L2 or evicted clean from an L1."""
+
+    def __init__(self):
+        self.displaced: set[int] = set()
+        self.clean_evicted: set[int] = set()
+
+    def on_l1_evict(self, core, line_addr, dirty):
+        if not dirty:
+            self.clean_evicted.add(line_addr)
+
+    def on_l2_evict(self, line_addr):
+        self.displaced.add(line_addr)
+
+
 class TestTapeEvidence:
     @pytest.mark.parametrize(
         "build",
@@ -184,26 +200,27 @@ class TestTapeEvidence:
     )
     def test_tape_sets_equal_scalar_event_sets(self, build):
         # The oracle reads evictions off hard-default's machine tape; a
-        # scalar replay with an event recorder must see the same lines.
+        # per-event Machine.access replay must see its listener told of the
+        # same lines.  The reference is the listener, not the trace
+        # emitter, whose eviction events are read off the tape itself.
         trace = build()
         hard_cfg = DetectorConfig(key="hard-default", l2_size=DEFAULT_ORACLE.l2_size)
-        recorder = RecordingEmitter(types={"l2.displacement", "cache.evict"})
-        session = EngineSession(
-            trace, obs=Observability(emitter=recorder), path="scalar"
-        )
-        machine = session.add_config(hard_cfg).machine_config
-        session.run()
-        emitted_displaced = {e["line"] for e in recorder.by_type("l2.displacement")}
-        emitted_clean = {
-            e["line"]
-            for e in recorder.by_type("cache.evict")
-            if e["cache"] != "L2" and not e["dirty"]
-        }
+        machine_config = make_detector(hard_cfg).machine_config
+        machine = Machine(machine_config)
+        listener = EvictionListener()
+        machine.add_listener(listener)
+        for event in trace:
+            op = event.op
+            core = machine.core_for_thread(event.thread_id)
+            if op.is_memory_access:
+                machine.access(core, op.addr, op.size, op.is_write)
+            elif op.kind in (OpKind.LOCK, OpKind.UNLOCK):
+                machine.access(core, op.addr, LOCK_WORD_BYTES, True)
         displaced, clean_evicted = eviction_lines(
-            MachineTape.for_columns(trace.columns(), machine)
+            MachineTape.for_columns(trace.columns(), machine_config)
         )
-        assert displaced == emitted_displaced
-        assert clean_evicted == emitted_clean
+        assert displaced == listener.displaced
+        assert clean_evicted == listener.clean_evicted
         assert displaced
 
     def test_batch_evaluation_walks_no_scalar_session(self, monkeypatch):

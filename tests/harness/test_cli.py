@@ -103,17 +103,53 @@ class TestObservabilityCommands:
             "detect",
         ]
 
-    def test_run_trace_out_validates_against_schema(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fabric", ["snoopy", "directory"])
+    def test_run_trace_out_validates_against_schema(self, tmp_path, capsys, fabric):
         path = tmp_path / "events.jsonl"
         code = main(
-            ["run", "raytrace", "--trace-out", str(path), "--bug-seed", "3"]
+            [
+                "run",
+                "raytrace",
+                "--trace-out",
+                str(path),
+                "--bug-seed",
+                "3",
+                "--fabric",
+                fabric,
+            ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "trace events:" in out
+        # Trace events ride the batch walk: no fallback to name.
+        assert "engine path: batch\n" in out
         counts = validate_jsonl(path)
         assert counts["alarm"] > 0
         assert counts["lstate.transition"] > 0
+        update = "metadata.update" if fabric == "directory" else "candidate.broadcast"
+        assert counts[update] > 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--engine-path", "sharded", "--metrics", "-j", "2"],
+                "shard workers carry no observability bundle",
+            ),
+            (
+                ["--engine-path", "scalar", "--trace-out", "{trace}"],
+                "trace emission rides the batch walk",
+            ),
+        ],
+        ids=["sharded-metrics", "scalar-trace-out"],
+    )
+    def test_run_prints_refused_engine_paths(self, tmp_path, capsys, argv, message):
+        argv = [arg.format(trace=tmp_path / "events.jsonl") for arg in argv]
+        assert main(["run", "fuzz:3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_run_metrics_prints_registry(self, capsys):
         assert main(["run", "raytrace", "--metrics"]) == 0

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.common.config import CacheConfig, HardConfig, MachineConfig
+from repro.common.errors import ConfigError
 from repro.common.events import Site, Trace, barrier, lock, read, unlock, write
 from repro.core.detector import HardDetector
+from repro.engine import EngineSession
 from repro.obs import JsonlEmitter, Observability, ObsSchemaError, validate_event, validate_jsonl
 from repro.reporting import run_core
 
@@ -16,6 +18,12 @@ VAR_X = 0x20000
 class TestValidateEvent:
     def test_valid_event(self):
         assert validate_event({"type": "candidate.broadcast", "bits": 16}) == []
+
+    def test_directory_metadata_update_is_valid(self):
+        # The directory fabric's point-to-point counterpart of the Figure 6
+        # broadcast (MetaCostModel.update_event).
+        assert validate_event({"type": "metadata.update", "bits": 18}) == []
+        assert validate_event({"type": "metadata.update"}) != []
 
     def test_non_object(self):
         assert validate_event([1, 2]) != []
@@ -87,8 +95,9 @@ class TestDetectorRoundTrip:
             l2=CacheConfig(8 * 1024, 4, 32, 10),
         )
         obs = Observability(emitter=JsonlEmitter.to_path(path))
-        detector = HardDetector(machine, HardConfig())
-        result = run_core(detector.core(), self._racy_trace(), obs=obs)
+        session = EngineSession(self._racy_trace(), obs=obs)
+        session.add(HardDetector(machine, HardConfig()))
+        [result] = session.run()
         obs.close()
         counts = validate_jsonl(path)
         assert result.reports.alarm_count > 0
@@ -97,3 +106,11 @@ class TestDetectorRoundTrip:
         assert counts["barrier.reset"] == 1
         # Emitter bookkeeping and file contents must agree.
         assert sum(counts.values()) == obs.emitter.total
+
+    def test_scalar_run_core_refuses_an_emitter(self, tmp_path):
+        # The scalar walk emits nothing; it says so instead of dropping
+        # the events.
+        obs = Observability(emitter=JsonlEmitter.to_path(tmp_path / "e.jsonl"))
+        with pytest.raises(ConfigError, match="batch walk"):
+            run_core(HardDetector().core(), self._racy_trace(), obs=obs)
+        obs.close()

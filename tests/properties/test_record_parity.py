@@ -1,8 +1,8 @@
 """Scalar ≡ columnar machine parity: ``Machine.record`` against ``access``.
 
 ``Machine.record`` walks a columnar trace through the machine in one loop
-body per line; ``Machine.access`` is the per-event oracle the scalar walk,
-the trace emitter and the unit tests drive.  The reference here drives
+body per line; ``Machine.access`` is the per-event oracle the scalar walk
+and the unit tests drive.  The reference here drives
 ``access`` event by event with a listener defined in this module (the
 recorder the tape used before the kernel existed) and must produce the
 same nine tape arrays and leave the same machine behind: every set's line
@@ -30,8 +30,6 @@ from repro.common.config import CacheConfig, MachineConfig
 from repro.common.errors import SimulationError
 from repro.common.events import Site, Trace, barrier, compute, lock, read, unlock, write
 from repro.engine.tape import _TAPE_ARRAYS, MachineTape
-from repro.obs import Observability
-from repro.obs.trace import CountingEmitter
 from repro.sim.coherence import (
     HOOK_FILL_CORE,
     HOOK_FILL_L2,
@@ -326,13 +324,6 @@ class TestRecordFailsClosed:
     def test_registered_listener_is_refused(self):
         machine = Machine(tiny_config(4, "snoopy", ()))
         machine.add_listener(HookTape())
-        with pytest.raises(SimulationError, match=r"Machine\.access"):
-            machine.record(self.cols())
-        assert machine.stats.snapshot() == {}
-
-    def test_active_emitter_is_refused(self):
-        obs = Observability(emitter=CountingEmitter())
-        machine = Machine(tiny_config(4, "snoopy", ()), obs=obs)
         with pytest.raises(SimulationError, match=r"Machine\.access"):
             machine.record(self.cols())
         assert machine.stats.snapshot() == {}
