@@ -39,7 +39,7 @@ from typing import Sequence
 from repro.common.coltrace import ColumnarTrace
 from repro.common.errors import HarnessError
 from repro.common.events import Trace
-from repro.engine import EngineSession, detect_with_engine
+from repro.engine import EngineSession
 from repro.harness import tables as _tables
 from repro.harness.detectors import (
     DETECTOR_KEYS,
@@ -128,9 +128,13 @@ def detect(
     pick the sharded path on large traces when ``obs`` observes no
     events).
     """
-    session = EngineSession(trace, obs=obs, path=engine_path, jobs=jobs)
-    session.add_config(DetectorConfig.coerce(config, **overrides))
-    return session.run()[0]
+    return detect_many(
+        trace,
+        [DetectorConfig.coerce(config, **overrides)],
+        obs=obs,
+        engine_path=engine_path,
+        jobs=jobs,
+    )[0]
 
 
 def detect_many(
@@ -319,7 +323,6 @@ __all__ = [
     "DetectorConfig",
     "EngineSession",
     "FlightRecorder",
-    "detect_with_engine",
     "GridCell",
     "ExperimentRunner",
     "config_signature",

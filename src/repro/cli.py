@@ -224,14 +224,15 @@ def _cmd_exhibit(args: argparse.Namespace) -> int:
         built = counters.get("harness.traces_built", 0)
         cached = counters.get("harness.trace_cache_hits", 0)
         verdicts = counters.get("harness.verdict_cache_hits", 0)
+        evaluated = counters.get("harness.cells_evaluated", 0)
         memo_hits = counters.get("harness.trace_memo_hits", 0)
         memo_misses = counters.get("harness.trace_memo_misses", 0)
         evictions = counters.get("harness.trace_memo_evictions", 0)
         print(
             f"[grid] jobs={result.jobs} traces built={built} "
             f"trace-cache hits={cached} verdict-cache hits={verdicts} "
-            f"memo hits={memo_hits} misses={memo_misses} "
-            f"evictions={evictions}",
+            f"cells evaluated={evaluated} memo hits={memo_hits} "
+            f"misses={memo_misses} evictions={evictions}",
             file=sys.stderr,
         )
     return 0

@@ -7,7 +7,7 @@ configuration on the batch and sharded walks.  See ``docs/architecture.md``
 for where this sits in the layer stack.
 """
 
-from repro.engine.session import EngineError, EngineSession, detect_with_engine
+from repro.engine.session import EngineError, EngineSession
 from repro.engine.shard import DEFAULT_SHARD_THRESHOLD, run_sharded
 from repro.engine.tape import MachineTape
 
@@ -15,7 +15,6 @@ __all__ = [
     "DEFAULT_SHARD_THRESHOLD",
     "EngineError",
     "EngineSession",
-    "detect_with_engine",
     "run_sharded",
     "MachineTape",
 ]

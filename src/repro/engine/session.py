@@ -394,18 +394,3 @@ def walk_batch_core(core, cols, tape_for, recorder=None, obs=None):
         recorder.record_core_walk(name, cols.n, wall)
     return result
 
-
-def detect_with_engine(
-    trace, detectors, obs=None, path: str = "auto", *, jobs: int = 1
-) -> list:
-    """Run ``detectors`` (an iterable) over ``trace`` in one session.
-
-    ``trace`` may be a :class:`~repro.common.events.Trace` or a
-    :class:`~repro.common.coltrace.ColumnarTrace`; ``path`` selects the walk
-    strategy (``"auto"``, ``"batch"``, ``"scalar"``, or ``"sharded"``), and
-    ``jobs`` the sharded path's worker budget.
-    """
-    session = EngineSession(trace, obs=obs, path=path, jobs=jobs)
-    for detector in detectors:
-        session.add(detector)
-    return session.run()

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -60,6 +60,7 @@ from repro.harness.tracecache import (
     ensure_cache_dir,
     source_digest,
 )
+from repro.hybrids.conformance import site_key
 from repro.obs.metrics import MetricsRegistry
 from repro.reporting import DetectionResult
 from repro.threads.program import InjectedBug, ParallelProgram
@@ -83,7 +84,13 @@ SCHEDULE_MAX_BURST = 8
 
 @dataclass
 class RunOutcome:
-    """Scored verdict of one detector on one run."""
+    """Scored verdict of one detector on one run.
+
+    The one record every exhibit reads: besides the counts it carries the
+    sorted alarm-site keys (:func:`~repro.hybrids.conformance.site_key`
+    tuples, the paper's per-site alarm unit) and the run's full stat
+    counters, so no exhibit needs to walk a trace again.
+    """
 
     detector: str
     app: str
@@ -93,6 +100,8 @@ class RunOutcome:
     dynamic_reports: int
     cycles: int = 0
     detector_extra_cycles: int = 0
+    sites: tuple[tuple[str, int, str], ...] = ()
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def overhead_fraction(self) -> float:
@@ -101,10 +110,17 @@ class RunOutcome:
         return self.detector_extra_cycles / base if base > 0 else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (consumed by RunReport tooling)."""
+        """JSON-serialisable form (the verdict cache and RunReport tooling)."""
         data = asdict(self)
         data["overhead_fraction"] = self.overhead_fraction
         return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunOutcome":
+        """Inverse of :meth:`to_dict`; a missing field raises ``KeyError``."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["sites"] = tuple(tuple(site) for site in values["sites"])
+        return cls(**values)
 
 
 def score_detection(result: DetectionResult, bug: InjectedBug | None) -> bool:
@@ -356,6 +372,10 @@ class ExperimentRunner:
                     dynamic_reports=result.reports.dynamic_count,
                     cycles=result.cycles,
                     detector_extra_cycles=result.detector_extra_cycles,
+                    # Sorted, so every walk (batch, sharded, scalar) writes
+                    # the same verdict bytes.
+                    sites=tuple(sorted(map(site_key, result.alarm_sites()))),
+                    stats=dict(sorted(result.stats.snapshot().items())),
                 )
                 self._cache_put(outcome, signature)
                 self._outcomes[(app, run, signature)] = outcome
@@ -448,21 +468,13 @@ class ExperimentRunner:
             data = json.loads(path.read_text())
             if data.get("signature") != signature:
                 return None
-            outcome = RunOutcome(
-                detector=signature,
-                app=app,
-                run=run,
-                detected=data["detected"],
-                alarm_count=data["alarm_count"],
-                dynamic_reports=data["dynamic_reports"],
-                cycles=data["cycles"],
-                detector_extra_cycles=data["detector_extra_cycles"],
-            )
+            outcome = RunOutcome.from_dict(data)
         except FileNotFoundError:
             return None
-        except (ValueError, AttributeError, KeyError):
-            # Truncated, not an object or missing a field: the entry fails
-            # closed — unlinked and recomputed like a miss.
+        except (ValueError, AttributeError, KeyError, TypeError):
+            # Truncated, not an object, a field missing, or a non-iterable
+            # ``sites``: the entry fails closed — unlinked and recomputed
+            # like a miss.
             path.unlink(missing_ok=True)
             return None
         self.metrics.add("harness.verdict_cache_hits")
@@ -472,16 +484,7 @@ class ExperimentRunner:
         path = self._cache_path(outcome.app, outcome.run, signature)
         if path is None:
             return
-        payload = json.dumps(
-            {
-                "signature": signature,
-                "detected": outcome.detected,
-                "alarm_count": outcome.alarm_count,
-                "dynamic_reports": outcome.dynamic_reports,
-                "cycles": outcome.cycles,
-                "detector_extra_cycles": outcome.detector_extra_cycles,
-            }
-        )
+        payload = json.dumps({"signature": signature, **outcome.to_dict()})
         # Atomic write-then-rename so a crashed or parallel sweep never
         # leaves a truncated JSON file that poisons every later cache hit.
         atomic_write_text(path, payload)

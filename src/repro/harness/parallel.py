@@ -245,7 +245,6 @@ def run_grid(
     trace_cache_dir: str | Path | None = None,
     tape_cache_dir: str | Path | None = None,
     engine_path: str = "auto",
-    engine_jobs: int | None = None,
 ) -> GridReport:
     """Evaluate a grid of cells, fanned out over ``jobs`` worker processes.
 
@@ -257,21 +256,18 @@ def run_grid(
     than jobs, the surplus flows down as ``engine_jobs`` — each worker's
     engine sessions may shard large traces across the leftover processes —
     so nested parallelism never oversubscribes beyond ``jobs`` processes.
-    An explicit ``engine_jobs`` overrides the split.
     """
     t0 = time.perf_counter()
     chunks = plan_chunks(cells)
     jobs = max(1, int(jobs))
     workers = min(jobs, len(chunks)) if chunks else 0
-    if engine_jobs is None:
-        engine_jobs = max(1, jobs // workers) if workers else 1
     spec = WorkerSpec(
         workload_seed=workload_seed,
         cache_dir=str(cache_dir) if cache_dir is not None else None,
         trace_cache_dir=str(trace_cache_dir) if trace_cache_dir is not None else None,
         tape_cache_dir=str(tape_cache_dir) if tape_cache_dir is not None else None,
         engine_path=engine_path,
-        engine_jobs=max(1, int(engine_jobs)),
+        engine_jobs=max(1, jobs // workers) if workers else 1,
     )
 
     outcomes: list[RunOutcome] = []

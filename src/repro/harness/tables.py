@@ -346,44 +346,33 @@ def scaling(
     fabrics=COHERENCE_KINDS,
     detector: str = "hard-default",
 ) -> dict:
-    """Broadcast-vs-directory traffic as the machine grows (the PR 10 study).
+    """Broadcast-vs-directory traffic as the machine grows.
 
     For every (app, core count, fabric) cell, replay the race-free run on
     the parameterized machine and record simulated cycles, alarms, and the
-    control-traffic estimate of :func:`control_traffic`.  Unlike the
-    table exhibits this one needs the *stat counters* of each run (which
-    :class:`RunOutcome` does not carry), so it evaluates one
-    :class:`~repro.engine.EngineSession` per application directly over the
-    runner's memoised trace — all (cores x fabric) configurations share
-    the single trace walk.
+    control-traffic estimate of :func:`control_traffic`, read from the
+    stat counters each :class:`~repro.harness.experiment.RunOutcome`
+    carries.
     """
-    from repro.engine import EngineSession
-
-    data: dict[str, dict] = {}
-    coords = [(cores, fabric) for cores in core_counts for fabric in fabrics]
-    for app in apps:
-        trace = runner.trace_for(app, CLEAN_RUN)
-        session = EngineSession(
-            trace,
-            path=runner.engine_path,
-            jobs=runner.engine_jobs,
-            tape_cache=runner.tape_cache,
+    cells = {
+        (app, cores, fabric): GridCell(
+            app,
+            CLEAN_RUN,
+            DetectorConfig(detector, num_cores=cores, coherence=fabric),
         )
-        for cores, fabric in coords:
-            session.add_config(
-                DetectorConfig(detector, num_cores=cores, coherence=fabric)
-            )
-        with runner.metrics.time("harness.detect"):
-            results = session.run()
-        row: dict[str, dict] = {}
-        for (cores, fabric), result in zip(coords, results):
-            stats = result.stats.snapshot()
-            cell = control_traffic(stats, cores, fabric)
-            cell["cycles"] = result.cycles
-            cell["detector_extra_cycles"] = result.detector_extra_cycles
-            cell["alarms"] = result.reports.alarm_count
-            row.setdefault(str(cores), {})[fabric] = cell
-        data[app] = row
+        for app in apps
+        for cores in core_counts
+        for fabric in fabrics
+    }
+    scored = runner.outcomes(cells.values())
+    data: dict[str, dict] = {}
+    for (app, cores, fabric), cell in cells.items():
+        outcome = scored[cell]
+        entry = control_traffic(outcome.stats, cores, fabric)
+        entry["cycles"] = outcome.cycles
+        entry["detector_extra_cycles"] = outcome.detector_extra_cycles
+        entry["alarms"] = outcome.alarm_count
+        data.setdefault(app, {}).setdefault(str(cores), {})[fabric] = entry
     return data
 
 

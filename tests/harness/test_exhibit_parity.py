@@ -6,7 +6,8 @@ equals the number of distinct cells the exhibit's one
 :meth:`ExperimentRunner.outcomes` call asked for, so nothing is evaluated
 twice or outside that call.  Each run gets a fresh verdict cache; the
 trace and tape caches are shared across the module, so the test times
-detection, not interleaving.
+detection, not interleaving.  A warm rerun on the serial run's cache
+evaluates nothing and serves every declared cell from the verdict cache.
 """
 
 import pytest
@@ -51,7 +52,7 @@ def test_exhibit_scores_its_grid_once(name, shared, requested, tmp_path):
             (cache / layer).symlink_to(shared / layer)
         requested.clear()
         result = api.run_table(name, apps=APPS, runs=1, cache_dir=cache, jobs=jobs)
-        assert len(requested) <= 1
+        assert len(requested) == 1
         declared = {cell for cells in requested for cell in cells}
         counters = result.metrics["counters"]
         assert counters.get("harness.cells_evaluated", 0) == len(declared)
@@ -59,3 +60,11 @@ def test_exhibit_scores_its_grid_once(name, shared, requested, tmp_path):
         results[jobs] = result
     assert results[2].data == results[1].data
     assert results[2].text == results[1].text
+    # A warm rerun on the serial run's verdict cache walks nothing: every
+    # declared cell is a verdict hit.
+    warm = api.run_table(name, apps=APPS, runs=1, cache_dir=tmp_path / "j1")
+    counters = warm.metrics["counters"]
+    assert counters.get("harness.cells_evaluated", 0) == 0
+    assert counters.get("harness.verdict_cache_hits", 0) == len(declared)
+    assert warm.data == results[1].data
+    assert warm.text == results[1].text

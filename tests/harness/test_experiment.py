@@ -117,9 +117,11 @@ class TestDiskCache(object):
         # A second runner with the same cache dir must not recompute.
         runner2 = ExperimentRunner(cache_dir=tmp_path)
         second = runner2.run_detector("raytrace", CLEAN_RUN, "hard-ideal")
-        assert first.alarm_count == second.alarm_count
-        assert first.dynamic_reports == second.dynamic_reports
-        assert any(tmp_path.iterdir())
+        assert runner2.metrics.snapshot()["harness.verdict_cache_hits"] == 1
+        # The whole verdict survives the round trip, sites and stats too.
+        assert second == first
+        assert len(second.sites) == second.alarm_count
+        assert second.stats
 
     def test_cache_write_is_atomic(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
@@ -140,8 +142,9 @@ class TestDiskCache(object):
             lambda text: text[: len(text) // 2],
             lambda text: "[]",
             lambda text: text.replace('"cycles"', '"cycels"'),
+            lambda text: text.replace('"sites"', '"setis"'),
         ),
-        ids=("truncated", "not-an-object", "missing-cycles"),
+        ids=("truncated", "not-an-object", "missing-cycles", "missing-sites"),
     )
     def test_damaged_entry_is_a_miss(self, tmp_path, damage):
         first = ExperimentRunner(cache_dir=tmp_path).run_detector(

@@ -34,6 +34,12 @@ class StubRunner:
             dynamic_reports=0,
             cycles=1_020_000,
             detector_extra_cycles=20_000,
+            stats={
+                "bus.transactions.read": 10,
+                "bus.bytes.metadata": 4,
+                "dir.bytes.control": 30,
+                "dir.messages.home_lookup": 3,
+            },
         )
 
 
@@ -131,11 +137,37 @@ class TestHybrids:
         assert "lattice check" in text
 
 
+class TestScaling:
+    def test_cells_read_outcome_stats(self):
+        runner = StubRunner()
+        data = tables.scaling(runner, apps=("webserver",), core_counts=(4, 16))
+        (cells,) = runner.calls
+        assert {cell.run for cell in cells} == {-1}
+        assert len(cells) == 4
+        row = data["webserver"]
+        assert list(row) == ["4", "16"]
+        # snoopy: (8 B x 10 transactions + 4 metadata bytes) x (cores - 1)
+        assert row["4"]["snoopy"]["control_bytes"] == 84 * 3
+        assert row["16"]["snoopy"]["control_bytes"] == 84 * 15
+        # directory: counted control bytes + metadata, independent of cores
+        assert row["16"]["directory"]["control_bytes"] == 34
+        assert row["16"]["directory"]["control_messages"] == 3
+        assert row["4"]["snoopy"]["alarms"] == 20
+        assert row["4"]["snoopy"]["cycles"] == 1_020_000
+
+    def test_default_machine_is_the_bare_key(self):
+        runner = StubRunner()
+        tables.scaling(runner, apps=("barnes",), core_counts=(4,))
+        (cells,) = runner.calls
+        # 4-core snoopy is the default machine, so that cell is Table 2's
+        # clean hard-default cell and shares its cached verdict.
+        default = tables.DetectorConfig("hard-default")
+        assert tables.GridCell("barnes", -1, default) in cells
+
+
 class TestOneScoringCall:
     def test_every_exhibit_scores_its_grid_once(self):
         for name, (compute, _) in tables.EXHIBITS.items():
-            if name == "scaling":  # walks engine sessions for stat counters
-                continue
             runner = StubRunner()
             compute(runner, APPS)
             assert len(runner.calls) == 1, name
