@@ -1,7 +1,7 @@
 """Packed columnar trace representation (the redesigned trace substrate).
 
-An event-list :class:`~repro.common.events.Trace` holds frozen dataclass
-objects — ideal for construction and debugging, hostile to throughput:
+An event-list :class:`~repro.common.events.Trace` holds immutable event and
+op records — ideal for construction and debugging, hostile to throughput:
 every detector pass re-dereferences ``event.op.kind`` / ``.addr`` /
 ``.size`` through three Python objects per event.  The interleaver never
 builds that list: it packs its executed ops straight into a
@@ -53,6 +53,7 @@ import json
 import re
 import struct
 from array import array
+from operator import attrgetter
 
 from repro.common.errors import DetectorError, ProgramError, ReproError
 from repro.common.events import InjectedBug, Op, OpKind, Site, Trace, TraceEvent
@@ -95,10 +96,7 @@ def kind_of_code(code: int) -> OpKind:
     return _CODE_TO_KIND[code]
 
 
-#: Kind code by the member's ``_value_`` string: a str key hashes from its
-#: cached hash, where an :class:`OpKind` key runs the Python-level
-#: ``Enum.__hash__`` on every lookup.
-_CODE_OF_VALUE = {kind._value_: code for kind, code in _KIND_TO_CODE.items()}
+_KIND_OF = attrgetter("kind")
 
 #: ``bytes.translate`` table mapping a kind code to its ``is_write`` flag.
 _IS_WRITE = bytes(int(code == KIND_WRITE) for code in range(256))
@@ -106,7 +104,7 @@ _IS_WRITE = bytes(int(code == KIND_WRITE) for code in range(256))
 
 def kind_codes(ops) -> bytes:
     """The packed kind code of every op in ``ops``, one byte each."""
-    return bytes(map(_CODE_OF_VALUE.__getitem__, [op.kind._value_ for op in ops]))
+    return bytes(map(_KIND_TO_CODE.__getitem__, map(_KIND_OF, ops)))
 
 
 #: (name, array typecode) of every packed column, in serialisation order.
@@ -203,9 +201,10 @@ class ColumnarTrace:
         """Pack executed ``ops`` and their thread ids into columns.
 
         ``tids[i]`` is the thread that executed ``ops[i]``; index ``i`` is
-        the event's position in the trace.  Each column is built in one
-        pass over the ops, and no op is hashed: kind codes are looked up by
-        the member's value string, and sites are interned by ``id()`` first
+        the event's position in the trace.  One ``zip(*ops)`` transposes the
+        op records into per-field columns, and no op is hashed: kind codes
+        come from an ``{OpKind: code}`` map, and sites are interned by
+        ``id()`` first
         — a program reuses a few hundred site objects across its whole run
         — before the distinct objects are merged by equality.  The site
         table holds one entry per distinct site, in order of first
@@ -223,19 +222,21 @@ class ColumnarTrace:
         self.label = label
         self.bug = bug
 
-        # List comprehensions, not ``map(attrgetter(...))``: their attribute
-        # loads are specialised by the interpreter, and an array fills
-        # fastest from a list.
-        codes = kind_codes(ops)
+        # One transpose into per-field tuples: cheaper than reading each
+        # field op by op, and the tuples go as soon as the arrays are full.
+        kinds, addrs, sizes, site_of, cycles, participants = (
+            zip(*ops) if n else ((),) * len(Op._fields)
+        )
+        codes = bytes(map(_KIND_TO_CODE.__getitem__, kinds))
         self.kind = array("B", codes)
         self.is_write = array("B", codes.translate(_IS_WRITE))
         self.tid = array("i", tids)
-        self.addr = array("q", [op.addr for op in ops])
-        self.size = array("i", [op.size for op in ops])
-        self.cycles = array("q", [op.cycles for op in ops])
-        self.participants = array("i", [op.participants for op in ops])
+        self.addr = array("q", addrs)
+        self.size = array("i", sizes)
+        self.cycles = array("q", cycles)
+        self.participants = array("i", participants)
+        del kinds, addrs, sizes, cycles, participants
 
-        site_of = [op.site for op in ops]
         site_keys = list(map(id, site_of))
         # id -> site, keyed in first-appearance order; the ops keep every
         # site alive, so no id is reused while this runs.

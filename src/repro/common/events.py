@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.errors import ProgramError
 
@@ -34,6 +35,11 @@ class OpKind(enum.Enum):
     UNLOCK = "unlock"
     BARRIER = "barrier"
     COMPUTE = "compute"
+
+    # Members are singletons, so hash them by identity, in C, rather than by
+    # Enum's Python-level ``hash(self._name_)``: the packer looks up one
+    # kind code per op in an ``{OpKind: code}`` map.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -54,9 +60,30 @@ class Site:
         return f"{self.file}:{self.line}{suffix}"
 
 
-@dataclass(frozen=True)
-class Op:
+#: Builds an :class:`Op` from its field tuple without the checks; only for
+#: fields already checked.
+_new_op = tuple.__new__
+
+
+class _OpFields(NamedTuple):
+    kind: OpKind
+    addr: int = 0
+    size: int = 0
+    site: Site | None = None
+    cycles: int = 0
+    participants: int = 0
+
+
+class Op(_OpFields):
     """One dynamic operation of a thread program.
+
+    An immutable tuple-backed record: equality and hashing are those of the
+    field tuple, and :meth:`_replace` builds a checked copy.  The keyword
+    constructor checks the fields and raises
+    :class:`~repro.common.errors.ProgramError` on an op no program may
+    hold; the :func:`read`/:func:`write`/:func:`lock`/:func:`unlock`
+    helpers make the same checks inline and skip the constructor on valid
+    input, so every op is checked exactly once, when it is built.
 
     Attributes:
         kind: which operation this is.
@@ -69,37 +96,44 @@ class Op:
             may leave.  All threads waiting on the same barrier id must agree.
     """
 
-    kind: OpKind
-    addr: int = 0
-    size: int = 0
-    site: Site | None = None
-    cycles: int = 0
-    participants: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind in (OpKind.READ, OpKind.WRITE):
-            if self.size <= 0:
-                raise ProgramError(f"{self.kind.value} needs a positive size")
-            if self.site is None:
-                raise ProgramError(f"{self.kind.value} needs a site")
-        elif self.kind in (OpKind.LOCK, OpKind.UNLOCK):
-            if self.site is None:
-                raise ProgramError(f"{self.kind.value} needs a site")
-        elif self.kind is OpKind.BARRIER:
-            if self.participants <= 0:
+    def __new__(
+        cls,
+        kind: OpKind,
+        addr: int = 0,
+        size: int = 0,
+        site: Site | None = None,
+        cycles: int = 0,
+        participants: int = 0,
+    ) -> "Op":
+        if kind is OpKind.READ or kind is OpKind.WRITE:
+            if size <= 0:
+                raise ProgramError(f"{kind.value} needs a positive size")
+            if site is None:
+                raise ProgramError(f"{kind.value} needs a site")
+        elif kind is OpKind.LOCK or kind is OpKind.UNLOCK:
+            if site is None:
+                raise ProgramError(f"{kind.value} needs a site")
+        elif kind is OpKind.BARRIER:
+            if participants <= 0:
                 raise ProgramError("barrier needs a positive participant count")
-        elif self.kind is OpKind.COMPUTE:
-            if self.cycles < 0:
+        elif kind is OpKind.COMPUTE:
+            if cycles < 0:
                 raise ProgramError("compute cycles must be non-negative")
+        return _new_op(cls, (kind, addr, size, site, cycles, participants))
+
+    @classmethod
+    def _make(cls, iterable) -> "Op":
+        # Route _replace (and any other rebuild) through the checks.
+        return cls(*iterable)
 
     @property
     def is_write(self) -> bool:
         """True for WRITE operations.
 
         Hot paths should not query this per event: the columnar encoding
-        (:meth:`Trace.columns`) carries a packed ``is_write`` column instead,
-        so the flag lives in data rather than behind a bent frozen-dataclass
-        ``object.__setattr__`` back-door.
+        (:meth:`Trace.columns`) carries a packed ``is_write`` column instead.
         """
         return self.kind is OpKind.WRITE
 
@@ -114,24 +148,38 @@ class Op:
         return self.kind in (OpKind.LOCK, OpKind.UNLOCK, OpKind.BARRIER)
 
 
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+_LOCK = OpKind.LOCK
+_UNLOCK = OpKind.UNLOCK
+
+
 def read(addr: int, site: Site, size: int = 4) -> Op:
     """Construct a shared-memory read of ``size`` bytes at ``addr``."""
-    return Op(kind=OpKind.READ, addr=addr, size=size, site=site)
+    if size > 0 and site is not None:
+        return _new_op(Op, (_READ, addr, size, site, 0, 0))
+    return Op(kind=_READ, addr=addr, size=size, site=site)
 
 
 def write(addr: int, site: Site, size: int = 4) -> Op:
     """Construct a shared-memory write of ``size`` bytes at ``addr``."""
-    return Op(kind=OpKind.WRITE, addr=addr, size=size, site=site)
+    if size > 0 and site is not None:
+        return _new_op(Op, (_WRITE, addr, size, site, 0, 0))
+    return Op(kind=_WRITE, addr=addr, size=size, site=site)
 
 
 def lock(lock_addr: int, site: Site) -> Op:
     """Construct a lock-acquire of the lock word at ``lock_addr``."""
-    return Op(kind=OpKind.LOCK, addr=lock_addr, site=site)
+    if site is not None:
+        return _new_op(Op, (_LOCK, lock_addr, 0, site, 0, 0))
+    return Op(kind=_LOCK, addr=lock_addr, site=site)
 
 
 def unlock(lock_addr: int, site: Site) -> Op:
     """Construct a lock-release of the lock word at ``lock_addr``."""
-    return Op(kind=OpKind.UNLOCK, addr=lock_addr, site=site)
+    if site is not None:
+        return _new_op(Op, (_UNLOCK, lock_addr, 0, site, 0, 0))
+    return Op(kind=_UNLOCK, addr=lock_addr, site=site)
 
 
 def barrier(barrier_id: int, participants: int, site: Site | None = None) -> Op:

@@ -115,7 +115,7 @@ def drop_thread(program: ParallelProgram, thread_id: int) -> ParallelProgram | N
     threads = []
     for new_id, thread in enumerate(kept):
         ops = [
-            replace(op, participants=arrivals[op.addr])
+            op._replace(participants=arrivals[op.addr])
             if op.kind is OpKind.BARRIER
             else op
             for op in thread.ops

@@ -80,20 +80,29 @@ class RandomScheduler:
         if not 0.0 <= bias < 1.0:
             raise SchedulerError(f"bias must be in [0, 1), got {bias}")
         self._rng: random.Random = make_rng("scheduler", seed)
+        self._randbelow = self._rng._randbelow
         self.min_burst = min_burst
         self.max_burst = max_burst
         self.bias = bias
 
     def pick(self, runnable: Sequence[int]) -> tuple[int, int]:
-        """Pick a random runnable thread and a random burst length."""
-        if not runnable:
+        """Pick a random runnable thread and a random burst length.
+
+        Draws exactly what ``choice(list(runnable))`` and
+        ``randint(min_burst, max_burst)`` draw, through the
+        ``_randbelow`` both of them call, without their copy and argument
+        checks (``tests/threads/test_scheduler_stream.py`` pins the
+        equality, and the golden traces pin the stream).
+        """
+        n = len(runnable)
+        if not n:
             raise SchedulerError("pick() called with no runnable threads")
-        if self.bias and len(runnable) > 1 and self._rng.random() < self.bias:
+        below = self._randbelow
+        if self.bias and n > 1 and self._rng.random() < self.bias:
             choice = runnable[0]
         else:
-            choice = self._rng.choice(list(runnable))
-        burst = self._rng.randint(self.min_burst, self.max_burst)
-        return choice, burst
+            choice = runnable[below(n)]
+        return choice, self.min_burst + below(self.max_burst - self.min_burst + 1)
 
 
 class FixedOrderScheduler:
