@@ -86,7 +86,6 @@ def test_bench_one_scaling_cell(runner, benchmark):
     def _detect():
         session = EngineSession(
             trace,
-            path=runner.engine_path,
             jobs=runner.engine_jobs,
             tape_cache=runner.tape_cache,
         )

@@ -11,8 +11,9 @@ trace (workload seed 0, schedule seed 0), the Table 2 cell shape:
   faster than running each core alone on the scalar reference walk
   (``run_core``), after checking that both give bit-for-bit identical
   results;
-* (c) the address-sharded walk at ``-j 4`` over the seven default keys
-  must be at least 1.8x faster than the batch walk on the same keys;
+* (c) the sharded walk at ``-j 4`` over the seven default keys (each
+  key's whole batch walk one task for a worker process) must be at least
+  1.8x faster than the batch walk on the same keys;
 * (d) the Table 3 grid on raytrace and barnes (two injected runs each)
   must be at least 2x faster at ``-j 4`` than at ``-j 1``, against fresh
   cache directories, and render the same text.

@@ -123,10 +123,9 @@ def detect(
     ``"auto"`` uses the vectorized batch kernel, which metrics collection
     and trace emission ride, ``"scalar"`` forces the per-event reference
     walk (which emits no trace events), ``"batch"`` asserts the vectorized
-    path is taken, and ``"sharded"`` partitions the trace by address
-    across ``jobs`` worker processes (``jobs > 1`` also lets ``"auto"``
-    pick the sharded path on large traces when ``obs`` observes no
-    events).
+    path is taken, and ``"sharded"`` runs the configuration's batch walk
+    through the parallel walk's worker protocol (one configuration is one
+    task, so it runs in this process).
     """
     return detect_many(
         trace,
@@ -157,9 +156,10 @@ def detect_many(
     returned :class:`DetectionResult` is bit-for-bit identical to the
     corresponding standalone :func:`detect` call — the detectors still
     observe the *identical execution*, exactly as the paper's methodology
-    requires.  ``engine_path="sharded"`` (or ``"auto"`` with ``jobs > 1``
-    on a large trace) additionally partitions the trace by address and
-    fans the shards out over worker processes.
+    requires.  ``engine_path="sharded"`` (or ``"auto"`` with ``jobs > 1``,
+    several configurations and a large trace, when ``obs`` observes no
+    events) runs each configuration's whole batch walk as one task on up
+    to ``jobs`` worker processes.
 
     Returns one result per entry of ``configs``, in order.
     """

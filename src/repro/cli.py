@@ -502,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-path",
         choices=("auto", "batch", "scalar", "sharded"),
         default="auto",
-        help="detect-phase engine walk; sharded spreads one large trace "
-        "across -j worker processes",
+        help="detect-phase engine walk; sharded runs each detector's walk "
+        "as one task on -j worker processes",
     )
     run.add_argument(
         "--cores",

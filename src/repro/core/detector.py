@@ -279,13 +279,11 @@ class HardCore:
                         detail=f"candidate set empty (chunk 0x{chunk_addr:x})",
                     )
                     self.stats.add("hard.dynamic_reports")
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
-                        if new_bf:
-                            # The set is empty (some part all-zero) yet
-                            # residual collision bits remain: the Bloom
-                            # aliasing of Section 3.2 made visible.
-                            self.obs.metrics.add("obs.bloom_collision_bits")
+                    if self._observe and new_bf:
+                        # The set is empty (some part all-zero) yet
+                        # residual collision bits remain: the Bloom
+                        # aliasing of Section 3.2 made visible.
+                        self.obs.metrics.add("obs.bloom_collision_bits")
             if state_changed:
                 changed_lines.add(line_addr)
 
@@ -707,8 +705,6 @@ class HardCore:
             metrics.observe_counts(
                 "hard.candidate_popcount", dict(enumerate(self._refined_popcounts))
             )
-            if self._n_reports:
-                metrics.add("obs.alarms", self._n_reports)
             if self._n_collisions:
                 metrics.add("obs.bloom_collision_bits", self._n_collisions)
             metrics.observe_counts("hard.barrier_reset_copies", self._reset_touched)

@@ -8,11 +8,10 @@ for where this sits in the layer stack.
 """
 
 from repro.engine.session import EngineError, EngineSession
-from repro.engine.shard import DEFAULT_SHARD_THRESHOLD, run_sharded
+from repro.engine.shard import run_sharded
 from repro.engine.tape import MachineTape
 
 __all__ = [
-    "DEFAULT_SHARD_THRESHOLD",
     "EngineError",
     "EngineSession",
     "run_sharded",

@@ -19,16 +19,18 @@ prerecorded once per (columns, machine config) by
 walk: each kernel books exactly the per-event metrics its scalar ``step``
 books, counted where it already branches and flushed in ``finish_batch``.
 
-``"sharded"`` goes one step further: the trace is partitioned by address
-(:mod:`repro.engine.shard`) and each shard's batch walk runs in a worker
-process reading the columns and tape out of shared ``mmap`` pages, with
-per-shard results merged losslessly.  Under ``"auto"`` the sharded path is
-selected when the session has worker budget (``jobs > 1``), every core was
-registered by config, the trace is large enough (``shard_threshold``
-events) for the fan-out to pay for itself, and the run is not observed
-per event (shard workers carry no observability bundle, so a run with
-metrics collection or a trace emitter walks batch and records the
-fallback).
+``"sharded"`` is the parallel walk (:mod:`repro.engine.shard`): each
+configuration's whole batch walk runs as one task in a worker process,
+reading the columns and tapes out of shared ``mmap`` pages, and the
+results come back in add order.  Under ``"auto"`` it is selected when the
+session has worker budget (``jobs > 1``), at least
+:data:`~repro.engine.shard.SHARD_MIN_CONFIGS` cores, every core
+registered by config, a trace of at least
+:data:`~repro.engine.shard.SHARD_THRESHOLD` events (short of either, the
+fan-out does not pay for itself: the numbers are next to the constants),
+and a run not observed per event (workers carry no observability bundle,
+so a run with metrics collection or a trace emitter walks batch and
+records the fallback).
 
 Trace events ride the batch walk too.  The walk is one ``engine.walk``
 span holding one ``engine.core.<name>`` span per core.  The ``hard-default``
@@ -53,8 +55,9 @@ A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
 times each core's single ``step_batch`` call exactly (two ``perf_counter``
 calls per core) and frames the columnar pack, each tape fetch,
 ``begin_batch``, ``finish_batch`` and the ``release`` of the core's state;
-on the sharded path it frames the parent's side; on the scalar walk it
-times each core's loop as a whole.
+on the sharded path it frames the parent's tape fetches and ``spill`` and
+gets each worker's exact step time; on the scalar walk it times each
+core's loop as a whole.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from repro.common.errors import ReproError
 from repro.common.events import Trace
 from repro.common.gcpause import gc_paused
 from repro.obs.trace import NULL_EMITTER, emit_alarm
-from repro.reporting import DetectionResult
+from repro.reporting import DetectionResult, book_alarms
 
 
 class EngineError(ReproError):
@@ -98,9 +101,7 @@ class EngineSession:
         path: str = "auto",
         *,
         jobs: int = 1,
-        shards: int | None = None,
         tape_cache=None,
-        shard_threshold: int | None = None,
     ):
         if path not in ("auto", "batch", "scalar", "sharded"):
             raise EngineError(
@@ -116,13 +117,7 @@ class EngineSession:
         self.obs = obs
         self.path = path
         self.jobs = max(1, int(jobs))
-        self.shards = shards
         self.tape_cache = tape_cache
-        if shard_threshold is None:
-            from repro.engine.shard import DEFAULT_SHARD_THRESHOLD
-
-            shard_threshold = DEFAULT_SHARD_THRESHOLD
-        self.shard_threshold = shard_threshold
         self._cores: list = []
         #: Parallel to ``_cores``: the DetectorConfig a core was registered
         #: with (None for cores added directly) — the sharded path rebuilds
@@ -252,11 +247,14 @@ class EngineSession:
                 )
             self.path_taken = "sharded"
             return self._run_sharded(recorder)
+        from repro.engine import shard
+
         if (
             self.path == "auto"
             and sharded_ok
             and self.jobs > 1
-            and len(source) >= self.shard_threshold
+            and len(self._cores) >= shard.SHARD_MIN_CONFIGS
+            and len(source) >= shard.SHARD_THRESHOLD
         ):
             if not observed:
                 self.path_taken = "sharded"
@@ -284,13 +282,15 @@ class EngineSession:
             if recorder is not None:
                 wall = perf() - t0
                 recorder.record_core_walk(core.name, len(trace), wall)
-            results.append(core.finish())
+            result = core.finish()
+            book_alarms(self.obs, result)
+            results.append(result)
             del core, step
         return results
 
     def _run_sharded(self, recorder) -> list:
-        # The sharded walk: shard.run_sharded rebuilds each config's core
-        # per shard in worker processes and merges the results losslessly.
+        # The parallel walk: shard.run_sharded rebuilds each config's core
+        # in a worker process and walks it there, one task per config.
         from repro.engine.shard import run_sharded
 
         walk = recorder.walk if recorder is not None else nullcontext
@@ -302,7 +302,6 @@ class EngineSession:
                 cols,
                 self._configs,
                 jobs=self.jobs,
-                shards=self.shards,
                 tape_cache=self.tape_cache,
                 recorder=recorder,
             )
@@ -384,6 +383,7 @@ def walk_batch_core(core, cols, tape_for, recorder=None, obs=None):
                 result = core.finish_batch()
             with frame("release"):
                 del core
+        book_alarms(obs, result)
         if emitter.enabled:
             if tape is not None:
                 tape.emit_evictions(emitter)

@@ -177,32 +177,6 @@ class MachineTape:
             recorder.record_tape(source, time.perf_counter() - t0)
         return tape
 
-    @classmethod
-    def empty(cls, n: int, machine_config: MachineConfig | None = None) -> "MachineTape":
-        """An all-zeros tape over ``n`` events (no hooks, no totals).
-
-        The sharded path's stand-in where no real data-path applies: shard
-        kernels replay only the hooks a shard owns, and the parent adds the
-        real tape's shared totals exactly once at merge time.
-        """
-        self = cls.__new__(cls)
-        self.machine_config = machine_config
-        self._buffer = None
-        self._access_cycles = None
-        self.hook_off = array("q", bytes(8 * (n + 1)))
-        self.hook_code = array("B")
-        self.hook_line = array("q")
-        self.hook_core = array("i")
-        self.hook_aux = array("i")
-        self.pig = array("B", bytes(n))
-        self.sharer_off = array("q", bytes(8 * (n + 1)))
-        self.sharer_line = array("q")
-        self.sharer_flag = array("B")
-        self.machine_cycles = 0
-        self.machine_stats = {}
-        self.bus_stats = {}
-        return self
-
     def access_cycles(self, cols: ColumnarTrace) -> dict[int, int]:
         """Cycles of each READ/WRITE access, as a value→count histogram.
 

@@ -108,8 +108,8 @@ class OracleConfig:
     :class:`~repro.engine.EngineSession`, or ``"random"`` (the default) to
     choose batch, scalar, or sharded deterministically per schedule seed —
     so a nightly fuzz run doubles as a cross-path check: the walks must
-    produce bit-for-bit identical verdicts, and any kernel (or shard
-    merge) disagreement surfaces as an ``UNEXPLAINED`` divergence on
+    produce bit-for-bit identical verdicts, and any kernel (or worker
+    round-trip) disagreement surfaces as an ``UNEXPLAINED`` divergence on
     exactly the seeds that took one path.
     """
 
@@ -242,8 +242,8 @@ def resolve_engine_path(config: OracleConfig, schedule_seed: int) -> str:
     ``"random"`` picks batch, scalar, or sharded deterministically from
     the schedule seed (so ``-j 8`` and ``-j 1`` runs agree on which seeds
     take which walk); anything else passes through unchanged.  Sharded
-    draws run serially (two shards in-process), so the shard/merge
-    machinery is exercised without per-seed pool overhead.
+    draws run in-process (``jobs=1``), so the parallel walk's spill, map
+    and decode round trip is exercised without per-seed pool overhead.
     """
     if config.engine_path != "random":
         return config.engine_path
@@ -275,8 +275,8 @@ def evaluate_trace(
     :func:`evaluate_program`, which knows the schedule seed).  The eviction
     evidence a missed-race case needs is read from the machine tape of
     ``hard-default``'s machine (:func:`eviction_lines`): memoised on the
-    trace's columns, it is the tape the batch walk already recorded, and
-    the scalar and sharded walks record it once here.
+    trace's columns, it is the tape the batch and sharded walks already
+    recorded, and the scalar walk records it once here.
     """
     path = engine_path if engine_path is not None else config.engine_path
     if path == "random":

@@ -185,13 +185,11 @@ class ExperimentRunner:
         trace_cache_dir: str | Path | None = None,
         trace_memo_limit: int | None = DEFAULT_TRACE_MEMO_LIMIT,
         metrics: MetricsRegistry | None = None,
-        engine_path: str = "auto",
         engine_jobs: int = 1,
         tape_cache_dir: str | Path | None = None,
     ):
         self.workload_seed = workload_seed
-        self.engine_path = engine_path
-        #: Worker budget of each *engine session* (the sharded path); the
+        #: Worker budget of each *engine session* (the parallel walk); the
         #: grid-level ``jobs`` budget is separate — ``run_grid`` splits one
         #: process budget between the two layers.
         self.engine_jobs = max(1, int(engine_jobs))
@@ -322,10 +320,10 @@ class ExperimentRunner:
         """Score many detector configurations against one run's trace.
 
         Every configuration not already memoised or disk-cached is evaluated
-        in a single :class:`~repro.engine.EngineSession` over the trace: on
-        the batch path, configurations with equal machines share one
-        prerecorded machine tape over the columnar encoding
-        (:attr:`engine_path` selects the walk), while each outcome stays
+        in a single :class:`~repro.engine.EngineSession` over the trace
+        (its ``"auto"`` walk, with :attr:`engine_jobs` workers):
+        configurations with equal machines share one prerecorded machine
+        tape over the columnar encoding, while each outcome stays
         bit-for-bit what a standalone :meth:`run_detector` call would have
         produced.
 
@@ -352,7 +350,6 @@ class ExperimentRunner:
             trace = self.trace_for(app, run)
             session = EngineSession(
                 trace,
-                path=self.engine_path,
                 jobs=self.engine_jobs,
                 tape_cache=self.tape_cache,
             )
@@ -440,7 +437,6 @@ class ExperimentRunner:
                 cache_dir=self.cache_dir,
                 trace_cache_dir=self.trace_cache.directory,
                 tape_cache_dir=self.tape_cache.directory,
-                engine_path=self.engine_path,
             )
             for outcome in report.outcomes:
                 self._outcomes[(outcome.app, outcome.run, outcome.detector)] = outcome

@@ -73,7 +73,6 @@ class WorkerSpec:
     cache_dir: str | None = None
     trace_cache_dir: str | None = None
     tape_cache_dir: str | None = None
-    engine_path: str = "auto"
     engine_jobs: int = 1
 
 
@@ -209,7 +208,6 @@ def _worker_init(spec: WorkerSpec) -> None:
         cache_dir=spec.cache_dir,
         trace_cache_dir=spec.trace_cache_dir,
         tape_cache_dir=spec.tape_cache_dir,
-        engine_path=spec.engine_path,
         engine_jobs=spec.engine_jobs,
         jobs=1,
     )
@@ -244,7 +242,6 @@ def run_grid(
     cache_dir: str | Path | None = None,
     trace_cache_dir: str | Path | None = None,
     tape_cache_dir: str | Path | None = None,
-    engine_path: str = "auto",
 ) -> GridReport:
     """Evaluate a grid of cells, fanned out over ``jobs`` worker processes.
 
@@ -254,8 +251,9 @@ def run_grid(
 
     ``jobs`` is the *total* process budget.  When the grid has fewer chunks
     than jobs, the surplus flows down as ``engine_jobs`` — each worker's
-    engine sessions may shard large traces across the leftover processes —
-    so nested parallelism never oversubscribes beyond ``jobs`` processes.
+    engine sessions may spread a large trace's configurations across the
+    leftover processes — so nested parallelism never oversubscribes beyond
+    ``jobs`` processes.
     """
     t0 = time.perf_counter()
     chunks = plan_chunks(cells)
@@ -266,7 +264,6 @@ def run_grid(
         cache_dir=str(cache_dir) if cache_dir is not None else None,
         trace_cache_dir=str(trace_cache_dir) if trace_cache_dir is not None else None,
         tape_cache_dir=str(tape_cache_dir) if tape_cache_dir is not None else None,
-        engine_path=engine_path,
         engine_jobs=max(1, jobs // workers) if workers else 1,
     )
 

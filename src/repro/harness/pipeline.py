@@ -110,8 +110,9 @@ def run_pipeline(
             every entry point uniformly.  A single pipeline execution is
             one grid cell, so grid fan-out doesn't apply — but the detect
             phase's engine session receives the budget, so ``jobs > 1``
-            lets the address-sharded path spread one large trace across
-            worker processes (``engine_path="sharded"`` forces it).
+            lets the parallel walk run several detectors' walks of one
+            large trace in worker processes (``engine_path="sharded"``
+            forces it).
         engine_path: the engine walk strategy (``"auto"``, ``"batch"``,
             ``"scalar"``, or ``"sharded"``), threaded into the detect
             phase's :class:`~repro.engine.EngineSession`.

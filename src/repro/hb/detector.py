@@ -135,8 +135,6 @@ class HappensBeforeCore:
                         detail=f"{detail} (chunk 0x{chunk_addr:x})",
                     )
                     stats.add("hb.dynamic_reports")
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""
@@ -284,8 +282,6 @@ class HappensBeforeCore:
         metrics = self._metrics
         if metrics is not None:
             metrics.observe_counts("machine.access_cycles", self._access_cycles)
-            if self._n_reports:
-                metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(
             detector=self.d.name,
             reports=self.log,

@@ -135,8 +135,6 @@ class FastTrackCore:
 
     def begin(self, trace: Trace, obs=None) -> None:
         """Allocate the pass state (trace-only: no machine)."""
-        self.obs = obs
-        self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = SyncClocks(trace.num_threads)
@@ -182,8 +180,6 @@ class FastTrackCore:
                         detail=f"{detail} (epoch, chunk 0x{chunk_addr:x})",
                     )
                     stats.add("fasttrack.dynamic_reports")
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""
@@ -201,7 +197,6 @@ class FastTrackCore:
 
     def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
-        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = SyncClocks(cols.num_threads)
@@ -278,6 +273,4 @@ class FastTrackCore:
             stats.add("fasttrack.history_updates", self._n_history_updates)
         if self._n_read_inflations:
             stats.add("fasttrack.read_inflations", self._n_read_inflations)
-        if self._metrics is not None and self._n_reports:
-            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

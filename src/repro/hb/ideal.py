@@ -44,8 +44,6 @@ class IdealHappensBeforeCore:
 
     def begin(self, trace: Trace, obs=None) -> None:
         """Allocate the pass state (trace-only: no machine)."""
-        self.obs = obs
-        self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = SyncClocks(trace.num_threads)
@@ -88,8 +86,6 @@ class IdealHappensBeforeCore:
                         detail=f"{detail} (chunk 0x{chunk_addr:x})",
                     )
                     stats.add("hb.dynamic_reports")
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""
@@ -107,7 +103,6 @@ class IdealHappensBeforeCore:
 
     def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
-        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = SyncClocks(cols.num_threads)
@@ -178,6 +173,4 @@ class IdealHappensBeforeCore:
             stats.add("hb.dynamic_reports", self._n_reports)
         if self._n_history_updates:
             stats.add("hb.history_updates", self._n_history_updates)
-        if self._metrics is not None and self._n_reports:
-            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

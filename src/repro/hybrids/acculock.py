@@ -127,8 +127,6 @@ class AccuLockCore:
 
     def begin(self, trace: Trace, obs=None) -> None:
         """Allocate the pass state (trace-only: no machine)."""
-        self.obs = obs
-        self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = WeakClocks(trace.num_threads)
@@ -187,8 +185,6 @@ class AccuLockCore:
                         detail=f"{detail} (chunk 0x{chunk_addr:x})",
                     )
                     stats.add("acculock.dynamic_reports")
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
 
     def _barrier(self, thread_id: int, barrier_id: int, participants: int) -> None:
         if self.clocks.barrier_arrive(thread_id, barrier_id, participants):
@@ -222,7 +218,6 @@ class AccuLockCore:
 
     def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
-        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = WeakClocks(cols.num_threads)
@@ -330,6 +325,4 @@ class AccuLockCore:
             stats.add("acculock.dynamic_reports", self._n_reports)
         if self._n_history_updates:
             stats.add("acculock.history_updates", self._n_history_updates)
-        if self._metrics is not None and self._n_reports:
-            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

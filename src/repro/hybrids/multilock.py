@@ -151,8 +151,6 @@ class MultiLockHBCore:
 
     def begin(self, trace: Trace, obs=None) -> None:
         """Allocate the pass state (trace-only: no machine)."""
-        self.obs = obs
-        self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = WeakClocks(trace.num_threads)
@@ -210,8 +208,6 @@ class MultiLockHBCore:
                         detail=f"{detail} (chunk 0x{chunk_addr:x})",
                     )
                     stats.add("multilock.dynamic_reports")
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
 
     def _barrier(self, thread_id: int, barrier_id: int, participants: int) -> None:
         if self.clocks.barrier_arrive(thread_id, barrier_id, participants):
@@ -246,7 +242,6 @@ class MultiLockHBCore:
 
     def begin_batch(self, cols, tape=None, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace (tape unused)."""
-        self._metrics = obs.metrics if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()
         self.clocks = WeakClocks(cols.num_threads)
@@ -359,6 +354,4 @@ class MultiLockHBCore:
             stats.add("multilock.dynamic_reports", self._n_reports)
         if self._n_history_updates:
             stats.add("multilock.history_updates", self._n_history_updates)
-        if self._metrics is not None and self._n_reports:
-            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

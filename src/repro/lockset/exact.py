@@ -165,8 +165,6 @@ class IdealLocksetCore:
                     detail=f"candidate set empty (exact, chunk 0x{chunk_addr:x})",
                 )
                 stats.add("lockset.dynamic_reports")
-                if obs is not None:
-                    obs.metrics.add("obs.alarms")
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""
@@ -298,6 +296,4 @@ class IdealLocksetCore:
             if refinements:
                 metrics.add("obs.lockset_refinements", refinements)
             metrics.observe_counts("lockset.candidate_size", self._refined_sizes)
-            if self._n_reports:
-                metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(detector=self.d.name, reports=self.log, stats=stats)

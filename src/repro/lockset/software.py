@@ -87,8 +87,6 @@ class SoftwareLocksetCore:
     def begin(self, trace: Trace, obs=None) -> None:
         """Allocate the pass state and a fresh machine."""
         detector = self.d
-        self.obs = obs
-        self._observe = obs is not None and obs.active
         self.machine = Machine(detector.machine_config)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
@@ -168,8 +166,6 @@ class SoftwareLocksetCore:
                         is_write=op.is_write,
                         detail=f"candidate set empty (sw, 0x{chunk_addr:x})",
                     )
-                    if self._observe:
-                        self.obs.metrics.add("obs.alarms")
 
     def finish(self) -> DetectionResult:
         """Assemble the detection result after the last event."""
@@ -193,7 +189,6 @@ class SoftwareLocksetCore:
 
     def begin_batch(self, cols, tape, obs=None) -> None:
         """Allocate batch-pass state over a columnar trace + machine tape."""
-        self._metrics = obs.metrics if obs is not None and obs.active else None
         detector = self.d
         self._tape = tape
         self.stats = StatCounters()
@@ -310,8 +305,6 @@ class SoftwareLocksetCore:
             extra += cycles
         stats._counts.update(tape.machine_stats)
         stats._counts.update(tape.bus_stats)
-        if self._metrics is not None and self._n_reports:
-            self._metrics.add("obs.alarms", self._n_reports)
         return DetectionResult(
             detector=self.d.name,
             reports=self.log,

@@ -5,13 +5,15 @@ the walk that actually runs: it rides the batch and sharded walks without
 changing the path choice.  It records:
 
 * **per-core step time** — exact (each core makes one ``step_batch`` call
-  over the whole trace, and that call is timed), with events/sec and mean
-  step latency derived from it;
+  over the whole trace, and that call is timed; on the sharded path the
+  worker times it and sends it back), with events/sec and mean step
+  latency derived from it;
 * **walk frames** — ``engine;walk`` and one leaf per layer (columnar
   ``pack``, ``tape.record``/``tape.memo``/``tape.load``, ``begin_batch``,
   ``core.<name>``, ``finish_batch``, ``release`` of a finished core's
-  state; ``baseline``/``fan_out``/``merge`` on the sharded path), plus the
-  share of the walk the leaves attribute;
+  state; ``spill`` and the workers' ``core.<name>`` on the sharded path),
+  plus the share of the walk the leaves attribute (on the sharded path
+  the workers' step times overlap, so that share can exceed 1);
 * **sync-point density** — locks/unlocks/barriers per 1k trace events,
   from a strided census of the trace (stride
   :attr:`~FlightRecorder.census_stride`, so the census touches ~1.5% of

@@ -187,11 +187,12 @@ class DetectorCore(Protocol):
     must be bit-for-bit identical to the scalar walk, which remains the
     reference oracle.  With metrics collection on, ``finish_batch`` books
     into ``obs.metrics`` exactly the counters and histograms the scalar
-    ``step`` books per event.  Trace events ride the batch walk only: the
-    session emits each core's alarms from its report log, and a kernel
-    may emit its own detector-internal events to ``obs.emitter`` (the
-    ``hard-default`` kernel does); a scalar ``step`` emits none.  The
-    engine passes the whole trace in one ``step_batch`` call, so a kernel
+    ``step`` books per event; each walk books ``obs.alarms`` from the
+    finished result's report log (:func:`book_alarms`).  Trace events
+    ride the batch walk only: the session emits each core's alarms from
+    its report log, and a kernel may emit its own detector-internal
+    events to ``obs.emitter`` (the ``hard-default`` kernel does); a scalar
+    ``step`` emits none.  The engine passes the whole trace in one ``step_batch`` call, so a kernel
     handles barriers inline, and it runs each kernel with the cyclic
     garbage collector paused, so a kernel must build no reference cycles.
 
@@ -241,7 +242,26 @@ def run_core(
     step = core.step
     for event in trace:
         step(event)
-    return core.finish()
+    result = core.finish()
+    book_alarms(obs, result)
+    return result
+
+
+def book_alarms(obs: "Observability | None", result: object) -> None:
+    """Book a finished result's dynamic reports as ``obs.alarms``.
+
+    Every walk (:func:`run_core`, the engine session's scalar walk and
+    :func:`~repro.engine.session.walk_batch_core`) calls this once per
+    finished core, so the kernels book no alarms of their own.  Results
+    that are not a :class:`DetectionResult` (auxiliary cores) book none.
+    """
+    if (
+        obs is not None
+        and obs.active
+        and isinstance(result, DetectionResult)
+        and result.reports
+    ):
+        obs.metrics.add("obs.alarms", len(result.reports))
 
 
 # ------------------------------------------------------- hybrid comparison

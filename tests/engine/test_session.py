@@ -276,20 +276,22 @@ class TestPathChoice:
             None,
         )
 
-    def test_metrics_fallback_is_named(self, small):
+    def test_metrics_fallback_is_named(self, small, monkeypatch):
         # Without metrics this session shards (test_sharded_path pins
         # that); shard workers carry no observability bundle, so it walks
         # batch.
+        monkeypatch.setattr("repro.engine.shard.SHARD_THRESHOLD", 1)
         obs = Observability(collect_metrics=True)
         assert self.run_session(
-            small, ["hard-default"], obs=obs, jobs=2, shard_threshold=1
+            small, ["hard-default", "hb-ideal", "software"], obs=obs, jobs=2
         ) == ("batch", "per-event observability active")
 
-    def test_trace_emitter_fallback_is_named(self, small):
+    def test_trace_emitter_fallback_is_named(self, small, monkeypatch):
         # One rule keeps every observed run off the sharded walk.
+        monkeypatch.setattr("repro.engine.shard.SHARD_THRESHOLD", 1)
         obs = Observability(emitter=CountingEmitter())
         assert self.run_session(
-            small, ["hard-default"], obs=obs, jobs=2, shard_threshold=1
+            small, ["hard-default", "hb-ideal", "software"], obs=obs, jobs=2
         ) == ("batch", "per-event observability active")
 
     @pytest.mark.parametrize("path", ["auto", "batch"])

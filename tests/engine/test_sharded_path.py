@@ -1,24 +1,23 @@
-"""The address-sharded parallel path: bit-for-bit equal to the reference.
+"""The parallel walk: one configuration per task, bit-for-bit equal.
 
-``path="sharded"`` partitions the columnar trace and the machine tape by
-address unit, runs the unchanged batch kernels over each shard (serially
-in-process or across worker processes), and merges the per-shard results.
-These tests pin the whole contract: identical verdicts, cycles, and stats
-against both the scalar reference and the single-process batch walk — on a
-Table 2 cell, on every checked-in fuzz exemplar, and on hand-built
-boundary shapes (one address, empty shards, unit-spanning accesses) —
-plus the API surface (auto selection, gating errors, cache lifecycle) and
-the persistent tape cache's simulate-once guarantee.
+``path="sharded"`` runs each configuration's unchanged batch walk as one
+task, in a worker process (or serially in-process with ``jobs=1``) that
+maps the spilled columns and machine tapes, and returns the results in
+add order.  These tests pin the whole contract: identical verdicts,
+cycles, and stats against both the scalar reference and the
+single-process batch walk — on a Table 2 cell (in process and across two
+worker processes) and on every checked-in fuzz exemplar — plus the API
+surface (the ``auto`` rule, gating errors, cache lifecycle) and the
+persistent tape cache's simulate-once guarantee, which the workers share.
 """
 
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.api import detect, detect_many
-from repro.common.events import Site, Trace, barrier, compute, lock, read, unlock, write
 from repro.engine import EngineError, EngineSession, run_sharded
-from repro.engine.shard import build_partition, unit_shift_for
 from repro.engine.tape import MachineTape
 from repro.fuzz import load_case
 from repro.fuzz.corpus import corpus_paths
@@ -32,8 +31,6 @@ from repro.workloads.registry import build_workload
 from tests.engine.test_batch_path import BATCH_KEYS, ScalarOnlyCore, result_key
 
 CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
-
-S = [Site("shard.c", i, f"s{i}") for i in range(8)]
 
 
 @pytest.fixture(scope="module")
@@ -50,27 +47,33 @@ def scalar_results(trace):
     ]
 
 
-def sharded_keys(trace, *, jobs=1, shards=None, keys=BATCH_KEYS):
+def sharded_keys(trace, *, jobs=1, keys=BATCH_KEYS):
     configs = [DetectorConfig.coerce(key) for key in keys]
-    results = run_sharded(
-        trace.columns(), configs, jobs=jobs, shards=shards
-    )
+    results = run_sharded(trace.columns(), configs, jobs=jobs)
     return [result_key(r) for r in results]
 
 
 class TestParity:
-    @pytest.mark.parametrize("shards", (1, 2, 3, 5))
-    def test_serial_sharded_matches_scalar(self, trace, scalar_results, shards):
-        assert sharded_keys(trace, shards=shards) == scalar_results
+    @pytest.mark.parametrize("n_configs", (1, 2, 3, 5))
+    def test_serial_sharded_matches_scalar(self, trace, scalar_results, n_configs):
+        # One task per config: any count comes back whole and in add order.
+        keys = BATCH_KEYS[:n_configs]
+        assert sharded_keys(trace, keys=keys) == scalar_results[:n_configs]
 
     def test_sharded_matches_batch(self, trace):
         batch = detect_many(trace, BATCH_KEYS, engine_path="batch")
-        assert sharded_keys(trace, shards=3) == [
-            result_key(r) for r in batch
-        ]
+        assert sharded_keys(trace) == [result_key(r) for r in batch]
 
     def test_worker_processes_match_scalar(self, trace, scalar_results):
-        assert sharded_keys(trace, jobs=2, shards=2) == scalar_results
+        # Two real worker processes pull the configs off one queue.
+        assert sharded_keys(trace, jobs=2) == scalar_results
+
+    def test_session_worker_processes_match_scalar(self, trace, scalar_results):
+        session = EngineSession(trace, path="sharded", jobs=2)
+        for key in BATCH_KEYS:
+            session.add_config(DetectorConfig.coerce(key))
+        assert [result_key(r) for r in session.run()] == scalar_results
+        assert session.path_taken == "sharded"
 
     def test_session_path_sharded(self, trace, scalar_results):
         session = EngineSession(trace, path="sharded", jobs=1)
@@ -96,80 +99,32 @@ class TestCorpusExemplars:
             result_key(r)
             for r in detect_many(trace, BATCH_KEYS, engine_path="scalar")
         ]
-        assert sharded_keys(trace, shards=3) == scalar, path.stem
+        assert sharded_keys(trace) == scalar, path.stem
 
 
-def trace_of(events, num_threads=4) -> Trace:
-    trace = Trace(num_threads=num_threads)
-    for thread_id, op in events:
-        trace.append(thread_id, op)
-    return trace
+def _spill_in_fresh_worker(_task) -> str:
+    # A pool worker forked after this process spilled inherits its spill
+    # directory; forget it so the worker makes and owns one of its own.
+    import repro.engine.shard as shard_module
+
+    shard_module._SPILL_DIR = None
+    return str(shard_module._spill_dir())
 
 
-def assert_shard_parity(trace, shards=4, keys=BATCH_KEYS):
-    scalar = [
-        result_key(r) for r in detect_many(trace, keys, engine_path="scalar")
-    ]
-    assert sharded_keys(trace, shards=shards, keys=keys) == scalar
+class TestSpillLifetime:
+    def test_pool_worker_removes_its_spill_dir_at_exit(self):
+        # A grid or fuzz worker walking sharded with jobs=1 spills in the
+        # worker, which exits without running atexit handlers.
+        from repro.harness.parallel import fan_out
 
-
-class TestBoundaryShapes:
-    def test_single_address_trace(self):
-        # Every memory event lands in one shard; the others are empty
-        # (sync events only) and must merge away without residue.
-        events = []
-        for round_index in range(4):
-            for tid in range(2):
-                events.append((tid, write(0x40000, S[tid])))
-            events.append((0, barrier(1, 2)))
-            events.append((1, barrier(1, 2)))
-        assert_shard_parity(trace_of(events, num_threads=2), shards=4)
-
-    def test_all_events_one_line(self):
-        # Distinct addresses inside one cache line: one ownership unit.
-        events = [
-            (0, lock(0x1000, S[0])),
-            (0, write(0x20000, S[1])),
-            (0, write(0x20010, S[2])),
-            (0, unlock(0x1000, S[0])),
-            (1, read(0x20004, S[3])),
-            (1, write(0x20018, S[4])),
-        ]
-        assert_shard_parity(trace_of(events, num_threads=2), shards=3)
-
-    def test_unit_spanning_access(self):
-        # A 64-byte write crosses the 32-byte line unit: both units must
-        # resolve to one shard so every chunk of the event stays together.
-        events = [
-            (0, write(0x20010, S[0], size=64)),
-            (1, read(0x20030, S[1])),
-            (1, write(0x20050, S[2], size=64)),
-            (0, read(0x20090, S[3])),
-            (0, compute(100)),
-        ]
-        assert_shard_parity(trace_of(events, num_threads=2), shards=4)
-
-    def test_spanning_partition_is_consistent(self):
-        events = [(0, write(0x20010, S[0], size=64))]
-        cols = trace_of(events, num_threads=1).columns()
-        cores = [
-            make_detector(DetectorConfig.coerce(key)).core()
-            for key in ("hard-default", "hb-ideal")
-        ]
-        unit_shift = unit_shift_for(cores)
-        overrides = build_partition(cols, unit_shift, num_shards=64)
-        first = 0x20010 >> unit_shift
-        last = (0x20010 + 64 - 1) >> unit_shift
-        owners = {overrides[unit] for unit in range(first, last + 1)}
-        assert len(owners) == 1
-
-    def test_more_shards_than_addresses(self, trace):
-        keys = ("hard-default", "software")
-        scalar = [
-            result_key(r)
-            for r in detect_many(trace, keys, engine_path="scalar")
-        ]
-        assert sharded_keys(trace, shards=13, keys=keys) == scalar
+        paths = fan_out((0, 1), _spill_in_fresh_worker, jobs=2)
+        assert len(paths) == 2
+        # The pool's workers exit (and run their finalizers) after
+        # fan_out returns, so give them a bounded moment.
+        deadline = time.monotonic() + 30
+        while any(Path(path).exists() for path in paths):
+            assert time.monotonic() < deadline, f"spill dirs left: {paths}"
+            time.sleep(0.05)
 
 
 class TestSelectionAndGating:
@@ -184,13 +139,17 @@ class TestSelectionAndGating:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(shard_module, "run_sharded", spy)
-        session = EngineSession(trace, path="auto", jobs=2, shard_threshold=1)
-        session.add_config(DetectorConfig.coerce("hard-default"))
+        monkeypatch.setattr(shard_module, "SHARD_THRESHOLD", 1)
+        keys = ("hard-default", "hb-ideal", "software")
+        session = EngineSession(trace, path="auto", jobs=2)
+        for key in keys:
+            session.add_config(DetectorConfig.coerce(key))
         results = session.run()
         assert calls, "auto did not select the sharded path"
-        assert result_key(results[0]) == result_key(
-            detect(trace, "hard-default", engine_path="scalar")
-        )
+        assert session.path_taken == "sharded"
+        assert [result_key(r) for r in results] == [
+            result_key(r) for r in detect_many(trace, keys, engine_path="scalar")
+        ]
 
     def test_auto_stays_single_process_below_threshold(self, trace, monkeypatch):
         import repro.engine.shard as shard_module
@@ -199,11 +158,26 @@ class TestSelectionAndGating:
             raise AssertionError("sharded path taken below threshold")
 
         monkeypatch.setattr(shard_module, "run_sharded", boom)
-        session = EngineSession(
-            trace, path="auto", jobs=2, shard_threshold=len(trace) + 1
-        )
-        session.add_config(DetectorConfig.coerce("hard-default"))
+        monkeypatch.setattr(shard_module, "SHARD_THRESHOLD", len(trace) + 1)
+        session = EngineSession(trace, path="auto", jobs=2)
+        for key in ("hard-default", "hb-ideal", "software"):
+            session.add_config(DetectorConfig.coerce(key))
         session.run()
+        assert session.path_taken == "batch"
+
+    @pytest.mark.parametrize("n_configs", (1, 2))
+    def test_auto_walks_batch_below_min_configs(self, trace, monkeypatch, n_configs):
+        # One config is one task, and a second walk does not cover the
+        # fan-out (the numbers sit next to SHARD_MIN_CONFIGS).
+        import repro.engine.shard as shard_module
+
+        assert n_configs < shard_module.SHARD_MIN_CONFIGS
+        monkeypatch.setattr(shard_module, "SHARD_THRESHOLD", 1)
+        session = EngineSession(trace, path="auto", jobs=2)
+        for key in BATCH_KEYS[:n_configs]:
+            session.add_config(DetectorConfig.coerce(key))
+        session.run()
+        assert (session.path_taken, session.fallback) == ("batch", None)
 
     def test_sharded_rejects_active_observability(self, trace):
         obs = Observability(emitter=RecordingEmitter())
@@ -290,15 +264,27 @@ class TestTapeCache:
         assert cache.hits >= 1
         cache.close()
 
-    def test_sharded_run_uses_cache(self, fresh_trace, tmp_path):
+    def test_sharded_run_uses_cache(self, fresh_trace, tmp_path, monkeypatch):
+        import repro.engine.shard as shard_module
+
+        # Workers map the tape cache's own entries: no second spill copy.
+        mapped = []
+        real_init = shard_module._shard_init
+
+        def spy_init(spec):
+            mapped.extend(Path(path).parent for _, path in spec.tape_paths)
+            real_init(spec)
+
+        monkeypatch.setattr(shard_module, "_shard_init", spy_init)
         trace = fresh_trace
         cache = TapeCache(tmp_path)
         configs = [DetectorConfig.coerce("hard-default")]
         cols = trace.columns()
-        first = run_sharded(cols, configs, jobs=1, shards=2, tape_cache=cache)
+        first = run_sharded(cols, configs, jobs=1, tape_cache=cache)
         assert cache.stores == 1
+        assert mapped == [tmp_path]
         cols._tapes = {}
-        second = run_sharded(cols, configs, jobs=1, shards=2, tape_cache=cache)
+        second = run_sharded(cols, configs, jobs=1, tape_cache=cache)
         assert cache.hits >= 1
         assert [result_key(r) for r in first] == [result_key(r) for r in second]
         cache.close()

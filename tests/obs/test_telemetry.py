@@ -375,19 +375,30 @@ class TestBatchWalk:
         assert ("engine", "walk", "tape.record") not in reload.frames
 
     def test_sharded_path_records_parent_frames(self):
+        keys = ("hard-default", "hb-ideal")
         trace = small_trace()  # fresh columns: the tape is recorded here
         session, results, recorder = run_recorded(
-            trace, ("hard-default", "hb-ideal"), path="sharded"
+            trace, keys, path="sharded", jobs=2
         )
         assert session.path_taken == "sharded"
         plain = EngineSession(trace, path="batch")
-        for key in ("hard-default", "hb-ideal"):
+        for key in keys:
             plain.add_config(DetectorConfig(key))
         assert [result_key(r) for r in results] == [
             result_key(r) for r in plain.run()
         ]
-        for leaf in ("pack", "tape.record", "baseline", "fan_out", "merge"):
+        for leaf in ("pack", "tape.record", "spill"):
             assert ("engine", "walk", leaf) in recorder.frames, leaf
+        # Each worker's exact step time comes back as that core's walk.
+        snap = recorder.snapshot()
+        assert sorted(snap["cores"]) == sorted(keys)
+        for key, core in snap["cores"].items():
+            assert core["stepped"] == len(trace)
+            assert core["walks"] == 1
+            assert core["events_per_s"] > 0
+            assert recorder.frames[("engine", "walk", f"core.{key}")] == pytest.approx(
+                core["wall_s"], abs=1e-6
+            )
 
 
 def test_walk_attribution_covers_raytrace():

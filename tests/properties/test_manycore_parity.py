@@ -59,7 +59,7 @@ def test_scalar_batch_sharded_agree_on_drawn_machines(trace, machine):
     cols = ColumnarTrace.from_events(trace)
     batch = [result_key(r) for r in detect_many(cols, configs, engine_path="batch")]
     assert batch == scalar
-    sharded = [result_key(r) for r in run_sharded(cols, configs, jobs=1, shards=3)]
+    sharded = [result_key(r) for r in run_sharded(cols, configs, jobs=1)]
     assert sharded == scalar
 
 
@@ -78,5 +78,5 @@ def test_straddling_access_keeps_its_own_lines_on_every_path():
     scalar = [result_key(r) for r in detect_many(trace, configs, engine_path="scalar")]
     cols = ColumnarTrace.from_events(trace)
     assert [result_key(r) for r in detect_many(cols, configs, engine_path="batch")] == scalar
-    sharded = [result_key(r) for r in run_sharded(cols, configs, jobs=1, shards=3)]
+    sharded = [result_key(r) for r in run_sharded(cols, configs, jobs=1)]
     assert sharded == scalar
