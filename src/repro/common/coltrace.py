@@ -48,15 +48,13 @@ without the Bloom filter's collisions.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
-import struct
 from array import array
 from operator import attrgetter
 
 from repro.common.errors import DetectorError, ProgramError, ReproError
 from repro.common.events import InjectedBug, Op, OpKind, Site, Trace, TraceEvent
+from repro.common.fsio import PackedFormat
 
 #: Stable integer codes for :class:`~repro.common.events.OpKind`.
 KIND_READ = 0
@@ -122,6 +120,8 @@ _COLUMNS = (
 #: On-disk format magic + version (bump on any layout change).
 _MAGIC = b"RPRCOLT1"
 FORMAT_VERSION = 2
+
+_FORMAT = PackedFormat("columnar trace", _MAGIC, FORMAT_VERSION, _COLUMNS)
 
 
 class ColumnarTrace:
@@ -421,22 +421,19 @@ class ColumnarTrace:
         """A stable hex digest of the full trace content (memoised).
 
         Identical for array-backed and mmap-loaded instances of the same
-        trace: the hash covers the serialisation header's metadata (counts,
-        label, site table, injected bug) and every packed column's raw
-        bytes, which is exactly what :meth:`to_bytes` round-trips.  Keys the
-        on-disk tape cache, and :meth:`from_bytes` checks it on every load.
+        trace: the container digest (:class:`~repro.common.fsio.PackedFormat`)
+        of the header's metadata (counts, label, site table, injected bug)
+        and every packed column, which is exactly what :meth:`to_bytes`
+        round-trips.  Keys the on-disk tape cache, and :meth:`from_bytes`
+        checks it on every load.
         """
         digest = self._digest
         if digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(json.dumps(self._meta(), separators=(",", ":")).encode("utf-8"))
-            for name, _ in _COLUMNS:
-                h.update(getattr(self, name))  # arrays and casts hash uncopied
-            digest = self._digest = h.hexdigest()
+            digest = self._digest = _FORMAT.digest(self, self._meta())
         return digest
 
     def _meta(self) -> dict:
-        """The header fields besides the column layout and the digest."""
+        """The header fields besides the version, column layout and digest."""
         bug = self.bug
         if bug is not None:
             site_ids = {site: sid for sid, site in enumerate(self.sites)}
@@ -448,7 +445,6 @@ class ColumnarTrace:
                 "sites": sorted(site_ids[site] for site in bug.sites),
             }
         return {
-            "version": FORMAT_VERSION,
             "n": self.n,
             "num_threads": self.num_threads,
             "label": self.label,
@@ -473,47 +469,13 @@ class ColumnarTrace:
         self._tapes = {}
         self._rows = None
         self._held = None
-        buf = self._buffer
-        if buf is None:
-            return
-        for name, _ in _COLUMNS:
-            column = getattr(self, name, None)
-            if isinstance(column, memoryview):
-                column.release()
-                setattr(self, name, ())
-        self._buffer = None
-        close_buf = getattr(buf, "close", None)
-        if close_buf is not None:
-            close_buf()
+        _FORMAT.release(self)
 
     # ---------------------------------------------------------- serialisation
 
     def to_bytes(self) -> bytes:
         """Serialise to the versioned binary format (see docs/trace_format.md)."""
-        payload_parts: list[bytes] = []
-        columns_meta: dict[str, list] = {}
-        offset = 0
-        for name, typecode in _COLUMNS:
-            column = getattr(self, name)
-            raw = (
-                column.tobytes() if isinstance(column, array) else bytes(column)
-            )
-            pad = (-offset) % 8
-            if pad:
-                payload_parts.append(b"\x00" * pad)
-                offset += pad
-            columns_meta[name] = [typecode, offset, len(raw)]
-            payload_parts.append(raw)
-            offset += len(raw)
-        header = self._meta()
-        header["columns"] = columns_meta
-        header["digest"] = self.content_digest()
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        prefix = _MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
-        pad = (-(len(prefix) + len(header_bytes))) % 8
-        return b"".join(
-            [prefix, header_bytes, b"\x00" * pad, *payload_parts]
-        )
+        return _FORMAT.pack(self, self._meta(), self.content_digest())
 
     @classmethod
     def from_bytes(cls, buf) -> "ColumnarTrace":
@@ -522,63 +484,30 @@ class ColumnarTrace:
         ``buf`` may be ``bytes`` or an ``mmap.mmap``; columns become
         zero-copy ``memoryview`` casts into it either way, so an mmap-backed
         trace pays no decode cost for the packed data.  Raises
-        :class:`~repro.common.errors.ProgramError` for a buffer that does
-        not hold every column in full, whose content does not hash to the
-        header's :meth:`content_digest`, or whose columns a decode would
-        reject (see :meth:`_check_codes`).  The verified digest stays
+        :class:`~repro.common.errors.ProgramError` for a buffer the
+        container rejects (:meth:`~repro.common.fsio.PackedFormat.unpack`),
+        a column not exactly ``n`` items long, columns a decode would
+        reject (see :meth:`_check_codes`), or content that does not hash to
+        the header's :meth:`content_digest`.  The verified digest stays
         memoised, so keying a tape by it costs no second hash.
         """
-        view = memoryview(buf)
-        if bytes(view[: len(_MAGIC)]) != _MAGIC:
-            raise ProgramError("not a columnar trace buffer (bad magic)")
-        version, header_len = struct.unpack_from("<II", view, len(_MAGIC))
-        if version != FORMAT_VERSION:
-            raise ProgramError(
-                f"unsupported columnar trace format version {version} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        header_start = len(_MAGIC) + 8
-        header = json.loads(
-            bytes(view[header_start : header_start + header_len])
-        )
-        payload_start = header_start + header_len
-        payload_start += (-payload_start) % 8
-
         self = cls()
-        self.n = header["n"]
-        self.num_threads = header["num_threads"]
-        self.label = header["label"]
+        meta = _FORMAT.unpack(self, buf)
+        n = self.n = meta["n"]
+        self.num_threads = meta["num_threads"]
+        self.label = meta["label"]
         self.sites = tuple(
-            Site(file=f, line=line, label=label)
-            for f, line, label in header["sites"]
+            Site(file=f, line=line, label=label) for f, line, label in meta["sites"]
         )
-        self.bug = self._bug_from(header["bug"])
-        self._buffer = buf
-        n = self.n
-        for name, typecode in _COLUMNS:
-            code, offset, nbytes = header["columns"][name]
-            if code != typecode:
+        self.bug = self._bug_from(meta["bug"])
+        for name, _ in _COLUMNS:
+            if len(getattr(self, name)) != n:
                 raise ProgramError(
-                    f"column {name!r} typecode mismatch: {code!r} != {typecode!r}"
+                    f"column {name!r} holds {len(getattr(self, name))} items, "
+                    f"expected {n}"
                 )
-            start = payload_start + offset
-            if start + nbytes > len(view):
-                raise ProgramError(
-                    f"column {name!r} runs past the end of the buffer "
-                    f"({start + nbytes} > {len(view)} bytes): truncated entry"
-                )
-            column = view[start : start + nbytes].cast(typecode)
-            if len(column) != n:
-                raise ProgramError(
-                    f"column {name!r} holds {len(column)} items, expected {n}"
-                )
-            setattr(self, name, column)
         self._check_codes()
-        if self.content_digest() != header["digest"]:
-            raise ProgramError(
-                "columnar trace content does not match its header digest: "
-                "corrupt entry"
-            )
+        self._digest = _FORMAT.verify(self, meta)
         return self
 
     def _bug_from(self, data) -> InjectedBug | None:

@@ -22,7 +22,6 @@ flight recorder.
 
 from __future__ import annotations
 
-import mmap
 import shutil
 import tempfile
 from contextlib import nullcontext
@@ -31,6 +30,7 @@ from multiprocessing.util import Finalize
 from pathlib import Path
 
 from repro.common.coltrace import ColumnarTrace
+from repro.common.fsio import atomic_write_bytes, map_file
 from repro.engine.session import EngineError, walk_batch_core
 from repro.engine.tape import MachineTape
 from repro.reporting import DetectionResult
@@ -95,17 +95,12 @@ def _spill_dir() -> Path:
     return _SPILL_DIR
 
 
-def _map_file(path: str) -> mmap.mmap:
-    with open(path, "rb") as fh:
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-
-
 def _shard_init(spec: ShardSpec) -> None:
     """Pool initializer: map and decode the shared columns and tapes."""
     global _SHARD_CTX
-    cols = ColumnarTrace.from_bytes(_map_file(spec.cols_path))
+    cols = ColumnarTrace.from_bytes(map_file(spec.cols_path))
     tapes = {
-        machine_config: MachineTape.from_bytes(_map_file(path), machine_config)
+        machine_config: MachineTape.from_bytes(map_file(path), machine_config)
         for machine_config, path in spec.tape_paths
     }
     _SHARD_CTX = (cols, tapes)
@@ -151,7 +146,6 @@ def _shared_paths(cols: ColumnarTrace, tapes: dict, tape_cache):
     process-lifetime temp directory (content-addressed, so repeated
     sessions over the same trace spill once).
     """
-    from repro.common.fsio import atomic_write_bytes
     from repro.harness.tracecache import TapeCache
 
     cols_path = cols._source_path
@@ -232,6 +226,8 @@ def run_sharded(
     ):
         walks[index] = walk
     if recorder is not None:
+        # The workers' walks overlap in wall time: each counts over them.
+        workers = min(jobs, len(configs))
         for _, name, wall in walks:
-            recorder.record_core_walk(name, cols.n, wall)
+            recorder.record_core_walk(name, cols.n, wall, workers)
     return [result for result, _, _ in walks]

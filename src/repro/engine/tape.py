@@ -42,15 +42,12 @@ Tape layout (all dense, ``n`` = number of trace events):
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 import time
-from array import array
 
 from repro.common.coltrace import ColumnarTrace
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
+from repro.common.fsio import PackedFormat
 from repro.sim.coherence import (  # noqa: F401  (re-exported hook opcodes)
     HOOK_FILL_CORE,
     HOOK_FILL_L2,
@@ -62,9 +59,9 @@ from repro.sim.coherence import (  # noqa: F401  (re-exported hook opcodes)
 )
 from repro.sim.machine import LOCK_WORD_BYTES, Machine
 
-#: On-disk tape format magic + version (bump on any layout change).
+#: On-disk tape format magic + version (bump on any layout or digest change).
 _TAPE_MAGIC = b"RPRTAPE1"
-TAPE_FORMAT_VERSION = 2
+TAPE_FORMAT_VERSION = 3
 
 #: (attribute, array typecode) of every packed tape array, in
 #: serialisation order.
@@ -80,15 +77,9 @@ _TAPE_ARRAYS = (
     ("sharer_flag", "B"),
 )
 
-
-def _tape_digest(header: dict, payload) -> str:
-    """blake2b of a tape header (sans digest) and its payload buffers."""
-    h = hashlib.blake2b(
-        json.dumps(header, separators=(",", ":")).encode("utf-8"), digest_size=16
-    )
-    for part in payload:
-        h.update(part)
-    return h.hexdigest()
+_TAPE_FORMAT = PackedFormat(
+    "machine tape", _TAPE_MAGIC, TAPE_FORMAT_VERSION, _TAPE_ARRAYS
+)
 
 
 def machine_signature(machine_config: MachineConfig) -> str:
@@ -234,41 +225,17 @@ class MachineTape:
     # ---------------------------------------------------------- serialisation
 
     def to_bytes(self) -> bytes:
-        """Serialise to the versioned zero-copy binary form.
+        """Serialise to the columnar trace's container (docs/trace_format.md).
 
-        Same shape as the columnar trace format: magic + JSON header +
-        8-byte-aligned packed arrays, so :meth:`from_bytes` can cast the
+        The machine totals ride in the header; :meth:`from_bytes` casts the
         arrays straight out of an ``mmap`` without decoding.
         """
-        payload_parts: list[bytes] = []
-        arrays_meta: dict[str, list] = {}
-        offset = 0
-        for name, typecode in _TAPE_ARRAYS:
-            column = getattr(self, name)
-            raw = (
-                column.tobytes() if isinstance(column, array) else bytes(column)
-            )
-            pad = (-offset) % 8
-            if pad:
-                payload_parts.append(b"\x00" * pad)
-                offset += pad
-            arrays_meta[name] = [typecode, offset, len(raw)]
-            payload_parts.append(raw)
-            offset += len(raw)
-        header = {
-            "version": TAPE_FORMAT_VERSION,
+        meta = {
             "machine_cycles": self.machine_cycles,
             "machine_stats": dict(self.machine_stats),
             "bus_stats": dict(self.bus_stats),
-            "arrays": arrays_meta,
         }
-        header["digest"] = _tape_digest(header, payload_parts)
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        prefix = _TAPE_MAGIC + struct.pack(
-            "<II", TAPE_FORMAT_VERSION, len(header_bytes)
-        )
-        pad = (-(len(prefix) + len(header_bytes))) % 8
-        return b"".join([prefix, header_bytes, b"\x00" * pad, *payload_parts])
+        return _TAPE_FORMAT.pack(self, meta)
 
     @classmethod
     def from_bytes(
@@ -278,55 +245,20 @@ class MachineTape:
 
         ``buf`` may be ``bytes`` or an ``mmap.mmap``; arrays become
         zero-copy ``memoryview`` casts into it either way.  Raises
-        :class:`~repro.common.errors.ProgramError` for a buffer that does
-        not hold every array in full, whose arrays disagree on the event
-        count or the hook and sharer totals, or whose header and payload
-        do not hash to the header's digest.
+        :class:`~repro.common.errors.ProgramError` for a buffer the
+        container rejects (:meth:`~repro.common.fsio.PackedFormat.unpack`),
+        arrays that disagree on the event count or the hook and sharer
+        totals, or content that does not hash to the header's digest.
         """
-        view = memoryview(buf)
-        if bytes(view[: len(_TAPE_MAGIC)]) != _TAPE_MAGIC:
-            raise ProgramError("not a machine tape buffer (bad magic)")
-        version, header_len = struct.unpack_from("<II", view, len(_TAPE_MAGIC))
-        if version != TAPE_FORMAT_VERSION:
-            raise ProgramError(
-                f"unsupported machine tape format version {version} "
-                f"(expected {TAPE_FORMAT_VERSION})"
-            )
-        header_start = len(_TAPE_MAGIC) + 8
-        header = json.loads(
-            bytes(view[header_start : header_start + header_len])
-        )
-        payload_start = header_start + header_len
-        payload_start += (-payload_start) % 8
-
         self = cls.__new__(cls)
         self.machine_config = machine_config
-        self._buffer = buf
         self._access_cycles = None
-        self.machine_cycles = header["machine_cycles"]
-        self.machine_stats = header["machine_stats"]
-        self.bus_stats = header["bus_stats"]
-        for name, typecode in _TAPE_ARRAYS:
-            code, offset, nbytes = header["arrays"][name]
-            if code != typecode:
-                raise ProgramError(
-                    f"tape array {name!r} typecode mismatch: "
-                    f"{code!r} != {typecode!r}"
-                )
-            start = payload_start + offset
-            if start + nbytes > len(view):
-                raise ProgramError(
-                    f"tape array {name!r} runs past the end of the buffer "
-                    f"({start + nbytes} > {len(view)} bytes): truncated entry"
-                )
-            setattr(self, name, view[start : start + nbytes].cast(typecode))
+        meta = _TAPE_FORMAT.unpack(self, buf)
+        self.machine_cycles = meta["machine_cycles"]
+        self.machine_stats = meta["machine_stats"]
+        self.bus_stats = meta["bus_stats"]
         self._check_counts()
-        digest = header.pop("digest", None)
-        if digest != _tape_digest(header, [view[payload_start:]]):
-            raise ProgramError(
-                "machine tape content does not match its header digest: "
-                "corrupt entry"
-            )
+        _TAPE_FORMAT.verify(self, meta)
         return self
 
     def _check_counts(self) -> None:
@@ -349,15 +281,4 @@ class MachineTape:
 
     def close(self) -> None:
         """Release mmap-backed resources deterministically (idempotent)."""
-        buf = self._buffer
-        if buf is None:
-            return
-        for name, _ in _TAPE_ARRAYS:
-            column = getattr(self, name, None)
-            if isinstance(column, memoryview):
-                column.release()
-                setattr(self, name, ())
-        self._buffer = None
-        close_buf = getattr(buf, "close", None)
-        if close_buf is not None:
-            close_buf()
+        _TAPE_FORMAT.release(self)

@@ -1,6 +1,5 @@
 """Experiment harness: the paper's evaluation protocol and exhibits."""
 
-from repro.harness.attribution import Attribution, attribute_alarms, compare_attributions
 from repro.harness.explain import AccessRecord, Explanation, explain_report
 from repro.harness.detectors import (
     DETECTOR_KEYS,
@@ -31,9 +30,6 @@ from repro.harness.tables import (
 )
 
 __all__ = [
-    "Attribution",
-    "attribute_alarms",
-    "compare_attributions",
     "AccessRecord",
     "Explanation",
     "explain_report",

@@ -1,7 +1,9 @@
 """Garbage collection for the on-disk result caches (``repro cache gc``).
 
 The harness keeps three content-addressed cache families under one
-directory (``results/cache`` by default):
+directory (``results/cache`` by default), each an
+:class:`~repro.harness.tracecache.EntryCache` that names its own
+subdirectory and file patterns:
 
 * verdict JSON files (``<app>_<run>_<digest>.json``) at the top level;
 * interleaved traces (``traces/trace_*.cols``, plus legacy ``.pkl``);
@@ -20,12 +22,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.harness.tracecache import TapeCache, TraceCache, VerdictCache
+
 #: The cache families a GC pass covers: (kind, subdirectory, glob).
-_FAMILIES = (
-    ("verdicts", "", "*.json"),
-    ("traces", "traces", "trace_*.cols"),
-    ("traces", "traces", "trace_*.pkl"),
-    ("tapes", "tapes", "tape_*.tape"),
+_FAMILIES = tuple(
+    (cache.FAMILY, cache.SUBDIR, pattern)
+    for cache in (VerdictCache, TraceCache, TapeCache)
+    for pattern in cache.PATTERNS
 )
 
 

@@ -29,12 +29,13 @@ Three caches keep the sweeps cheap:
   workers don't re-interleave the same run.  A trace carries its run's
   injected bug, so a cached trace is scored without building the program:
   :meth:`ExperimentRunner.program_for` runs only on a trace-cache miss;
-* detector verdicts are cached on disk (JSON, keyed by the trace key, a
-  configuration signature and the source digest of the whole package)
-  with atomic write-then-rename, because the sensitivity sweeps of Section
-  5.2 revisit the same runs under many detector configurations.  A hit
-  needs neither a program nor a trace; a truncated, non-object or
-  incomplete entry is unlinked and recomputed;
+* detector verdicts are cached on disk
+  (:class:`~repro.harness.tracecache.VerdictCache`: JSON, keyed by the
+  trace key, a configuration signature and the source digest of the whole
+  package) with atomic write-then-rename, because the sensitivity sweeps
+  of Section 5.2 revisit the same runs under many detector
+  configurations.  A hit needs neither a program nor a trace; a
+  truncated, non-object or incomplete entry is unlinked and recomputed;
 * verdicts are additionally memoised in memory, so a cell scored once —
   in this process or by a worker — is never evaluated again by this
   runner.
@@ -42,24 +43,16 @@ Three caches keep the sweeps cheap:
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.events import Trace
-from repro.common.fsio import atomic_write_text
 from repro.common.rng import derive_seed
 from repro.engine import EngineSession
 from repro.harness.detectors import DetectorConfig, config_signature
-from repro.harness.tracecache import (
-    VERDICT_SOURCES,
-    TapeCache,
-    TraceCache,
-    ensure_cache_dir,
-    source_digest,
-)
+from repro.harness.tracecache import TapeCache, TraceCache, VerdictCache
 from repro.hybrids.conformance import site_key
 from repro.obs.metrics import MetricsRegistry
 from repro.reporting import DetectionResult
@@ -195,12 +188,13 @@ class ExperimentRunner:
         self.engine_jobs = max(1, int(engine_jobs))
         self.runs = runs
         self.jobs = max(1, int(jobs))
-        self.cache_dir = ensure_cache_dir(cache_dir)
+        self.verdict_cache = VerdictCache(cache_dir)
+        self.cache_dir = self.verdict_cache.directory
         if trace_cache_dir is None and self.cache_dir is not None:
-            trace_cache_dir = self.cache_dir / "traces"
+            trace_cache_dir = self.cache_dir / TraceCache.SUBDIR
         self.trace_cache = TraceCache(trace_cache_dir)
         if tape_cache_dir is None and self.cache_dir is not None:
-            tape_cache_dir = self.cache_dir / "tapes"
+            tape_cache_dir = self.cache_dir / TapeCache.SUBDIR
         self.tape_cache = TapeCache(tape_cache_dir)
         # Callers may share a registry (e.g. an Observability bundle's) so
         # harness cache counters surface in their RunReport/metrics output.
@@ -331,6 +325,7 @@ class ExperimentRunner:
         """
         cfgs = [DetectorConfig.coerce(config) for config in configs]
         signatures = [config_signature(cfg) for cfg in cfgs]
+        trace_key = self._trace_key(app, run)
         outcomes: dict[int, RunOutcome] = {}
         pending: list[tuple[int, DetectorConfig, str]] = []
         pending_signatures: set[str] = set()
@@ -338,8 +333,9 @@ class ExperimentRunner:
             memo_key = (app, run, signature)
             outcome = self._outcomes.get(memo_key)
             if outcome is None:
-                outcome = self._cache_get(app, run, signature)
+                outcome = self.verdict_cache.load(app, run, signature, *trace_key)
                 if outcome is not None:
+                    self.metrics.add("harness.verdict_cache_hits")
                     self._outcomes[memo_key] = outcome
             if outcome is not None:
                 outcomes[index] = outcome
@@ -374,7 +370,7 @@ class ExperimentRunner:
                     sites=tuple(sorted(map(site_key, result.alarm_sites()))),
                     stats=dict(sorted(result.stats.snapshot().items())),
                 )
-                self._cache_put(outcome, signature)
+                self.verdict_cache.store(outcome, app, run, signature, *trace_key)
                 self._outcomes[(app, run, signature)] = outcome
                 outcomes[index] = outcome
         # Duplicate configurations in one batch resolve from the memo.
@@ -442,46 +438,3 @@ class ExperimentRunner:
                 self._outcomes[(outcome.app, outcome.run, outcome.detector)] = outcome
             self.metrics.merge_registry(report.metrics)
         return {cell: self._outcomes[key] for cell, key in keys.items()}
-
-    # ------------------------------------------------------------- cache
-
-    def _cache_path(self, app: str, run: int, signature: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        digest = derive_seed(
-            "verdict",
-            signature,
-            *self._trace_key(app, run),
-            source_digest(*VERDICT_SOURCES),
-        )
-        return self.cache_dir / f"{app}_{run}_{digest:016x}.json"
-
-    def _cache_get(self, app: str, run: int, signature: str) -> RunOutcome | None:
-        path = self._cache_path(app, run, signature)
-        if path is None:
-            return None
-        try:
-            data = json.loads(path.read_text())
-            if data.get("signature") != signature:
-                return None
-            outcome = RunOutcome.from_dict(data)
-        except FileNotFoundError:
-            return None
-        except (ValueError, AttributeError, KeyError, TypeError):
-            # Truncated, not an object, a field missing, or a non-iterable
-            # ``sites``: the entry fails closed — unlinked and recomputed
-            # like a miss.
-            path.unlink(missing_ok=True)
-            return None
-        self.metrics.add("harness.verdict_cache_hits")
-        return outcome
-
-    def _cache_put(self, outcome: RunOutcome, signature: str) -> None:
-        path = self._cache_path(outcome.app, outcome.run, signature)
-        if path is None:
-            return
-        payload = json.dumps({"signature": signature, **outcome.to_dict()})
-        # Atomic write-then-rename so a crashed or parallel sweep never
-        # leaves a truncated JSON file that poisons every later cache hit.
-        atomic_write_text(path, payload)
-

@@ -13,7 +13,8 @@ changing the path choice.  It records:
   ``core.<name>``, ``finish_batch``, ``release`` of a finished core's
   state; ``spill`` and the workers' ``core.<name>`` on the sharded path),
   plus the share of the walk the leaves attribute (on the sharded path
-  the workers' step times overlap, so that share can exceed 1);
+  the workers' step times overlap in wall time, so they count as worker
+  seconds over workers, which keeps the share in [0, 1]);
 * **sync-point density** — locks/unlocks/barriers per 1k trace events,
   from a strided census of the trace (stride
   :attr:`~FlightRecorder.census_stride`, so the census touches ~1.5% of
@@ -90,6 +91,10 @@ class FlightRecorder:
         #: Cumulative wall seconds per frame path (flamegraph stacks).
         self.frames: dict[tuple[str, ...], float] = {}
         self._frame_stack: list[str] = []
+        #: Seconds of ``core.<name>`` frames that ran at the same time as
+        #: others (a sharded walk's workers), left out of the walk's
+        #: attributed share.
+        self._overlap_s = 0.0
         #: ``perf_counter`` at the start of the collection in progress.
         self._gc_t0 = 0.0
         self._gc_pause = self.registry.timer(_GC_PAUSE_TIMER)
@@ -221,11 +226,16 @@ class FlightRecorder:
         registry.add("telemetry.trace.sync_points", sync)
         return estimates
 
-    def record_core_walk(self, name: str, stepped: int, wall_s: float) -> None:
+    def record_core_walk(
+        self, name: str, stepped: int, wall_s: float, workers: int = 1
+    ) -> None:
         """Fold one core's timed walk into the aggregates.
 
         ``stepped`` is how many events the core consumed, ``wall_s`` the
-        exact time it spent consuming them.
+        exact time it spent consuming them.  ``workers`` is how many
+        processes walked cores at once (the sharded walk): the frame keeps
+        the whole ``wall_s``, and the walk's attributed share counts
+        ``wall_s / workers`` of it.
         """
         entry = self.cores.setdefault(name, dict.fromkeys(_CORE_FIELDS, 0))
         entry["stepped"] += stepped
@@ -234,6 +244,7 @@ class FlightRecorder:
         if stepped:
             self.registry.observe("telemetry.step_us", wall_s / stepped * 1e6)
         self.record_frame((*_WALK_FRAME, f"core.{name}"), wall_s)
+        self._overlap_s += wall_s - wall_s / max(1, workers)
 
     def record_walk(self, wall_s: float) -> None:
         """Record one whole engine walk (all cores, one trace pass)."""
@@ -253,6 +264,7 @@ class FlightRecorder:
         for path, seconds in other.frames.items():
             # Not record_frame: merged frames were already accounted once.
             self.frames[path] = self.frames.get(path, 0.0) + seconds
+        self._overlap_s += other._overlap_s
 
     # ---------------------------------------------------------- snapshot
 
@@ -261,17 +273,21 @@ class FlightRecorder:
 
         Raw counters plus the derived quantities: per-core events/sec and
         step time, sync-point density per 1k events, the share of walk
-        time the walk's leaf frames attribute, the share the collector's
-        pauses took, and the frame table.
+        time the walk's leaf frames attribute (a sharded walk's worker
+        seconds count over its workers), the share the collector's pauses
+        took, and the frame table.
         """
         counters = self.registry.snapshot()
         events = counters.get("telemetry.trace.events", 0)
         sync = counters.get("telemetry.trace.sync_points", 0)
         walk_s = self.frames.get(_WALK_FRAME, 0.0)
-        attributed_s = sum(
-            seconds
-            for path, seconds in self.frames.items()
-            if len(path) == 3 and path[:2] == _WALK_FRAME
+        attributed_s = (
+            sum(
+                seconds
+                for path, seconds in self.frames.items()
+                if len(path) == 3 and path[:2] == _WALK_FRAME
+            )
+            - self._overlap_s
         )
         gc_pause_s = self._gc_pause.total_s
         cores = {}

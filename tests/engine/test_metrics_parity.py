@@ -2,11 +2,13 @@
 
 A ``collect_metrics`` session used to force the per-event scalar walk.
 Now every batch kernel books, in ``finish_batch``, exactly the counters
-and histograms its scalar ``step`` books per event (``obs.alarms``,
-``obs.lockset_refinements``, ``obs.bloom_collision_bits``,
+and histograms its scalar ``step`` books per event
+(``obs.lockset_refinements``, ``obs.bloom_collision_bits``,
 ``hard.candidate_popcount``, ``hard.barrier_reset_copies``,
-``lockset.candidate_size``), and machine-backed kernels merge the tape's
-``machine.access_cycles`` histogram.  This suite runs every registered key
+``lockset.candidate_size``), machine-backed kernels merge the tape's
+``machine.access_cycles`` histogram, and ``obs.alarms`` is booked once per
+finished result from its report log by ``repro.reporting.book_alarms``, on
+either walk.  This suite runs every registered key
 on golden-verdict coordinates, on the snoopy bus and the directory fabric,
 and holds the two walks' metric snapshots equal.
 

@@ -142,7 +142,9 @@ def cache_keys(directory: Path) -> dict[str, Path]:
             "raytrace", 0, *runner._trace_key("raytrace", 0)
         ),
         "tape": TapeCache(directory).path_for(trace.columns(), MachineConfig()),
-        "verdict": runner._cache_path("raytrace", 0, "hard-default;v2"),
+        "verdict": runner.verdict_cache.path_for(
+            "raytrace", 0, "hard-default;v2", *runner._trace_key("raytrace", 0)
+        ),
     }
 
 

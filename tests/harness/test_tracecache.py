@@ -292,3 +292,86 @@ class TestUnusableCacheDir:
         err = capsys.readouterr().err
         assert str(regular_file) in err
         assert "must be a writable directory" in err
+
+
+def _small_columns():
+    program = build_workload("fuzz:3", seed=0)
+    return interleave(program, RandomScheduler(seed=0, max_burst=8)).trace.columns()
+
+
+def _damage_container(raw: bytes, damage: str, magic: bytes) -> bytes:
+    """One container-level damage: the magic, the version, or a typecode."""
+    raw = bytearray(raw)
+    if damage == "magic":
+        raw[: len(magic)] = b"NOTMAGIC"
+    elif damage == "version":
+        (version,) = struct.unpack_from("<I", raw, len(magic))
+        struct.pack_into("<I", raw, len(magic), version + 1)
+    else:
+        # Swap the first array's typecode for another of the same length,
+        # so the header keeps its size and nothing else moves.
+        _, header_len = struct.unpack_from("<II", raw, len(magic))
+        header_start = len(magic) + 8
+        header = json.loads(bytes(raw[header_start : header_start + header_len]))
+        name, (typecode, _, _) = next(iter(header["columns"].items()))
+        old = f'"{name}":["{typecode}"'.encode()
+        new = f'"{name}":["{typecode.swapcase()}"'.encode()
+        start = raw.index(old, header_start)
+        raw[start : start + len(old)] = new
+    return bytes(raw)
+
+
+class TestContainerRejects:
+    """Both packed formats reject a foreign magic, version or typecode.
+
+    ``.cols`` and ``.tape`` share one container; each damage raises
+    :class:`ProgramError` from ``from_bytes``, and a cache holding such an
+    entry counts a miss and unlinks it.
+    """
+
+    @pytest.fixture(scope="class")
+    def entries(self, tmp_path_factory):
+        from repro.common.config import MachineConfig
+        from repro.engine.tape import _TAPE_MAGIC, MachineTape
+
+        directory = tmp_path_factory.mktemp("container")
+        cols = _small_columns()
+        tape = MachineTape(cols, MachineConfig())
+        traces, tapes = TraceCache(directory / "traces"), TapeCache(directory / "tapes")
+        return {
+            ".cols": (
+                ColumnarTrace.from_bytes,
+                _MAGIC,
+                traces.store(cols.to_trace(), APP, 0, *KEY),
+                lambda cache: cache.load(APP, 0, *KEY),
+                traces,
+            ),
+            ".tape": (
+                MachineTape.from_bytes,
+                _TAPE_MAGIC,
+                tapes.store(cols, tape),
+                lambda cache: cache.load(cols, MachineConfig()),
+                tapes,
+            ),
+        }
+
+    @pytest.mark.parametrize("damage", ["magic", "version", "typecode"])
+    @pytest.mark.parametrize("suffix", [".cols", ".tape"])
+    def test_damage_raises_and_is_a_miss(self, entries, tmp_path, suffix, damage):
+        from_bytes, magic, path, load, cache = entries[suffix]
+        original = path.read_bytes()
+        damaged = _damage_container(original, damage, magic)
+        assert len(damaged) == len(original) and damaged != original
+        match = {"magic": "bad magic", "version": "version", "typecode": "typecode"}
+        with pytest.raises(ProgramError, match=match[damage]):
+            from_bytes(damaged)
+        path.write_bytes(damaged)
+        try:
+            misses = cache.misses
+            assert load(cache) is None
+            assert cache.misses == misses + 1
+            assert not path.exists()
+        finally:
+            path.write_bytes(original)
+        assert load(cache) is not None
+        cache.close()

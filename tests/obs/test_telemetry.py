@@ -151,6 +151,23 @@ class TestWalkAggregates:
         assert snap["derived"]["walk_attributed_frac"] == 0.75
         assert FlightRecorder().snapshot()["derived"]["walk_attributed_frac"] == 0.0
 
+    def test_overlapping_worker_walks_count_over_their_workers(self):
+        recorder = FlightRecorder()
+        recorder.record_walk(1.0)
+        recorder.record_frame(("engine", "walk", "spill"), 0.1)
+        # Two workers, each stepping one core for 0.8 s of the same 0.9 s.
+        recorder.record_core_walk("a", 10, 0.8, workers=2)
+        recorder.record_core_walk("b", 10, 0.8, workers=2)
+        snap = recorder.snapshot()
+        # The frames keep each worker's whole time...
+        assert snap["frames"]["engine;walk;core.a"] == 0.8
+        # ...and the share counts worker seconds over workers: 0.1 + 1.6 / 2.
+        assert snap["derived"]["walk_attributed_frac"] == 0.9
+        merged = FlightRecorder()
+        merged.merge(recorder)
+        merged.merge(recorder)
+        assert merged.snapshot()["derived"]["walk_attributed_frac"] == 0.9
+
 
 class TestGcCensus:
     """A walk counts the collector's runs and pauses, then unhooks itself."""
@@ -399,6 +416,23 @@ class TestBatchWalk:
             assert recorder.frames[("engine", "walk", f"core.{key}")] == pytest.approx(
                 core["wall_s"], abs=1e-6
             )
+
+    def test_sharded_walk_attributed_frac_is_a_share(self):
+        keys = ("hard-default", "hb-default", "software")
+        session, _, recorder = run_recorded(
+            small_trace(), keys, path="sharded", jobs=2
+        )
+        assert session.path_taken == "sharded"
+        snap = recorder.snapshot()
+        worker_s = sum(core["wall_s"] for core in snap["cores"].values())
+        walk_s = recorder.frames[("engine", "walk")]
+        parent_s = sum(
+            recorder.frames[("engine", "walk", leaf)]
+            for leaf in ("pack", "spill", "tape.record")
+        )
+        frac = snap["derived"]["walk_attributed_frac"]
+        assert 0.0 < frac <= 1.0
+        assert frac == pytest.approx((parent_s + worker_s / 2) / walk_s, abs=1e-4)
 
 
 def test_walk_attribution_covers_raytrace():
