@@ -175,13 +175,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     # No emitter and no metrics: the profile times the walk a plain
-    # ``repro run`` takes.  Per-type event counts come from
+    # ``repro run`` takes.  A flight recorder never changes the walk; it
+    # splits the detect phase into the tape fetch and each kernel's exact
+    # step time.  Per-type event counts come from
     # ``repro run --trace-out F --json`` (``event_counts``).
     run = api.run_pipeline(
         args.app,
         args.detector,
         workload_seed=args.seed,
         schedule_seed=args.schedule_seed,
+        obs=Observability(telemetry=api.FlightRecorder()),
         jobs=_resolve_jobs(args),
     )
     result = run.result
@@ -195,6 +198,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"({throughput['trace_events']:,} events in "
         f"{throughput['detect_wall_s']:.3f}s)"
     )
+    telemetry = run.report.telemetry
+    for path, seconds in telemetry["frames"].items():
+        if path.startswith("engine;walk;tape."):
+            source = path.rpartition(".")[2]
+            print(f"tape fetch ({source}): {seconds:.3f}s")
+    for name, core in telemetry["cores"].items():
+        print(
+            f"kernel {name}: {core['events_per_s']:,.0f} events/s "
+            f"({core['stepped']:,} events in {core['wall_s']:.3f}s)"
+        )
 
     hotspots = sorted(result.stats.items(), key=lambda kv: -kv[1])[: args.top]
     if hotspots:

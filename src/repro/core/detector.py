@@ -190,7 +190,7 @@ class HardCore:
     def _lock_register(self, thread_id: int) -> LockRegister:
         register = self._lock_registers.get(thread_id)
         if register is None:
-            register = LockRegister(self.d.config, self.mapper)
+            register = LockRegister(self.d.config, self.mapper, thread_id)
             self._lock_registers[thread_id] = register
         return register
 
@@ -305,11 +305,16 @@ class HardCore:
 
     # ------------------------------------------------------------- batch path
     # The vectorized kernel: same algorithm over the columnar trace and a
-    # prerecorded machine tape, bit-for-bit identical results.  Chunk records
-    # are flat int triples ``[bf, lstate, owner]`` (LState int-coded 0..3 in
-    # Figure 2 order), per-holder metadata copies are plain lists keyed by
-    # core id (L2 copy under ``_L2``), and the Figure 2 transition runs
-    # inline — no Transition/ChunkMeta/Machine objects on the hot path.
+    # prerecorded machine tape, bit-for-bit identical results.  A holder's
+    # copy of a line's metadata is an immutable flat tuple
+    # ``(bf, lstate, owner) * chunks`` (LState int-coded 0..3 in Figure 2
+    # order), keyed by core id (the L2's copy under ``_L2``).  Metadata
+    # moves by reference: a fill, a writeback, a broadcast and a barrier
+    # reset store a shared tuple, and a new tuple is built only where an
+    # access changes the record.  The Lock and Counter Registers are plain
+    # per-thread ints and lists updated inline from each lock's memoised
+    # signature bits, and the Figure 2 transition runs inline — no
+    # Transition/ChunkMeta/LockRegister/Machine objects on the hot path.
 
     _L2 = -2  # metadata holder key of the shared L2's copy
     _VIRGIN, _EXCLUSIVE, _SHARED, _SHARED_MODIFIED = 0, 1, 2, 3
@@ -333,7 +338,14 @@ class HardCore:
         self.mapper = BloomMapper(config.bloom)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
-        self._lock_registers = {}
+        # The Lock Register (thread -> vector), the Counter Register
+        # (thread -> one counter per vector bit), the held-lock multiset
+        # that validates releases (thread -> lock -> depth), and each lock's
+        # signature with its set bit positions.
+        self._lock_values: dict[int, int] = {}
+        self._lock_counters: dict[int, list[int]] = {}
+        self._lock_held: dict[int, dict[int, int]] = {}
+        self._lock_sigs: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._barrier_arrivals = {}
         line_size = machine_config.line_size
         chunks = line_size // config.granularity
@@ -351,9 +363,9 @@ class HardCore:
             if machine_config.thread_mapping == "pinned"
             else None
         )
-        # line -> holder -> flat [bf, lstate, owner] * chunks
-        self._lines: dict[int, dict[int, list[int]]] = {}
-        self._fresh = [self.mapper.full_mask, self._VIRGIN, NO_OWNER] * chunks
+        # line -> holder -> immutable (bf, lstate, owner) * chunks
+        self._lines: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._fresh = (self.mapper.full_mask, self._VIRGIN, NO_OWNER) * chunks
         self._empty_memo: dict[int, bool] = {}
         # Occurrence counters: every scalar-path ``charge``/``stats.add`` call
         # site gets one, so finish_batch can reconstruct the exact stat keys
@@ -362,7 +374,6 @@ class HardCore:
         self._n_piggybacks = 0
         self._n_acquires = 0
         self._n_releases = 0
-        self._n_lockreg = 0
         self._n_checks = 0
         self._n_broadcasts = 0
         self._n_reports = 0
@@ -397,13 +408,20 @@ class HardCore:
         config = detector.config
         broadcast_updates = config.broadcast_updates
         barrier_reset = config.barrier_reset
+        use_counters = config.use_counter_register
+        counter_max = (1 << config.counter_bits) - 1
+        vector_bits = config.bloom.vector_bits
         granularity = config.granularity
-        full_mask = self.mapper.full_mask
+        signature = self.mapper.signature
         is_empty = self.mapper.is_empty
         empty_memo = self._empty_memo
         lines = self._lines
         fresh = self._fresh
-        registers = self._lock_registers
+        single = len(fresh) == 3
+        lock_values = self._lock_values
+        lock_counters = self._lock_counters
+        lock_held = self._lock_held
+        lock_sigs = self._lock_sigs
         arrivals = self._barrier_arrivals
         log_add = self.log.add
         line_mask = self._line_mask
@@ -417,7 +435,8 @@ class HardCore:
 
         n_candidate_updates = self._n_candidate_updates
         n_piggybacks = self._n_piggybacks
-        n_lockreg = self._n_lockreg
+        n_acquires = self._n_acquires
+        n_releases = self._n_releases
         n_checks = self._n_checks
         n_broadcasts = self._n_broadcasts
         n_reports = self._n_reports
@@ -440,15 +459,13 @@ class HardCore:
                 code = hook_code[h]
                 line_addr = hook_line[h]
                 if code == 0:  # fill from memory: fresh copies, L2 + core
-                    meta = fresh[:]
-                    lines[line_addr] = {L2: meta[:], hook_core[h]: meta}
+                    lines[line_addr] = {L2: fresh, hook_core[h]: fresh}
                 elif code <= 2:  # fill from the L2 (1) or a peer core (2)
                     holders = lines[line_addr]
-                    supplier = L2 if code == 1 else hook_aux[h]
-                    holders[hook_core[h]] = holders[supplier][:]
+                    holders[hook_core[h]] = holders[L2 if code == 1 else hook_aux[h]]
                 elif code == 3:  # writeback refreshes the L2 copy
                     holders = lines[line_addr]
-                    holders[L2] = holders[hook_core[h]][:]
+                    holders[L2] = holders[hook_core[h]]
                 elif code == 6:  # L2 displacement: all record disappears
                     del lines[line_addr]
                 else:  # L1 eviction / invalidation drops that copy
@@ -464,46 +481,41 @@ class HardCore:
                     if tracing:
                         for _ in range(count):
                             emit("metadata.piggyback", bits=meta_bits)
-                register = registers.get(tid)
-                lock_vector = register.value if register is not None else 0
-
-                first = addr & chunk_mask
+                chunk_addr = addr & chunk_mask
                 last = (addr + size - 1) & chunk_mask
-                chunk_addr = first
                 changed_lines = None
                 changed_line = -1
                 while True:
                     line_addr = chunk_addr & line_mask
-                    meta = lines[line_addr][core]
-                    slot = ((chunk_addr & offset_mask) >> chunk_shift) * 3
-                    state = meta[slot + 1]
-                    owner = meta[slot + 2]
+                    holders = lines[line_addr]
+                    meta = holders[core]
+                    if single:
+                        bf, state, owner = meta
+                    else:
+                        slot = ((chunk_addr & offset_mask) >> chunk_shift) * 3
+                        bf, state, owner = meta[slot : slot + 3]
                     # Figure 2, inline (0=V, 1=E, 2=S, 3=SM).
+                    new_bf = bf
+                    next_owner = owner
                     if state == 0:
                         next_state = 1
                         next_owner = tid
+                        state_changed = True
                         update = check = False
-                    elif state == 1 and tid == owner:
-                        next_state = 1
-                        next_owner = owner
-                        update = check = False
+                    elif state == 1 and tid == owner:  # the owner again: no change
+                        state_changed = update = check = False
                     elif state != 3 and not is_write:
                         next_state = 2
-                        next_owner = owner
+                        state_changed = state != 2
                         update = True
                         check = False
                     else:
                         next_state = 3
-                        next_owner = owner
+                        state_changed = state != 3
                         update = check = True
-                    state_changed = next_state != state or next_owner != owner
-                    meta[slot + 1] = next_state
-                    meta[slot + 2] = next_owner
                     if update:
-                        bf = meta[slot]
-                        new_bf = bf & lock_vector
+                        new_bf = bf & lock_values.get(tid, 0)
                         if new_bf != bf:
-                            meta[slot] = new_bf
                             state_changed = True
                             refined_popcounts[new_bf.bit_count()] += 1
                             if tracing:
@@ -545,6 +557,13 @@ class HardCore:
                                             vector=new_bf,
                                         )
                     if state_changed:
+                        # Only a changed record builds a new value.
+                        record = (new_bf, next_state, next_owner)
+                        holders[core] = (
+                            record
+                            if single
+                            else meta[:slot] + record + meta[slot + 3 :]
+                        )
                         if tracing and next_state != state:
                             emit(
                                 "lstate.transition",
@@ -583,24 +602,55 @@ class HardCore:
                         holders = lines[line_addr]
                         meta = holders[core]
                         for holder in holders:
-                            holders[holder] = meta[:]
+                            holders[holder] = meta
                         n_broadcasts += 1
                         if tracing:
                             emit(update_event, bits=meta_bits)
-            elif kind == 2:  # LOCK
-                register = registers.get(tid)
-                if register is None:
-                    register = registers[tid] = LockRegister(config, self.mapper)
-                register.acquire(addr)
-                n_lockreg += 1
-                self._n_acquires += 1
-            elif kind == 3:  # UNLOCK
-                register = registers.get(tid)
-                if register is None:
-                    register = registers[tid] = LockRegister(config, self.mapper)
-                register.release(addr)
-                n_lockreg += 1
-                self._n_releases += 1
+            elif kind == 2:  # LOCK: OR the signature in, bump its counters
+                entry = lock_sigs.get(addr)
+                if entry is None:
+                    sig = signature(addr)
+                    entry = lock_sigs[addr] = (
+                        sig,
+                        tuple(bit for bit in range(vector_bits) if sig >> bit & 1),
+                    )
+                lock_values[tid] = lock_values.get(tid, 0) | entry[0]
+                counters = lock_counters.get(tid)
+                if counters is None:
+                    counters = lock_counters[tid] = [0] * vector_bits
+                for bit in entry[1]:
+                    if counters[bit] < counter_max:
+                        counters[bit] += 1
+                held = lock_held.get(tid)
+                if held is None:
+                    held = lock_held[tid] = {}
+                held[addr] = held.get(addr, 0) + 1
+                n_acquires += 1
+            elif kind == 3:  # UNLOCK: drop the counters, clear bits at zero
+                held = lock_held.get(tid)
+                depth = held.get(addr, 0) if held is not None else 0
+                if depth <= 0:
+                    raise DetectorError(
+                        f"t{tid} released lock 0x{addr:x} it never took"
+                    )
+                if depth == 1:
+                    del held[addr]
+                else:
+                    held[addr] = depth - 1
+                sig, bits = lock_sigs[addr]
+                value = lock_values[tid]
+                if use_counters:
+                    counters = lock_counters[tid]
+                    for bit in bits:
+                        count = counters[bit]
+                        if count:
+                            count = counters[bit] = count - 1
+                        if not count:
+                            value &= ~(1 << bit)
+                else:
+                    value &= ~sig
+                lock_values[tid] = value
+                n_releases += 1
             elif kind == 4:  # BARRIER
                 count = arrivals.get(addr, 0) + 1
                 if count < participants[i]:
@@ -609,14 +659,12 @@ class HardCore:
                     arrivals[addr] = 0
                     self._n_episodes += 1
                     if barrier_reset:
+                        # Every live copy becomes the one fresh record.
                         touched = 0
                         for holders in lines.values():
-                            for meta in holders.values():
-                                for slot in range(0, len(meta), 3):
-                                    meta[slot] = full_mask
-                                    meta[slot + 1] = 0
-                                    meta[slot + 2] = NO_OWNER
-                                touched += 1
+                            touched += len(holders)
+                            for holder in holders:
+                                holders[holder] = fresh
                         self._n_resets += 1
                         self._n_reset_copies += touched
                         reset_touched[touched] = reset_touched.get(touched, 0) + 1
@@ -626,7 +674,8 @@ class HardCore:
 
         self._n_candidate_updates = n_candidate_updates
         self._n_piggybacks = n_piggybacks
-        self._n_lockreg = n_lockreg
+        self._n_acquires = n_acquires
+        self._n_releases = n_releases
         self._n_checks = n_checks
         self._n_broadcasts = n_broadcasts
         self._n_reports = n_reports
@@ -663,8 +712,9 @@ class HardCore:
             extra += cycles
         if self._n_reports:
             stats.add("hard.dynamic_reports", self._n_reports)
-        if self._n_lockreg:
-            cycles = self._n_lockreg * costs.lock_register_update
+        n_lockreg = self._n_acquires + self._n_releases
+        if n_lockreg:
+            cycles = n_lockreg * costs.lock_register_update
             stats.add("cycles.hard.lockreg", cycles)
             extra += cycles
         if self._n_checks:

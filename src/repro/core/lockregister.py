@@ -24,10 +24,19 @@ from repro.core.bloom import BloomMapper
 
 
 class LockRegister:
-    """One core's Lock Register + Counter Register pair."""
+    """One core's Lock Register + Counter Register pair.
 
-    def __init__(self, config: HardConfig | None = None, mapper: BloomMapper | None = None):
+    ``thread_id`` names the running thread in the unbalanced-release error.
+    """
+
+    def __init__(
+        self,
+        config: HardConfig | None = None,
+        mapper: BloomMapper | None = None,
+        thread_id: int | None = None,
+    ):
         self.config = config or HardConfig()
+        self.thread_id = thread_id
         self.mapper = mapper or BloomMapper(self.config.bloom)
         self._counter_max = (1 << self.config.counter_bits) - 1
         self.value = 0
@@ -61,9 +70,8 @@ class LockRegister:
         zero.  Without it (ablation), clear the signature bits directly.
         """
         if self._held.get(lock_addr, 0) <= 0:
-            raise DetectorError(
-                f"release of lock 0x{lock_addr:x} not present in the register"
-            )
+            who = "" if self.thread_id is None else f"t{self.thread_id} "
+            raise DetectorError(f"{who}released lock 0x{lock_addr:x} it never took")
         self._held[lock_addr] -= 1
         if self._held[lock_addr] == 0:
             del self._held[lock_addr]

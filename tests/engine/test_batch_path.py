@@ -213,7 +213,7 @@ def run_detector(trace, detector, path):
 class TestUnbalancedRelease:
     @pytest.mark.parametrize("path", ("scalar", "batch", "sharded"))
     @pytest.mark.parametrize(
-        "key", ("hard-ideal", "software", "acculock", "multilock-hb")
+        "key", ("hard-default", "hard-ideal", "software", "acculock", "multilock-hb")
     )
     def test_release_of_untaken_lock_names_it(self, key, path):
         site = Site("release.c", 1, "release")

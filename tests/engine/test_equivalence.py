@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import detect
+from repro.common.events import Site, Trace, lock, unlock, write
+from repro.core.bloom import BloomMapper
 from repro.engine import EngineSession
 from repro.fuzz.corpus import corpus_paths, load_case
 from repro.harness.detectors import DETECTOR_KEYS, DetectorConfig, make_detector
@@ -92,6 +95,111 @@ class TestWorkloadEquivalence:
         for config, engine_result in zip(configs, engine_results):
             legacy = run_core(make_detector(config).core(), trace)
             assert_identical(engine_result, legacy, repr(config))
+
+
+@pytest.fixture(scope="module")
+def raytrace_trace():
+    program = build_workload("raytrace", seed=0)
+    return interleave(program, RandomScheduler(seed=0, max_burst=8)).trace
+
+
+class TestKernelKnobEquivalence:
+    """The HARD kernel's own branches: every knob it reads, scalar ≡ batch."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        (
+            {"use_counter_register": False},
+            {"broadcast_updates": False},
+            {"barrier_reset": False},
+            {"granularity": 4},
+        ),
+        ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+    )
+    def test_knob_matches_scalar(self, raytrace_trace, overrides):
+        config = DetectorConfig("hard-default", **overrides)
+        session = EngineSession(raytrace_trace)
+        session.add_config(config)
+        (engine_result,) = session.run()
+        assert session.path_taken == "batch"
+        legacy = run_core(make_detector(config).core(), raytrace_trace)
+        assert_identical(engine_result, legacy, repr(config))
+        assert (
+            engine_result.reports.dynamic_count == legacy.reports.dynamic_count
+        ), repr(config)
+
+
+#: Four locks whose signatures share exactly one Bloom bit (part 0's first
+#: bit) and differ in the other three parts (Figure 4 mapping: address
+#: bits 2..9, two per part).
+SHARED_BIT_LOCKS = tuple(
+    0x10000 | (k << 4) | (k << 6) | (k << 8) for k in range(4)
+)
+
+
+def saturation_trace() -> tuple[Trace, Site, Site]:
+    """t1 writes X and Y under lock A; t0 nests A..D, then writes X and Y.
+
+    t0's four acquires saturate the shared bit's 2-bit counter at 3.  It
+    releases D and writes X still holding A, B and C: with the Counter
+    Register the shared bit survives (counter 2), without it the naive
+    clear empties part 0 and X races.  It then releases C and B and writes
+    Y holding A: the saturated counter reaches 0, the bit is cleared
+    though A is held, and Y races under both settings (the documented
+    hardware approximation).
+    """
+    a, b, c, d = SHARED_BIT_LOCKS
+    x, y = 0x2000, 0x3000
+    site = Site("saturate.c", 1, "lock")
+    site_x = Site("saturate.c", 10, "x")
+    site_y = Site("saturate.c", 20, "y")
+    trace = Trace(num_threads=2)
+    for op in (lock(a, site), write(x, site), write(y, site), unlock(a, site)):
+        trace.append(1, op)
+    for addr in (a, b, c, d):
+        trace.append(0, lock(addr, site))
+    trace.append(0, unlock(d, site))
+    trace.append(0, write(x, site_x))
+    trace.append(0, unlock(c, site))
+    trace.append(0, unlock(b, site))
+    trace.append(0, write(y, site_y))
+    trace.append(0, unlock(a, site))
+    return trace, site_x, site_y
+
+
+class TestCounterRegisterSaturation:
+    """Nested locks sharing one Bloom bit: the two counter settings differ."""
+
+    def test_locks_share_exactly_one_bit(self):
+        mapper = BloomMapper()
+        sigs = [mapper.signature(addr) for addr in SHARED_BIT_LOCKS]
+        common = sigs[0]
+        for sig in sigs[1:]:
+            common &= sig
+        assert common.bit_count() == 1
+        for i, sig in enumerate(sigs):
+            for other in sigs[i + 1 :]:
+                assert (sig & other) == common
+
+    @pytest.mark.parametrize("path", ("scalar", "batch"))
+    def test_counter_settings_give_different_verdicts(self, path):
+        trace, site_x, site_y = saturation_trace()
+        with_counters = detect(trace, "hard-default", engine_path=path)
+        naive = detect(
+            trace, "hard-default", engine_path=path, use_counter_register=False
+        )
+        assert with_counters.alarm_sites() == {site_y}
+        assert naive.alarm_sites() == {site_x, site_y}
+
+    @pytest.mark.parametrize("use_counter_register", (True, False))
+    def test_batch_matches_scalar(self, use_counter_register):
+        trace, _, _ = saturation_trace()
+        config = DetectorConfig(
+            "hard-default", use_counter_register=use_counter_register
+        )
+        batch = detect(trace, config, engine_path="batch")
+        legacy = run_core(make_detector(config).core(), trace)
+        assert_identical(batch, legacy, repr(config))
 
 
 class TestCorpusEquivalence:

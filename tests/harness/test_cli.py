@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -171,6 +172,23 @@ class TestObservabilityCommands:
         assert "engine path: batch" in out
         assert "fallback" not in out
         assert "event types" not in out
+
+    def test_profile_splits_tape_fetch_from_kernel_step(self, capsys):
+        # A flight recorder rides the walk: the tape fetch and the kernel's
+        # exact step time print as their own lines, beside the lumped one.
+        assert main(["profile", "raytrace", "hard-default"]) == 0
+        out = capsys.readouterr().out
+        assert "engine path: batch" in out
+        assert "detect throughput:" in out
+        assert re.search(r"^tape fetch \((record|load|memo)\): \d+\.\d{3}s$", out, re.M)
+        match = re.search(
+            r"^kernel hard-default: ([\d,]+) events/s \(([\d,]+) events in ", out, re.M
+        )
+        assert match
+        assert int(match.group(1).replace(",", "")) > 0
+        # The kernel stepped every event of the trace the lumped line timed.
+        lumped = re.search(r"^detect throughput: .* \(([\d,]+) events in ", out, re.M)
+        assert match.group(2) == lumped.group(1)
 
     def test_profile_defaults_to_hard_default(self):
         args = build_parser().parse_args(["profile", "barnes"])
